@@ -11,7 +11,6 @@ package repro_test
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"testing"
 
@@ -430,7 +429,7 @@ func BenchmarkFleet1kCT(b *testing.B) { benchFleet(b, 1000, 64, fleet.ModeCT) }
 func BenchmarkFleet10kCT(b *testing.B) { benchFleet(b, 10000, 64, fleet.ModeCT) }
 
 // BenchmarkFleet1kSlot: the slotted kernel at the same scale, for the
-// cross-kernel cost comparison.
+// cost comparison between the two simulators.
 func BenchmarkFleet1kSlot(b *testing.B) { benchFleet(b, 1000, 64, fleet.ModeSlot) }
 
 // BenchmarkFleet1MCT: the million-device acceptance scale at a short
@@ -474,34 +473,6 @@ func BenchmarkFleetCoupled1MCT(b *testing.B) {
 		Couple:     fleet.CoupleChannel,
 		CoupleSize: 8,
 	})
-}
-
-// BenchmarkFleetCoupledKernelSweep is the measurement behind the
-// KernelAuto decision table (fleet.kernelFor; DESIGN.md §7): the
-// coupled fleet at every group size K on both kernel backings. It is
-// not gated in BENCH_pr10.json — rerun it when the kernel or the
-// coupled hot path changes materially:
-//
-//	go test -bench BenchmarkFleetCoupledKernelSweep -benchtime 5x .
-func BenchmarkFleetCoupledKernelSweep(b *testing.B) {
-	for _, k := range []fleet.KernelKind{fleet.KernelHeap, fleet.KernelCalendar} {
-		for _, cs := range []int{8, 32, 64, 128, 256, 512} {
-			spec := fleet.Spec{
-				Devices:    4096,
-				Classes:    fleet.DefaultMix(),
-				Mode:       fleet.ModeCT,
-				Horizon:    64,
-				Seed:       11,
-				Couple:     fleet.CoupleChannel,
-				CoupleSize: cs,
-				ShardSize:  512,
-				Kernel:     k,
-			}
-			b.Run(fmt.Sprintf("kernel=%s/K=%d", k, cs), func(b *testing.B) {
-				benchFleetSpec(b, spec)
-			})
-		}
-	}
 }
 
 // BenchmarkFleetFaulted10kCT: the acceptance-scale fleet under fault

@@ -10,12 +10,12 @@ import (
 )
 
 // TestRunUncoupledMatchesPR6Golden pins the "coupling off ≡ pre-refactor
-// output" contract: with no -couple and no -kernel override, stdout is
-// byte-identical to the output the PR 6 binary produced for the same
-// flags (testdata goldens captured from that build). This is what
-// licenses the multi-layer refactor — the injected-kernel constructors,
-// the resource hook, and the summary's interference fields must all be
-// invisible until coupling is switched on.
+// output" contract: with no -couple, stdout is byte-identical to the
+// output the PR 6 binary produced for the same flags (testdata goldens
+// captured from that build). This is what licenses the multi-layer
+// refactor — ctsim.NewShared, the resource hook, and the summary's
+// interference fields must all be invisible until coupling is switched
+// on.
 func TestRunUncoupledMatchesPR6Golden(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -61,35 +61,6 @@ func TestRunCoupledDeterministicAcrossPools(t *testing.T) {
 				t.Fatalf("coupled output differs between -parallel 1 and 4:\n%s\nvs\n%s", serial.String(), pooled.String())
 			}
 		})
-	}
-}
-
-// TestRunKernelFlagOutputIdentity: -kernel calendar produces stdout
-// byte-identical to the default heap backing (the two kernels fire in
-// the same (time, seq) order), uncoupled and coupled; bogus kinds are
-// rejected.
-func TestRunKernelFlagOutputIdentity(t *testing.T) {
-	cases := map[string][]string{
-		"uncoupled": {"-devices", "80", "-horizon", "40", "-seed", "5"},
-		"coupled":   {"-devices", "80", "-horizon", "40", "-seed", "5", "-couple", "channel"},
-	}
-	for name, base := range cases {
-		t.Run(name, func(t *testing.T) {
-			var heap, cal bytes.Buffer
-			if err := run(context.Background(), &heap, append(base, "-kernel", "heap")); err != nil {
-				t.Fatal(err)
-			}
-			if err := run(context.Background(), &cal, append(base, "-kernel", "calendar")); err != nil {
-				t.Fatal(err)
-			}
-			if heap.String() != cal.String() {
-				t.Fatalf("output differs across -kernel kinds:\n%s\nvs\n%s", heap.String(), cal.String())
-			}
-		})
-	}
-	var out bytes.Buffer
-	if err := run(context.Background(), &out, []string{"-devices", "10", "-kernel", "splay"}); err == nil {
-		t.Fatal("bogus -kernel accepted")
 	}
 }
 

@@ -14,7 +14,6 @@
 //	qdpm-fleet -devices 10000 -couple channel -couple-size 8
 //	                                               # groups of 8 sharing one
 //	                                               # clock and channel
-//	qdpm-fleet -devices 10000 -kernel calendar     # calendar-queue backing
 //	qdpm-fleet -devices 10000 -faults mtbf=150,repair=10,fail=0.05
 //	                                               # crash/repair cycles +
 //	                                               # transient retry/backoff
@@ -90,7 +89,6 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 		queueCap = fs.Int("qcap", 0, "queue capacity per instance (0 = canonical 8)")
 		latW     = fs.Float64("latw", 0, "latency weight in J per request-slot (0 = canonical 0.3)")
 		shard    = fs.Int("shard", 0, "instances per pool job (0 = default 128; coupled runs round the default up to a -couple-size multiple)")
-		kernel   = fs.String("kernel", "auto", "CT event-queue backing: auto, heap, or calendar (output is bit-identical across all)")
 		couple   = fs.String("couple", "", "coupled mode's shared resource: channel, gateway, or power (default: uncoupled independent instances; CT mode only)")
 		coupleK  = fs.Int("couple-size", 0, "instances per coupled group sharing one kernel and resource (0 = default 8 when -couple is set)")
 		budgetF  = fs.Float64("budget-frac", 0, "power-budget cap as a fraction of each group's summed always-on power (0 = default 0.5; -couple power only)")
@@ -170,7 +168,6 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 			LatencyWeight: *latW,
 			ShardSize:     *shard,
 			Quantiles:     fleet.QuantileMode(*quant),
-			Kernel:        fleet.KernelKind(*kernel),
 			Couple:        fleet.CoupleMode(*couple),
 			CoupleSize:    *coupleK,
 			BudgetFrac:    *budgetF,

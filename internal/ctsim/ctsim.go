@@ -426,20 +426,10 @@ type Sim struct {
 }
 
 // New validates cfg and returns a simulator with its initial events (the
-// first arrival and the first decision) scheduled at a private 4-ary
-// heap kernel.
+// first arrival and the first decision) scheduled on a private event
+// kernel, which Reset and ResetValidated reset along with the simulator.
 func New(cfg Config) (*Sim, error) {
-	return NewWithKernel(eventq.New(), cfg)
-}
-
-// NewWithKernel is New on a caller-supplied kernel, which the simulator
-// then owns exclusively — Reset and ResetValidated reset it like New's
-// private one. Use it to pick a kernel backing (eventq.NewCalendar for
-// the calendar queue); the two backings fire in the identical (time,
-// seq) order, so output is bit-identical either way. The kernel must be
-// empty with its clock at 0 (freshly built or Reset).
-func NewWithKernel(k *eventq.Kernel, cfg Config) (*Sim, error) {
-	return newSim(k, false, cfg)
+	return newSim(eventq.New(), false, cfg)
 }
 
 // NewShared builds a simulator whose event handlers schedule against a

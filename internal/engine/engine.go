@@ -204,12 +204,13 @@ func MapWorkers[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.
 			}
 		}(w)
 	}
-dispatch:
-	for i := 0; i < n; i++ {
+	// Check ctx before every send: when a worker is ready and ctx is
+	// already done, select picks between the two cases at random, so the
+	// Done case alone would let jobs keep trickling out after a failure.
+	for i := 0; i < n && ctx.Err() == nil; i++ {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
-			break dispatch
 		}
 	}
 	close(jobs)

@@ -80,119 +80,100 @@ func (r *refKernel) fire() (float64, int) {
 	return 0, -1
 }
 
-// kernelConstructors enumerates every Kernel backing. Equivalence and
-// property tests run against each; all backings must produce the same
-// (time, seq) fire order bit for bit.
-var kernelConstructors = []struct {
-	name string
-	newK func() *Kernel
-}{
-	{"heap", New},
-	{"calendar", NewCalendar},
-}
-
-// TestArenaMatchesReferenceHeap drives each production kernel backing and
-// the reference kernel through the same random interleaving of schedules,
+// TestArenaMatchesReferenceHeap drives the production kernel and the
+// reference kernel through the same random interleaving of schedules,
 // cancels, and fires, and requires identical fire sequences (time and
 // event identity). This is the load-bearing equivalence test: it pins the
 // (time, seq) total order — and therefore every downstream trajectory —
-// to the pre-arena kernel's, for the heap and calendar backings alike.
+// to the pre-arena kernel's. The "heap" subtest names the backing.
 func TestArenaMatchesReferenceHeap(t *testing.T) {
-	for _, kc := range kernelConstructors {
-		kc := kc
-		t.Run(kc.name, func(t *testing.T) { testMatchesReference(t, kc.newK) })
-	}
-}
-
-func testMatchesReference(t *testing.T, newK func() *Kernel) {
-	f := func(seed uint64) bool { return matchesReferenceOnce(newK, seed) }
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("heap", func(t *testing.T) {
+		if err := quick.Check(matchesReferenceOnce, &quick.Config{MaxCount: 150}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // matchesReferenceOnce runs one 400-op random interleaving of the
-// production kernel under test against the reference kernel; false means
-// the fire sequences diverged.
-func matchesReferenceOnce(newK func() *Kernel, seed uint64) bool {
-	{
-		s := rng.New(seed)
-		k := newK()
-		ref := &refKernel{}
+// production kernel against the reference kernel; false means the fire
+// sequences diverged.
+func matchesReferenceOnce(seed uint64) bool {
+	s := rng.New(seed)
+	k := New()
+	ref := &refKernel{}
 
-		type livePair struct {
-			r  Ref
-			re *refEvent
-		}
-		var live []livePair
-		var gotT, wantT []float64
-		var gotID, wantID []int
-		nextID := 0
+	type livePair struct {
+		r  Ref
+		re *refEvent
+	}
+	var live []livePair
+	var gotT, wantT []float64
+	var gotID, wantID []int
+	nextID := 0
 
-		for op := 0; op < 400; op++ {
-			switch v := s.Float64(); {
-			case v < 0.55: // schedule
-				// Coarse times force heavy ties; the tie-break must match.
-				tt := k.Now() + float64(int(s.Float64()*8))
-				id := nextID
-				nextID++
-				r, err := k.Schedule(tt, func(now float64) {
-					gotT = append(gotT, now)
-					gotID = append(gotID, id)
-				})
-				if err != nil {
-					return false
-				}
-				live = append(live, livePair{r: r, re: ref.schedule(tt, id)})
-			case v < 0.75 && len(live) > 0: // cancel a random live event
-				i := int(s.Float64() * float64(len(live)))
-				k.Cancel(live[i].r)
-				ref.cancel(live[i].re)
-				live = append(live[:i], live[i+1:]...)
-			default: // fire one
-				wt, wid := ref.fire()
-				fired := k.Step()
-				if (wid >= 0) != fired {
-					return false
-				}
-				if wid >= 0 {
-					wantT = append(wantT, wt)
-					wantID = append(wantID, wid)
-					// Drop the fired event from the live set (ids are unique).
-					for i := range live {
-						if live[i].re.id == wid {
-							live = append(live[:i], live[i+1:]...)
-							break
-						}
+	for op := 0; op < 400; op++ {
+		switch v := s.Float64(); {
+		case v < 0.55: // schedule
+			// Coarse times force heavy ties; the tie-break must match.
+			tt := k.Now() + float64(int(s.Float64()*8))
+			id := nextID
+			nextID++
+			r, err := k.Schedule(tt, func(now float64) {
+				gotT = append(gotT, now)
+				gotID = append(gotID, id)
+			})
+			if err != nil {
+				return false
+			}
+			live = append(live, livePair{r: r, re: ref.schedule(tt, id)})
+		case v < 0.75 && len(live) > 0: // cancel a random live event
+			i := int(s.Float64() * float64(len(live)))
+			k.Cancel(live[i].r)
+			ref.cancel(live[i].re)
+			live = append(live[:i], live[i+1:]...)
+		default: // fire one
+			wt, wid := ref.fire()
+			fired := k.Step()
+			if (wid >= 0) != fired {
+				return false
+			}
+			if wid >= 0 {
+				wantT = append(wantT, wt)
+				wantID = append(wantID, wid)
+				// Drop the fired event from the live set (ids are unique).
+				for i := range live {
+					if live[i].re.id == wid {
+						live = append(live[:i], live[i+1:]...)
+						break
 					}
 				}
 			}
 		}
-		// Drain both.
-		for {
-			wt, wid := ref.fire()
-			if wid < 0 {
-				break
-			}
-			if !k.Step() {
-				return false
-			}
-			wantT = append(wantT, wt)
-			wantID = append(wantID, wid)
-		}
-		if k.Step() {
-			return false
-		}
-		if len(gotT) != len(wantT) {
-			return false
-		}
-		for i := range gotT {
-			if gotT[i] != wantT[i] || gotID[i] != wantID[i] {
-				return false
-			}
-		}
-		return true
 	}
+	// Drain both.
+	for {
+		wt, wid := ref.fire()
+		if wid < 0 {
+			break
+		}
+		if !k.Step() {
+			return false
+		}
+		wantT = append(wantT, wt)
+		wantID = append(wantID, wid)
+	}
+	if k.Step() {
+		return false
+	}
+	if len(gotT) != len(wantT) {
+		return false
+	}
+	for i := range gotT {
+		if gotT[i] != wantT[i] || gotID[i] != wantID[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestFreeListReuse pins the zero-allocation contract structurally: a
@@ -256,18 +237,14 @@ func TestFreeListReuse(t *testing.T) {
 
 // TestTieBreakDeterminism: same-time events fire in schedule order, even
 // when interleaved with cancels that shuffle heap positions, and
-// independently of how many unrelated events came before. Runs on every
-// backing — in the calendar, all ties share one bucket chain.
+// independently of how many unrelated events came before.
 func TestTieBreakDeterminism(t *testing.T) {
-	for _, kc := range kernelConstructors {
-		kc := kc
-		t.Run(kc.name, func(t *testing.T) { testTieBreak(t, kc.newK) })
-	}
+	t.Run("heap", testTieBreakDeterminism)
 }
 
-func testTieBreak(t *testing.T, newK func() *Kernel) {
+func testTieBreakDeterminism(t *testing.T) {
 	run := func(preload int) []int {
-		k := newK()
+		k := New()
 		// Unrelated churn first, to displace arena slot assignment.
 		var junk []Ref
 		for i := 0; i < preload; i++ {
@@ -317,17 +294,13 @@ func testTieBreak(t *testing.T, newK func() *Kernel) {
 
 // TestStaleRefSafety: a Ref to a fired or canceled event must stay dead
 // even after its arena slot is reused — Cancel through it must not touch
-// the slot's new occupant. Both backings share the arena generation
-// discipline, so both are exercised.
+// the slot's new occupant.
 func TestStaleRefSafety(t *testing.T) {
-	for _, kc := range kernelConstructors {
-		kc := kc
-		t.Run(kc.name, func(t *testing.T) { testStaleRef(t, kc.newK) })
-	}
+	t.Run("heap", testStaleRefSafety)
 }
 
-func testStaleRef(t *testing.T, newK func() *Kernel) {
-	k := newK()
+func testStaleRefSafety(t *testing.T) {
+	k := New()
 	old, _ := k.Schedule(1, func(float64) {})
 	k.Step() // fires; slot returns to the free list
 	if k.Pending(old) {
@@ -373,6 +346,32 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.Schedule(k.Now()+s.Float64(), fn)
 		k.Step()
+	}
+}
+
+// BenchmarkKernelHold measures schedule+fire with a large standing
+// population — the regime where the heap pays O(log n) with cold index
+// traversals. The heap/ prefix keeps the sub-benchmark names stable
+// across baselines.
+func BenchmarkKernelHold(b *testing.B) {
+	for _, hold := range []struct {
+		name string
+		n    int
+	}{{"heap/1k", 1 << 10}, {"heap/64k", 1 << 16}} {
+		b.Run(hold.name, func(b *testing.B) {
+			k := New()
+			s := rng.New(1)
+			fn := func(float64) {}
+			for i := 0; i < hold.n; i++ {
+				k.Schedule(s.Float64(), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Schedule(k.Now()+s.Float64(), fn)
+				k.Step()
+			}
+		})
 	}
 }
 

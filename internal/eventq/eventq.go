@@ -16,8 +16,8 @@
 //     the heap stores (time, seq, index) triples inline, so every sift
 //     comparison reads the keys from the heap slice itself — no
 //     dependent load into the arena per comparison, which is what made
-//     heap maintenance the dominant cost of shared-kernel (coupled
-//     fleet) simulations with a few dozen standing events.
+//     heap maintenance the dominant cost of coupled-fleet simulations
+//     (one kernel per group) with a few dozen standing events.
 //   - Fired and canceled events return to a free list and are reused by
 //     later Schedule calls, so a simulation in steady state (every handler
 //     rescheduling its successor, as the continuous-time simulator does)
@@ -40,13 +40,13 @@
 // # Ordering contract
 //
 // Events fire in strictly nondecreasing (time, seq) order, where seq is
-// a per-kernel schedule-order counter: of two events scheduled for the
-// same instant, the one scheduled first fires first, regardless of heap
-// or calendar internals. Every simulator above this package (ctsim, the
-// fleet's shared-clock coupled groups, the shared-resource arbiters)
+// a schedule-order counter private to each kernel: of two events
+// scheduled for the same instant, the one scheduled first fires first,
+// regardless of heap layout. Every simulator above this package (ctsim,
+// the fleet's shared-clock coupled groups, the shared-resource arbiters)
 // leans on that FIFO tie-break for its bit-identical determinism
-// contract, and both backings (New and NewCalendar) honor it
-// identically (TestKernelPropertyAllKernels pins the equivalence).
+// contract (TestArenaMatchesReferenceHeap pins it against a
+// container/heap reference).
 //
 // # Reuse contract
 //
@@ -89,9 +89,9 @@ type event struct {
 	time    float64
 	seq     uint64 // FIFO tie-breaker for equal times
 	fn      Handler
-	heapIdx int32  // heap position (calendar: bucket index), -1 when free
+	heapIdx int32  // heap position, -1 when free
 	gen     uint32 // bumped on release; pairs with Ref.gen
-	next    int32  // free-list / calendar-chain link (slot+1 form)
+	next    int32  // free-list link (slot+1 form)
 }
 
 // heapNode is one heap entry: the (time, seq) ordering key copied
@@ -151,10 +151,6 @@ func minChild4(h []heapNode, c int) int {
 // Kernel is a discrete-event simulation executive. It is not safe for
 // concurrent use; simulations that need parallelism run one Kernel per
 // goroutine with split rng streams.
-//
-// Two interchangeable backings share this type: the 4-ary indexed heap
-// (New) and the calendar queue (NewCalendar — see calendar.go). Both
-// produce the identical (time, seq) fire order bit for bit.
 type Kernel struct {
 	now     float64
 	arena   []event
@@ -163,15 +159,6 @@ type Kernel struct {
 	seq     uint64
 	fired   uint64
 	stopped bool
-
-	// Calendar backing (cal == true); see calendar.go.
-	cal        bool
-	buckets    []int32 // chain heads (slot+1 form), sorted by (time, seq)
-	nCal       int     // queued event count
-	width      float64 // bucket width in time units
-	cursorVB   float64 // dequeue cursor: virtual bucket, floor(time/width)
-	calMin     int32   // cached earliest arena index, -1 = unknown
-	calScratch []int32 // resize rebuild scratch
 }
 
 // New returns a kernel with the clock at 0.
@@ -183,14 +170,10 @@ func New() *Kernel { return &Kernel{} }
 // back to back resets one kernel instead of reallocating per replica; the
 // behavior after Reset is bit-identical to a new kernel's.
 func (k *Kernel) Reset() {
-	if k.cal {
-		k.calReset()
-	} else {
-		for _, nd := range k.heap {
-			k.release(nd.idx)
-		}
-		k.heap = k.heap[:0]
+	for _, nd := range k.heap {
+		k.release(nd.idx)
 	}
+	k.heap = k.heap[:0]
 	k.now = 0
 	k.seq = 0
 	k.fired = 0
@@ -204,14 +187,9 @@ func (k *Kernel) Now() float64 { return k.now }
 func (k *Kernel) Fired() uint64 { return k.fired }
 
 // Len returns the number of queued events. It is O(1) and exact: Cancel
-// removes events from the backing immediately, so there are no lazily
+// removes events from the heap immediately, so there are no lazily
 // deleted entries to discount.
-func (k *Kernel) Len() int {
-	if k.cal {
-		return k.nCal
-	}
-	return len(k.heap)
-}
+func (k *Kernel) Len() int { return len(k.heap) }
 
 // Pending reports whether r's event is still queued (not fired, not
 // canceled). A zero Ref and a stale Ref both report false.
@@ -281,14 +259,10 @@ func (k *Kernel) Schedule(t float64, fn Handler) (Ref, error) {
 	e.seq = k.seq
 	e.fn = fn
 	k.seq++
-	if k.cal {
-		k.calInsert(idx)
-	} else {
-		i := len(k.heap)
-		k.heap = append(k.heap, heapNode{key: timeKey(e.time), seq: e.seq, idx: idx})
-		e.heapIdx = int32(i)
-		k.siftUp(i)
-	}
+	i := len(k.heap)
+	k.heap = append(k.heap, heapNode{key: timeKey(e.time), seq: e.seq, idx: idx})
+	e.heapIdx = int32(i)
+	k.siftUp(i)
 	return Ref{slot: idx + 1, gen: k.arena[idx].gen}, nil
 }
 
@@ -307,11 +281,7 @@ func (k *Kernel) Cancel(r Ref) {
 	if idx < 0 {
 		return
 	}
-	if k.cal {
-		k.calUnlink(idx)
-	} else {
-		k.removeAt(int(k.arena[idx].heapIdx))
-	}
+	k.removeAt(int(k.arena[idx].heapIdx))
 	k.release(idx)
 }
 
@@ -322,18 +292,10 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Step fires the earliest pending event. It returns false when the queue
 // is empty.
 func (k *Kernel) Step() bool {
-	var idx int32
-	if k.cal {
-		if idx = k.calPeek(); idx < 0 {
-			return false
-		}
-		k.calPop(idx)
-	} else {
-		if len(k.heap) == 0 {
-			return false
-		}
-		idx = k.popMin()
+	if len(k.heap) == 0 {
+		return false
 	}
+	idx := k.popMin()
 	e := &k.arena[idx]
 	t, fn := e.time, e.fn
 	// Release before invoking the handler so a rescheduling handler (the
@@ -357,35 +319,14 @@ func (k *Kernel) Run(horizon float64) error {
 		return fmt.Errorf("eventq: horizon %v precedes current time %v", horizon, k.now)
 	}
 	k.stopped = false
-	if k.cal {
-		for !k.stopped {
-			idx := k.calPeek()
-			if idx < 0 || k.arena[idx].time > horizon {
-				break
-			}
-			k.Step()
-		}
-	} else {
-		hkey := timeKey(horizon)
-		for !k.stopped && len(k.heap) > 0 && k.heap[0].key <= hkey {
-			k.Step()
-		}
+	hkey := timeKey(horizon)
+	for !k.stopped && len(k.heap) > 0 && k.heap[0].key <= hkey {
+		k.Step()
 	}
 	if !k.stopped && k.now < horizon {
 		k.now = horizon
 	}
 	return nil
-}
-
-// less orders arena slots by (time, seq): earlier first, FIFO on ties.
-// The calendar backing's sorted chains use it; the heap compares its
-// inline node keys instead (nodeLess).
-func (k *Kernel) less(a, b int32) bool {
-	ea, eb := &k.arena[a], &k.arena[b]
-	if ea.time != eb.time {
-		return ea.time < eb.time
-	}
-	return ea.seq < eb.seq
 }
 
 // siftUp restores the heap property from position i toward the root.

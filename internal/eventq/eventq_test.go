@@ -140,6 +140,51 @@ func TestHorizonStopsExecution(t *testing.T) {
 	}
 }
 
+// TestCalendarHorizonEdge: Run must fire events at exactly the horizon
+// (a FIFO tie there included) and one ulp before it, leave the event one
+// ulp past it queued, advance the clock to the horizon, and fire the
+// leftover on a resumed Run. The name and the "heap" subtest date from
+// when the test also ran a calendar-queue backing; they are kept so the
+// test id stays stable.
+func TestCalendarHorizonEdge(t *testing.T) {
+	t.Run("heap", testRunHorizonEdge)
+}
+
+func testRunHorizonEdge(t *testing.T) {
+	k := New()
+	h := 100.0
+	var fired []float64
+	log := func(now float64) { fired = append(fired, now) }
+	k.Schedule(h, log)                      // exactly at horizon
+	k.Schedule(math.Nextafter(h, 200), log) // one ulp past
+	k.Schedule(math.Nextafter(h, 0), log)   // one ulp before
+	k.Schedule(h, log)                      // horizon tie (FIFO)
+	if err := k.Run(h); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{math.Nextafter(h, 0), h, h}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+	if k.Now() != h {
+		t.Fatalf("clock %v after Run, want %v", k.Now(), h)
+	}
+	if k.Len() != 1 {
+		t.Fatalf("%d events left, want the one past the horizon", k.Len())
+	}
+	if err := k.Run(2 * h); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 4 || fired[3] != math.Nextafter(h, 200) {
+		t.Fatalf("past-horizon event misfired: %v", fired)
+	}
+}
+
 func TestRunRejectsPastHorizon(t *testing.T) {
 	k := New()
 	k.Schedule(5, func(float64) {})

@@ -16,17 +16,33 @@ func warmScratch(t testing.TB, r *runner, sum *Summary) *workerScratch {
 	ws := &workerScratch{}
 	ctx := context.Background()
 	for i := 0; i < len(r.pattern); i++ {
-		var err error
-		if r.spec.Mode == ModeCT {
-			err = r.runInstanceCT(ctx, i, ws, sum)
-		} else {
-			err = r.runInstanceSlot(ctx, i, ws, sum)
-		}
-		if err != nil {
+		if err := runInstance(ctx, r, i, ws, sum); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return ws
+}
+
+// runInstance runs instance i on the worker's pooled objects through the
+// production per-instance path of the spec's mode (instanceCT or
+// instanceSlot) and folds its result row into sum, as runShard does.
+func runInstance(ctx context.Context, r *runner, i int, ws *workerScratch, sum *Summary) error {
+	ci := r.classOf(i)
+	cs, err := ws.classState(r, ci)
+	if err != nil {
+		return err
+	}
+	var res instanceResult
+	if r.spec.Mode == ModeCT {
+		err = r.instanceCT(ctx, i, &r.classes[ci], cs, ws, &res)
+	} else {
+		err = r.instanceSlot(ctx, i, &r.classes[ci], cs, ws, &res)
+	}
+	if err != nil {
+		return err
+	}
+	sum.addInstance(ci, res)
+	return nil
 }
 
 // TestFleetInstanceSetupAllocationFree is the acceptance gate for the
@@ -49,13 +65,7 @@ func TestFleetInstanceSetupAllocationFree(t *testing.T) {
 			ctx := context.Background()
 			i := 0
 			allocs := testing.AllocsPerRun(16, func() {
-				var err error
-				if mode == ModeCT {
-					err = r.runInstanceCT(ctx, i%spec.Devices, ws, sum)
-				} else {
-					err = r.runInstanceSlot(ctx, i%spec.Devices, ws, sum)
-				}
-				if err != nil {
+				if err := runInstance(ctx, r, i%spec.Devices, ws, sum); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -71,7 +81,7 @@ func TestFleetInstanceSetupAllocationFree(t *testing.T) {
 // the CT hot path: for every class of the default mix — fixed timeout,
 // greedy-off, and the adapted Q-DPM learner included — the steady-state
 // event loop of a fleet instance performs zero heap allocations. The
-// simulator is prepared exactly the way runInstanceCT prepares it (same
+// simulator is prepared exactly the way instanceCT prepares it (same
 // pooled objects, same stream layout). Part of the CI
 // allocation-regression step (AllocationFree name match).
 func TestFleetCTEventLoopAllocationFree(t *testing.T) {
@@ -232,7 +242,7 @@ func BenchmarkFleetInstanceCT(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.runInstanceCT(ctx, i%spec.Devices, &ws, sum); err != nil {
+		if err := runInstance(ctx, r, i%spec.Devices, &ws, sum); err != nil {
 			b.Fatal(err)
 		}
 	}

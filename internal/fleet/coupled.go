@@ -33,37 +33,6 @@ import (
 	"repro/internal/shared"
 )
 
-// newKernel builds a CT event kernel of the spec's KernelKind for a
-// kernel that will carry groupSize concurrent instances (1 for the
-// uncoupled one-sim-per-kernel loop), resolving KernelAuto through the
-// measured decision table (kernelFor). An explicit -kernel always wins.
-func (r *runner) newKernel(groupSize int) *eventq.Kernel {
-	k := r.spec.Kernel
-	if k == KernelAuto {
-		k = kernelFor(groupSize)
-	}
-	if k == KernelCalendar {
-		return eventq.NewCalendar()
-	}
-	return eventq.New()
-}
-
-// kernelFor is the KernelAuto decision table, measured on the coupled
-// workload itself rather than extrapolated from the uniform-random
-// microbenchmark (regenerate with
-// `go test -bench BenchmarkFleetCoupledKernelSweep -benchtime 5x .`):
-// the 4-ary heap wins at every measured group size (K = 8 … 512, and
-// trivially for uncoupled kernels), and its lead WIDENS with K — a
-// coupled group's events cluster at synchronized governor ticks, which
-// degrade the calendar's sorted bucket chains to O(K) per insert
-// (O(K²) per tick instant), swamping the O(1) dequeue that lets the
-// calendar win the ≥1k-standing-event uniform-random regime (DESIGN.md
-// §7). The calendar therefore never auto-selects today; the function
-// exists so a future remeasurement has one place to change.
-func kernelFor(groupSize int) KernelKind {
-	return KernelHeap
-}
-
 // laneScratch is one lane of a coupled group: the pooled simulator and
 // per-class object set for whatever instance currently occupies the
 // lane, with the lane's own rng streams (lanes are live concurrently in
@@ -238,7 +207,7 @@ func (r *runner) runGroupCT(ctx context.Context, lo, hi int, ws *workerScratch, 
 	n := hi - lo
 	cs := &ws.coupled
 	if cs.kernel == nil {
-		cs.kernel = r.newKernel(r.spec.CoupleSize)
+		cs.kernel = eventq.New()
 	} else {
 		cs.kernel.Reset()
 	}

@@ -146,33 +146,6 @@ func TestFleetCoupledInterferenceGrowsWithCoupleSize(t *testing.T) {
 	}
 }
 
-// TestFleetKernelKindsBitIdentical pins the kernel-interchangeability
-// contract at fleet level: heap- and calendar-backed runs produce the
-// identical summary, uncoupled and coupled.
-func TestFleetKernelKindsBitIdentical(t *testing.T) {
-	specs := map[string]Spec{
-		"uncoupled": {Devices: 37, Classes: DefaultMix(), Mode: ModeCT, Horizon: 60, ShardSize: 5, Seed: 42},
-		"coupled":   coupledSpec(CoupleChannel),
-	}
-	for name, spec := range specs {
-		t.Run(name, func(t *testing.T) {
-			heap, cal := spec, spec
-			heap.Kernel, cal.Kernel = KernelHeap, KernelCalendar
-			sh, err := Run(context.Background(), heap, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := Run(context.Background(), cal, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(sh, sc) {
-				t.Fatalf("summary differs across kernel kinds:\n%+v\nvs\n%+v", sh, sc)
-			}
-		})
-	}
-}
-
 // TestFleetCoupledShardAllocationFree is the acceptance gate for the
 // coupled reuse contract: once a worker's group kernel, lanes, and
 // shared resource are warm, a complete coupled shard cycle — every
@@ -304,7 +277,7 @@ func TestMetricsViewClobberedByNextPooledInstance(t *testing.T) {
 	sum := newSummary(r, 0)
 	ws := &workerScratch{}
 	ctx := context.Background()
-	if err := r.runInstanceCT(ctx, 0, ws, sum); err != nil {
+	if err := runInstance(ctx, r, 0, ws, sum); err != nil {
 		t.Fatal(err)
 	}
 	view := ws.sim.MetricsView()
@@ -313,7 +286,7 @@ func TestMetricsViewClobberedByNextPooledInstance(t *testing.T) {
 	if foldedEnergy != firstEnergy {
 		t.Fatalf("fold saw %v J, live view has %v J", foldedEnergy, firstEnergy)
 	}
-	if err := r.runInstanceCT(ctx, 1, ws, sum); err != nil {
+	if err := runInstance(ctx, r, 1, ws, sum); err != nil {
 		t.Fatal(err)
 	}
 	// Half 1: the retained view now shows instance 1, not instance 0.
@@ -328,8 +301,8 @@ func TestMetricsViewClobberedByNextPooledInstance(t *testing.T) {
 	}
 }
 
-// TestSpecValidateCoupling covers the coupling and kernel validation
-// surface: defaults, the shard-multiple rule, and the rejects.
+// TestSpecValidateCoupling covers the coupling validation surface:
+// defaults, the shard-multiple rule, and the rejects.
 func TestSpecValidateCoupling(t *testing.T) {
 	base := func() Spec {
 		return Spec{Devices: 10, Classes: DefaultMix(), Mode: ModeCT, Horizon: 10}
@@ -357,8 +330,6 @@ func TestSpecValidateCoupling(t *testing.T) {
 		func(sp *Spec) { sp.Couple = CoupleChannel; sp.CoupleSize = 5; sp.ShardSize = 12 },
 		func(sp *Spec) { sp.CoupleSize = 4 },
 		func(sp *Spec) { sp.Couple = CouplePower; sp.BudgetFrac = -1 },
-		func(sp *Spec) { sp.Kernel = "splay" },
-		func(sp *Spec) { sp.Kernel = KernelCalendar; sp.Mode = ModeSlot },
 	}
 	for i, mutate := range bad {
 		sp := base()

@@ -112,29 +112,9 @@ const (
 // order statistic (see stats.QuantileSketch for the precise statement).
 const WaitSketchAccuracy = 0.01
 
-// KernelKind selects the event-queue backing of the CT kernel. Both
-// backings fire events in the identical (time, seq) order, so fleet
-// output is bit-identical across kinds (TestFleetKernelKindsBitIdentical)
-// — the choice is purely a performance knob.
-type KernelKind string
-
-const (
-	// KernelAuto (the default) picks the backing per kernel population:
-	// the 4-ary heap for the uncoupled one-sim-per-kernel loop and for
-	// every measured coupled group size (see kernelFor for the measured
-	// decision table). Output is unaffected — the kinds are
-	// bit-identical — so auto is always safe.
-	KernelAuto KernelKind = "auto"
-	// KernelHeap backs the kernel with the 4-ary index-tracked min-heap.
-	KernelHeap KernelKind = "heap"
-	// KernelCalendar backs the kernel with the O(1) calendar queue
-	// (eventq.NewCalendar).
-	KernelCalendar KernelKind = "calendar"
-)
-
 // CoupleMode selects the shared resource the instances of a coupled
 // group contend for (CT mode only — slot mode has no service-start
-// hook). Coupling replaces the one-private-kernel-per-instance loop
+// hook). Coupling replaces the loop of one private kernel per instance
 // with groups of CoupleSize consecutive instances advancing on ONE
 // shared event kernel, their event streams interleaved
 // deterministically by (time, seq), with the group's resource
@@ -237,10 +217,6 @@ type Spec struct {
 	ShardSize int
 	// Quantiles selects sketch (default) or exact wait percentiles.
 	Quantiles QuantileMode
-	// Kernel selects the CT event-queue backing: KernelAuto (default,
-	// resolves per kernel population), KernelHeap, or KernelCalendar.
-	// Output is bit-identical across kinds.
-	Kernel KernelKind
 	// Couple selects the coupled mode's shared resource (default
 	// CoupleNone: independent instances). Requires ModeCT.
 	Couple CoupleMode
@@ -309,15 +285,6 @@ func (sp *Spec) Validate() error {
 	}
 	if sp.LatencyWeight < 0 || math.IsNaN(sp.LatencyWeight) {
 		return fmt.Errorf("fleet: latency weight %v must be >= 0", sp.LatencyWeight)
-	}
-	if sp.Kernel == "" {
-		sp.Kernel = KernelAuto
-	}
-	if sp.Kernel != KernelAuto && sp.Kernel != KernelHeap && sp.Kernel != KernelCalendar {
-		return fmt.Errorf("fleet: unknown kernel %q (want %q, %q, or %q)", sp.Kernel, KernelAuto, KernelHeap, KernelCalendar)
-	}
-	if sp.Kernel == KernelCalendar && sp.Mode == ModeSlot {
-		return fmt.Errorf("fleet: kernel %q applies to CT mode only (slot mode has no event kernel)", sp.Kernel)
 	}
 	switch sp.Couple {
 	case CoupleNone, CoupleChannel, CoupleGateway, CouplePower:
@@ -491,7 +458,7 @@ type workerScratch struct {
 	simStream   rng.Stream
 	faultStream rng.Stream
 
-	// coupled holds the shared-kernel group state (the group kernel,
+	// coupled holds the coupled-group state (the group kernel,
 	// one lane per group slot, and the shared resource); untouched on
 	// uncoupled runs. See coupled.go.
 	coupled coupledScratch
@@ -678,23 +645,6 @@ func (r *runner) seedInstance(i int, ws *workerScratch) {
 	}
 }
 
-// runInstanceCT executes instance i on the worker's reusable simulator
-// and folds its metrics into sum (the test-facing wrapper of
-// instanceCT).
-func (r *runner) runInstanceCT(ctx context.Context, i int, ws *workerScratch, sum *Summary) error {
-	ci := r.classOf(i)
-	cs, err := ws.classState(r, ci)
-	if err != nil {
-		return err
-	}
-	var res instanceResult
-	if err := r.instanceCT(ctx, i, &r.classes[ci], cs, ws, &res); err != nil {
-		return err
-	}
-	sum.addInstance(ci, res)
-	return nil
-}
-
 // instanceCT executes instance i on the worker's reusable simulator and
 // writes its result row into *out (every field is assigned, so a reused
 // row slot carries nothing over; on error *out is meaningless). cc and
@@ -709,7 +659,7 @@ func (r *runner) instanceCT(ctx context.Context, i int, cc *compiledClass, cs *c
 	cs.src.Reset()
 	var err error
 	if ws.sim == nil {
-		if ws.sim, err = ctsim.NewWithKernel(r.newKernel(1), cs.cfg); err != nil {
+		if ws.sim, err = ctsim.New(cs.cfg); err != nil {
 			return err
 		}
 		// Instances never run past the horizon, so events landing beyond
@@ -738,23 +688,6 @@ func (r *runner) instanceCT(ctx context.Context, i int, cc *compiledClass, cs *c
 	out.retryExhausted = m.RetryExhausted
 	out.lostToOutage = m.LostToOutage
 	out.events = ws.sim.FiredEvents()
-	return nil
-}
-
-// runInstanceSlot executes instance i on the worker's reusable slotted
-// simulator and folds its metrics into sum (the test-facing wrapper of
-// instanceSlot).
-func (r *runner) runInstanceSlot(ctx context.Context, i int, ws *workerScratch, sum *Summary) error {
-	ci := r.classOf(i)
-	cs, err := ws.classState(r, ci)
-	if err != nil {
-		return err
-	}
-	var res instanceResult
-	if err := r.instanceSlot(ctx, i, &r.classes[ci], cs, ws, &res); err != nil {
-		return err
-	}
-	sum.addInstance(ci, res)
 	return nil
 }
 
