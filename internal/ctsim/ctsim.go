@@ -621,12 +621,11 @@ func (s *Sim) Run(until float64) error {
 // RunChunked advances the simulation from the current clock to horizon
 // in chunks of chunk simulated seconds, polling ctx between chunks so
 // cancellation latency is bounded by one chunk. A run that fits in a
-// single chunk never polls: the caller dispatching many short instances
-// (the fleet shard loop) owns that poll, and keeping the per-instance
-// context check out of here is measurable at a million instances (a
-// canceled context's Err takes a mutex). It is the shared
-// replica-execution loop of the experiment and fleet layers; metrics
-// accumulate exactly as with Run.
+// single chunk never polls: a caller dispatching many short instances
+// owns that poll, and keeping the per-instance context check out of
+// here is measurable at a million instances (a canceled context's Err
+// takes a mutex). It is the replica-execution loop of the experiment
+// layer; metrics accumulate exactly as with Run.
 func (s *Sim) RunChunked(ctx context.Context, horizon, chunk float64) error {
 	if !(chunk > 0) {
 		return fmt.Errorf("ctsim: chunk %v must be positive", chunk)

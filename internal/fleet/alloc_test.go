@@ -24,24 +24,20 @@ func warmScratch(t testing.TB, r *runner, sum *Summary) *workerScratch {
 }
 
 // runInstance runs instance i on the worker's pooled objects through the
-// production per-instance path of the spec's mode (instanceCT or
-// instanceSlot) and folds its result row into sum, as runShard does.
+// production per-instance path of the spec's mode (a one-lane runGroupCT
+// or instanceSlot) and folds its result row into sum, as runShard does.
 func runInstance(ctx context.Context, r *runner, i int, ws *workerScratch, sum *Summary) error {
-	ci := r.classOf(i)
-	cs, err := ws.classState(r, ci)
-	if err != nil {
-		return err
-	}
-	var res instanceResult
+	var res [1]instanceResult
+	var err error
 	if r.spec.Mode == ModeCT {
-		err = r.instanceCT(ctx, i, &r.classes[ci], cs, ws, &res)
+		err = r.runGroupCT(ctx, i, i+1, ws, res[:])
 	} else {
-		err = r.instanceSlot(ctx, i, &r.classes[ci], cs, ws, &res)
+		err = r.instanceSlot(ctx, i, ws, &res[0])
 	}
 	if err != nil {
 		return err
 	}
-	sum.addInstance(ci, res)
+	sum.addInstance(r.classOf(i), res[0])
 	return nil
 }
 
@@ -81,8 +77,9 @@ func TestFleetInstanceSetupAllocationFree(t *testing.T) {
 // the CT hot path: for every class of the default mix — fixed timeout,
 // greedy-off, and the adapted Q-DPM learner included — the steady-state
 // event loop of a fleet instance performs zero heap allocations. The
-// simulator is prepared exactly the way instanceCT prepares it (same
-// pooled objects, same stream layout). Part of the CI
+// simulator is prepared exactly the way runGroupCT prepares a lane (same
+// pooled objects, same cached config, same stream layout), on a private
+// kernel so the test can drive it chunk by chunk. Part of the CI
 // allocation-regression step (AllocationFree name match).
 func TestFleetCTEventLoopAllocationFree(t *testing.T) {
 	spec := Spec{Devices: 8, Classes: DefaultMix(), Mode: ModeCT, Horizon: 1e9, Seed: 3}
@@ -101,22 +98,12 @@ func TestFleetCTEventLoopAllocationFree(t *testing.T) {
 			}
 		}
 		t.Run(r.classes[ci].name, func(t *testing.T) {
-			ws := &workerScratch{}
-			cc := &r.classes[ci]
-			cs, err := r.prepareInstance(inst, ws)
+			var ln lane
+			cs, err := ln.start(r, inst, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs.src.Reset()
-			sim, err := ctsim.New(ctsim.Config{
-				Device:         cc.src.Device,
-				QueueCap:       r.spec.QueueCap,
-				LatencyWeight:  r.spec.LatencyWeight / r.spec.Period,
-				Policy:         cs.adapted,
-				Source:         cs.src,
-				Stream:         &ws.simStream,
-				DecisionPeriod: r.spec.Period,
-			})
+			sim, err := ctsim.New(cs.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

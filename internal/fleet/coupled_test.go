@@ -280,7 +280,7 @@ func TestMetricsViewClobberedByNextPooledInstance(t *testing.T) {
 	if err := runInstance(ctx, r, 0, ws, sum); err != nil {
 		t.Fatal(err)
 	}
-	view := ws.sim.MetricsView()
+	view := ws.lanes[0].sim.MetricsView()
 	firstEnergy, firstArrived := view.EnergyJ, view.Arrived
 	foldedEnergy := sum.EnergyJ
 	if foldedEnergy != firstEnergy {

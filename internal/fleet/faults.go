@@ -126,7 +126,11 @@ func (f *FaultSpec) crashOrRetry() bool {
 // failure probability), retries (retry budget), backoff (first-retry
 // delay s), outage (window period s, optionally period/duration),
 // brownout (power-cap fraction during windows). Unset keys take the
-// FaultSpec defaults; validation happens in Spec.Validate.
+// FaultSpec defaults (filled in by Spec.Validate, so the result
+// round-trips through String). Values are checked here against CT mode
+// with a couple mode, so an accepted string fails Spec.Validate only
+// for a reason that is the enclosing spec's: slot mode, or outage
+// windows without a couple mode.
 func ParseFaults(s string) (*FaultSpec, error) {
 	f := &FaultSpec{}
 	for _, part := range strings.Split(s, ",") {
@@ -181,8 +185,9 @@ func ParseFaults(s string) (*FaultSpec, error) {
 			return nil, fmt.Errorf("fleet: -faults key %q unknown (want mtbf, repair, fail, retries, backoff, outage, brownout)", key)
 		}
 	}
-	if *f == (FaultSpec{}) {
-		return nil, fmt.Errorf("fleet: -faults enables nothing (set mtbf, fail, or outage)")
+	probe := *f
+	if err := probe.validate(ModeCT, defaultPeriod, CoupleChannel); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

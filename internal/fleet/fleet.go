@@ -24,10 +24,10 @@
 //     are reduced in shard-index order. A pooled run is therefore
 //     bit-identical to a serial run for every -parallel value (CI diffs
 //     qdpm-fleet output across pool sizes).
-//   - Workers reuse everything: one simulator (ctsim.Sim or
-//     slotsim.Sim), one metrics scratch, and per class one pooled
-//     policy, adapter, and arrival source, plus three in-place-reseeded
-//     rng streams. Every reused object carries a Reset that restores
+//   - Workers reuse everything: one event kernel, and per lane of the
+//     largest group run one simulator, per class one pooled policy,
+//     adapter, and arrival source, plus four in-place-reseeded rng
+//     streams. Every reused object carries a Reset that restores
 //     freshly-constructed state bit for bit, so per-worker state never
 //     influences results — it only keeps instance turnover off the
 //     allocator entirely: after warm-up a complete instance lifecycle
@@ -40,9 +40,10 @@
 //     mergeable log-binned sketch (Spec.Quantiles), so fleet memory is
 //     O(workers + classes), independent of the device count.
 //
-// Coupling. By default instances are independent — each advances on its
-// own event kernel. Spec.Couple switches a shard into coupled groups:
-// CoupleSize consecutive instances advance on ONE shared kernel
+// Coupling. Every CT shard runs as a sequence of groups on the worker's
+// one event kernel. By default a group is a single instance with no
+// shared resource, so instances are independent. Spec.Couple widens the
+// groups: CoupleSize consecutive instances advance on ONE shared kernel
 // (eventq's (time, seq) FIFO ordering arbitrates their interleaving
 // deterministically) and contend for one internal/shared resource — a
 // single-occupancy channel, a bounded gateway queue, or a group power
@@ -54,7 +55,7 @@
 // Exp(MTBF) crash/repair cycles, transient service failures with
 // retry/backoff, and scheduled resource outages on coupled runs —
 // through every instance, drawing all fault randomness from a third
-// per-instance stream lane so a fault-free spec's output stays
+// per-instance stream so a fault-free spec's output stays
 // byte-identical to the pre-fault layer (DESIGN.md §9).
 package fleet
 
@@ -70,7 +71,9 @@ import (
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/engine"
+	"repro/internal/eventq"
 	"repro/internal/rng"
+	"repro/internal/shared"
 	"repro/internal/slotsim"
 	"repro/internal/workload"
 )
@@ -114,16 +117,17 @@ const WaitSketchAccuracy = 0.01
 
 // CoupleMode selects the shared resource the instances of a coupled
 // group contend for (CT mode only — slot mode has no service-start
-// hook). Coupling replaces the loop of one private kernel per instance
-// with groups of CoupleSize consecutive instances advancing on ONE
-// shared event kernel, their event streams interleaved
-// deterministically by (time, seq), with the group's resource
-// arbitrating service starts and power commands (see internal/shared).
+// hook). Coupling widens the shard loop's groups from one instance to
+// CoupleSize consecutive instances advancing on ONE shared event
+// kernel, their event streams interleaved deterministically by (time,
+// seq), with the group's resource arbitrating service starts and power
+// commands (see internal/shared).
 type CoupleMode string
 
 const (
-	// CoupleNone runs every instance on its own kernel — the default,
-	// byte-identical to the pre-coupling fleet layer.
+	// CoupleNone runs every instance as a group of one with no shared
+	// resource — the default, byte-identical to the pre-coupling fleet
+	// layer.
 	CoupleNone CoupleMode = ""
 	// CoupleChannel couples each group through a single-occupancy
 	// channel: one device's service occupies the medium, contenders
@@ -172,11 +176,11 @@ func (c *Class) validate(i int) error {
 	if c.Device == nil {
 		return fmt.Errorf("fleet: class %d needs a device", i)
 	}
-	if _, err := dist.ByName(c.Dist, 1); err != nil {
-		return fmt.Errorf("fleet: class %d: %w", i, err)
-	}
 	if !(c.RatePerSec > 0) || math.IsInf(c.RatePerSec, 0) {
 		return fmt.Errorf("fleet: class %d rate %v must be positive and finite", i, c.RatePerSec)
+	}
+	if _, err := dist.ByName(c.Dist, c.RatePerSec); err != nil {
+		return fmt.Errorf("fleet: class %d: %w", i, err)
 	}
 	if _, _, err := parsePolicy(c.Policy); err != nil {
 		return fmt.Errorf("fleet: class %d: %w", i, err)
@@ -306,7 +310,7 @@ func (sp *Spec) Validate() error {
 		// that is not a multiple is an error, not a silent reshard.
 		if sp.ShardSize == 0 {
 			k := sp.CoupleSize
-			sp.ShardSize = (defaultShardSize + k - 1) / k * k
+			sp.ShardSize = (defaultShardSize-1)/k*k + k
 		}
 		if sp.ShardSize%sp.CoupleSize != 0 {
 			return fmt.Errorf("fleet: shard size %d must be a multiple of couple size %d (groups cannot straddle shards)", sp.ShardSize, sp.CoupleSize)
@@ -344,16 +348,50 @@ func (sp *Spec) Validate() error {
 		}
 	}
 	for i := range sp.Classes {
-		if err := sp.Classes[i].validate(i); err != nil {
+		c := &sp.Classes[i]
+		if err := c.validate(i); err != nil {
 			return err
 		}
+		// Slot mode compiles the law per slot; the product can underflow
+		// or overflow a rate the class accepts per second.
+		if sp.Mode == ModeSlot {
+			if _, err := dist.ByName(c.Dist, c.RatePerSec*sp.Period); err != nil {
+				return fmt.Errorf("fleet: class %d rate %v/s at period %v s: %w", i, c.RatePerSec, sp.Period, err)
+			}
+		}
+	}
+	return checkTotalWeight(sp.Classes)
+}
+
+// maxTotalWeight bounds the summed class weights: the runner
+// materializes one round-robin pattern entry per unit of weight.
+const maxTotalWeight = 1 << 16
+
+// checkTotalWeight rejects validated classes whose weights sum past
+// maxTotalWeight, checking while summing so the sum cannot overflow.
+func checkTotalWeight(classes []Class) error {
+	left := maxTotalWeight
+	for i := range classes {
+		w := classes[i].Weight
+		if w > left {
+			return fmt.Errorf("fleet: class %d weight %d takes the total class weight above %d", i, w, maxTotalWeight)
+		}
+		left -= w
 	}
 	return nil
 }
 
 // Shards returns the number of pool jobs a run of this spec fans out.
+// Unlike the rounded-up quotient, this form cannot overflow near
+// MaxInt shard sizes.
 func (sp *Spec) Shards() int {
-	return (sp.Devices + sp.ShardSize - 1) / sp.ShardSize
+	return (sp.Devices-1)/sp.ShardSize + 1
+}
+
+// shardRange returns the instance range [lo, hi) of shard s.
+func (sp *Spec) shardRange(s int) (lo, hi int) {
+	lo = s * sp.ShardSize
+	return lo, lo + min(sp.ShardSize, sp.Devices-lo)
 }
 
 // ---------------------------------------------------------------------------
@@ -382,11 +420,6 @@ type runner struct {
 	// pattern maps i % len(pattern) to a class index — the weighted
 	// round-robin interleave that assigns instances to classes.
 	pattern []int
-	// classOffsets[ci] lists the pattern positions owned by class ci, so
-	// a shard can enumerate one class's instances directly (first
-	// matching index, then strides of len(pattern)) — the class-major
-	// execution order of runShard.
-	classOffsets [][]int
 	// sumFree recycles shard summaries between runShard (producer) and
 	// the serialized reducer in Run (consumer, which returns each part
 	// after merging it). A free list — rather than one summary per worker
@@ -427,55 +460,109 @@ func (r *runner) putSummary(s *Summary) {
 	r.sumMu.Unlock()
 }
 
-// workerScratch is one worker's reusable simulation state: the
-// simulators and metrics scratch plus one pooled (policy, adapter,
-// source) set per class and three in-place-reseeded rng streams. Every
-// piece survives across all the shards the worker runs — the instance
-// lifecycle is Reseed + Reset + Run with zero heap traffic
-// (TestFleetInstanceSetupAllocationFree) — without influencing results:
-// a reset object is bit-identical to a freshly built one.
+// workerScratch is one worker's reusable simulation state: the event
+// kernel every CT group runs on, one lane per slot of the largest group
+// run so far, the slotted simulator, the shard's result rows, and the
+// shared resource of coupled runs. Every piece survives across all the
+// shards the worker runs — an instance lifecycle is Reseed + Reset + Run
+// with zero heap traffic (TestFleetInstanceSetupAllocationFree) —
+// without influencing results: a reset object is bit-identical to a
+// freshly built one.
 type workerScratch struct {
-	sim     *ctsim.Sim
-	slot    *slotsim.Sim
-	metrics ctsim.Metrics
-	classes []classScratch
+	kernel *eventq.Kernel
+	lanes  []lane
+	slot   *slotsim.Sim
 
 	// results is the shard's struct-of-arrays result store: one flat
-	// instanceResult row per instance, written in class-major execution
-	// order and folded into the summary in instance order (the fold
-	// order is the bit-exactness contract; execution order is free
-	// because every instance's randomness derives from its own seed).
+	// instanceResult row per instance, folded into the summary in
+	// instance order (the fold order is the bit-exactness contract).
 	// Reused across all the shards the worker runs.
 	results []instanceResult
 
-	// Per-instance stream derivation, in place: root is reseeded from
-	// the instance seed and split into the policy and simulator streams,
-	// reproducing rng.New(seed).Split()/.Split() bit for bit. Faulted
-	// runs split a third, fault-dedicated stream after those two, so
-	// enabling faults never perturbs the policy or arrival sequences.
+	// At most one of the three is non-nil, per Spec.Couple.
+	channel *shared.Channel
+	gateway *shared.Gateway
+	budget  *shared.PowerBudget
+	// outage drives the group resource's scheduled outage windows
+	// (Spec.Faults.OutagePeriod > 0); reused across groups.
+	outage outageDriver
+}
+
+// lanesFor returns the worker's first n lanes, growing the pool on
+// first need — only ever to the largest group actually run.
+func (ws *workerScratch) lanesFor(n int) []lane {
+	if len(ws.lanes) < n {
+		ws.lanes = append(ws.lanes, make([]lane, n-len(ws.lanes))...)
+	}
+	return ws.lanes[:n]
+}
+
+// lane is one instance slot of a group: the pooled CT simulator, one
+// pooled object set per class, and the instance's own rng streams.
+// Lanes of a group are live concurrently in event time, so each owns
+// its streams. root is reseeded from the instance seed and split into
+// the policy and simulator streams, reproducing rng.New(seed).Split()/
+// .Split() bit for bit; faulted runs split a third, fault-dedicated
+// stream after those two, so enabling faults never perturbs the policy
+// or arrival sequences.
+type lane struct {
+	sim     *ctsim.Sim
+	classes []classScratch
+
 	root        rng.Stream
 	polStream   rng.Stream
 	simStream   rng.Stream
 	faultStream rng.Stream
-
-	// coupled holds the coupled-group state (the group kernel,
-	// one lane per group slot, and the shared resource); untouched on
-	// uncoupled runs. See coupled.go.
-	coupled coupledScratch
 }
 
-// classScratch is one worker's pooled object set for one class.
+// start points the lane at instance i and returns its class's pooled
+// objects: the class set is built on first use (with res wired into its
+// cached config), the streams are reseeded from the instance seed, and
+// the policy and arrival source are reset. After it returns, running
+// the instance is bit-identical to building everything fresh.
+func (ln *lane) start(r *runner, i int, res ctsim.Resource) (*classScratch, error) {
+	ci := r.classOf(i)
+	if ln.classes == nil {
+		ln.classes = make([]classScratch, len(r.classes))
+	}
+	cs := &ln.classes[ci]
+	if cs.pol == nil {
+		if err := cs.build(r, ci, &ln.polStream, &ln.simStream, &ln.faultStream, res); err != nil {
+			// Discard the half-built set: the memo keys on cs.pol, so a
+			// partially-filled scratch would be handed out as complete to
+			// the lane's next instance of this class and panic instead of
+			// failing with the real error.
+			*cs = classScratch{}
+			return nil, err
+		}
+	}
+	ln.root.Reseed(engine.SeedFor(r.spec.Seed, uint64(i)))
+	ln.root.SplitInto(&ln.polStream)
+	ln.root.SplitInto(&ln.simStream)
+	if r.spec.Faults.crashOrRetry() {
+		ln.root.SplitInto(&ln.faultStream)
+	}
+	cs.resetPol(&ln.polStream)
+	if cs.src != nil {
+		cs.src.Reset()
+	} else {
+		cs.arr.Reset()
+	}
+	return cs, nil
+}
+
+// classScratch is one lane's pooled object set for one class.
 type classScratch struct {
 	pol      slotsim.Policy
 	resetPol func(*rng.Stream)
 	adapted  ctsim.Policy         // CT mode: pol behind the slot adapter
 	src      *ctsim.RenewalSource // CT mode arrival source
 	arr      *workload.Renewal    // slot mode arrival process
-	// faults is the cached per-(owner, class) ctsim fault config; cfg
+	// faults is the cached per-(lane, class) ctsim fault config; cfg
 	// points at it when the spec enables crash/retry faults. Its Stream
-	// aliases the owner's fault stream, reseeded per instance.
+	// aliases the lane's fault stream, reseeded per instance.
 	faults ctsim.Faults
-	// cfg is the instance configuration for this (worker, class) pair —
+	// cfg is the instance configuration for this (lane, class) pair —
 	// every field is constant across instances (the per-instance state
 	// lives in the stream, source, and policy, all reset in place) — so
 	// it is validated once here and every Reset takes the
@@ -483,11 +570,11 @@ type classScratch struct {
 	cfg ctsim.Config
 }
 
-// build fills one classScratch for class ci with policy, simulator,
-// and fault streams owned by the caller (a worker's scratch, or one
-// lane of a coupled group) and an optional shared resource wired into
-// the cached config. It performs the only allocations ever made per
-// (owner, class); every instance after that reuses the set via resets.
+// build fills one classScratch for class ci with the lane's policy,
+// simulator, and fault streams and an optional shared resource wired
+// into the cached config. It performs the only allocations ever made
+// per (lane, class); every instance after that reuses the set via
+// resets.
 func (cs *classScratch) build(r *runner, ci int, polStream, simStream, faultStream *rng.Stream, res ctsim.Resource) error {
 	cc := &r.classes[ci]
 	pol, err := buildSlotPolicy(cc, r.spec.QueueCap, r.spec.LatencyWeight, polStream)
@@ -542,28 +629,6 @@ func (cs *classScratch) build(r *runner, ci int, polStream, simStream, faultStre
 	return nil
 }
 
-// classState returns the worker's pooled objects for class ci, building
-// them on first use (the only allocations a worker ever performs per
-// class; every instance after that reuses them via resets).
-func (ws *workerScratch) classState(r *runner, ci int) (*classScratch, error) {
-	if ws.classes == nil {
-		ws.classes = make([]classScratch, len(r.classes))
-	}
-	cs := &ws.classes[ci]
-	if cs.pol != nil {
-		return cs, nil
-	}
-	if err := cs.build(r, ci, &ws.polStream, &ws.simStream, &ws.faultStream, nil); err != nil {
-		// Discard the half-built set: the memo check keys on cs.pol, so a
-		// partially-filled scratch would be handed out as complete to the
-		// worker's next shard of this class and panic instead of failing
-		// with the real error.
-		*cs = classScratch{}
-		return nil, err
-	}
-	return cs, nil
-}
-
 func newRunner(spec Spec) (*runner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -602,10 +667,6 @@ func newRunner(spec Spec) (*runner, error) {
 			r.pattern = append(r.pattern, ci)
 		}
 	}
-	r.classOffsets = make([][]int, len(r.classes))
-	for p, ci := range r.pattern {
-		r.classOffsets[ci] = append(r.classOffsets[ci], p)
-	}
 	return r, nil
 }
 
@@ -613,106 +674,41 @@ func newRunner(spec Spec) (*runner, error) {
 // round-robin interleave, a pure function of the spec.
 func (r *runner) classOf(i int) int { return r.pattern[i%len(r.pattern)] }
 
+// instanceErr names instance i and its class in a failure.
+func (r *runner) instanceErr(i int, err error) error {
+	return fmt.Errorf("fleet: instance %d (%s): %w", i, r.classes[r.classOf(i)].name, err)
+}
+
 // cancelChunkTicks bounds cancellation latency: instances run in chunks
 // of this many governor ticks (CT mode, × Period seconds each) or slots
 // (slot mode) and poll the context between chunks.
 const cancelChunkTicks = 8192
 
-// prepareInstance points the worker's pooled objects at instance i:
-// class objects built (first use only), streams reseeded from the
-// instance seed, policy and source reset. After it returns, running the
-// instance is bit-identical to building everything fresh — with zero
-// heap allocations (TestFleetInstanceSetupAllocationFree).
-func (r *runner) prepareInstance(i int, ws *workerScratch) (*classScratch, error) {
-	cs, err := ws.classState(r, r.classOf(i))
-	if err != nil {
-		return nil, err
-	}
-	r.seedInstance(i, ws)
-	cs.resetPol(&ws.polStream)
-	return cs, nil
-}
-
-// seedInstance derives instance i's policy and simulation streams from
-// its per-instance seed — the stream-derivation half of prepareInstance,
-// for callers that already hold the class scratch.
-func (r *runner) seedInstance(i int, ws *workerScratch) {
-	ws.root.Reseed(engine.SeedFor(r.spec.Seed, uint64(i)))
-	ws.root.SplitInto(&ws.polStream)
-	ws.root.SplitInto(&ws.simStream)
-	if r.spec.Faults.crashOrRetry() {
-		ws.root.SplitInto(&ws.faultStream)
-	}
-}
-
-// instanceCT executes instance i on the worker's reusable simulator and
-// writes its result row into *out (every field is assigned, so a reused
-// row slot carries nothing over; on error *out is meaningless). cc and
-// cs must be instance i's class — the shard loop runs class-major and
-// hoists that lookup out of its inner loop. The instance configuration
-// is the class's cached prevalidated Config, so steady-state turnover
-// is reseed + resets + ResetValidated — no validation pass, no Config
-// assembly.
-func (r *runner) instanceCT(ctx context.Context, i int, cc *compiledClass, cs *classScratch, ws *workerScratch, out *instanceResult) error {
-	r.seedInstance(i, ws)
-	cs.resetPol(&ws.polStream)
-	cs.src.Reset()
-	var err error
-	if ws.sim == nil {
-		if ws.sim, err = ctsim.New(cs.cfg); err != nil {
-			return err
-		}
-		// Instances never run past the horizon, so events landing beyond
-		// it can skip the kernel; the hint survives ResetValidated.
-		ws.sim.SetHorizonHint(r.spec.Horizon)
-	} else if err = ws.sim.ResetValidated(cs.cfg); err != nil {
-		return err
-	}
-	if err := ws.sim.RunChunked(ctx, r.spec.Horizon, r.spec.Period*cancelChunkTicks); err != nil {
-		return err
-	}
-	m := ws.sim.MetricsView()
-	avgPower := m.AvgPowerW()
-	out.avgPowerW = avgPower
-	out.energyRed = 1 - avgPower/cc.maxPower
-	out.meanWaitSec = m.MeanWaitSeconds()
-	out.lossRate = m.LossRate()
-	out.energyJ = m.EnergyJ
-	out.arrived = m.Arrived
-	out.served = m.Served
-	out.lost = m.Lost
-	out.downtimeSec = m.DowntimeSec
-	out.energyOutageJ = m.EnergyOutageJ
-	out.crashes = m.Crashes
-	out.retries = m.Retries
-	out.retryExhausted = m.RetryExhausted
-	out.lostToOutage = m.LostToOutage
-	out.events = ws.sim.FiredEvents()
-	return nil
-}
-
 // instanceSlot executes instance i on the worker's reusable slotted
-// simulator and writes its result row into *out. cc and cs must be
-// instance i's class (see instanceCT).
-func (r *runner) instanceSlot(ctx context.Context, i int, cc *compiledClass, cs *classScratch, ws *workerScratch, out *instanceResult) error {
-	r.seedInstance(i, ws)
-	cs.resetPol(&ws.polStream)
-	cs.arr.Reset()
-	var err error
+// simulator, with the pooled objects and streams of the worker's first
+// lane, and writes its result row into *out.
+func (r *runner) instanceSlot(ctx context.Context, i int, ws *workerScratch, out *instanceResult) error {
+	ln := &ws.lanesFor(1)[0]
+	cs, err := ln.start(r, i, nil)
+	if err != nil {
+		return r.instanceErr(i, err)
+	}
+	cc := &r.classes[r.classOf(i)]
 	cfg := slotsim.Config{
 		Device:        cc.slotted,
 		Arrivals:      cs.arr,
 		QueueCap:      r.spec.QueueCap,
 		Policy:        cs.pol,
-		Stream:        &ws.simStream,
+		Stream:        &ln.simStream,
 		LatencyWeight: r.spec.LatencyWeight,
 	}
 	if ws.slot == nil {
-		if ws.slot, err = slotsim.New(cfg); err != nil {
-			return err
-		}
-	} else if err = ws.slot.Reset(cfg); err != nil {
-		return err
+		ws.slot, err = slotsim.New(cfg)
+	} else {
+		err = ws.slot.Reset(cfg)
+	}
+	if err != nil {
+		return r.instanceErr(i, err)
 	}
 	sim := ws.slot
 	slots := int64(math.Ceil(r.spec.Horizon/r.spec.Period - 1e-9))
@@ -726,7 +722,7 @@ func (r *runner) instanceSlot(ctx context.Context, i int, cc *compiledClass, cs 
 			chunk = remaining
 		}
 		if m, err = sim.Run(chunk, nil); err != nil {
-			return err
+			return r.instanceErr(i, err)
 		}
 		remaining -= chunk
 		if remaining > 0 {
@@ -749,77 +745,47 @@ func (r *runner) instanceSlot(ctx context.Context, i int, cc *compiledClass, cs 
 }
 
 // runShard executes one contiguous block of instances and returns its
-// streaming summary.
-//
-// Execution is class-major: all of the shard's instances of class 0,
-// then class 1, and so on — consecutive instances share the compiled
-// interarrival law, the pooled policy's code paths, and the class
-// config, so branch predictors and the per-class working set stay warm
-// instead of being evicted every instance by the round-robin interleave.
-// Results land in the worker's flat struct-of-arrays row store and are
-// folded into the summary afterwards in ascending instance order —
-// bit-identical to instance-major execution, because each instance's
-// randomness is a pure function of its own seed and the fold order is
-// unchanged.
+// streaming summary. Instances run in index order, as groups of
+// max(CoupleSize, 1) on the worker's one kernel in CT mode (see
+// runGroupCT; an uncoupled instance is a group of one with no shared
+// resource) and one at a time in slot mode. Groups are aligned to
+// absolute instance index — Validate makes ShardSize a multiple of
+// CoupleSize — so only the fleet's trailing group can be partial.
+// Result rows fold into the summary in ascending instance order.
 func (r *runner) runShard(ctx context.Context, shard int, ws *workerScratch) (*Summary, error) {
-	if r.spec.Couple != CoupleNone {
-		return r.runShardCoupled(ctx, shard, ws)
-	}
-	lo := shard * r.spec.ShardSize
-	hi := lo + r.spec.ShardSize
-	if hi > r.spec.Devices {
-		hi = r.spec.Devices
-	}
+	lo, hi := r.spec.shardRange(shard)
 	n := hi - lo
 	if cap(ws.results) < n {
 		ws.results = make([]instanceResult, n)
 	}
 	res := ws.results[:n]
-	L := len(r.pattern)
-	// The context is polled here once per pollEvery instances (instances
-	// shorter than a cancellation chunk never poll it themselves), so a
-	// canceled run stops within a bounded handful of instances without
-	// paying a per-instance context check — Err on a cancelable context
-	// takes a mutex, which is measurable at a million instances.
+	size := max(r.spec.CoupleSize, 1)
+	// The context is polled here about once per pollEvery instances
+	// (instances shorter than a cancellation chunk never poll it
+	// themselves), so a canceled run stops within a bounded handful of
+	// instances without paying a per-instance context check — Err on a
+	// cancelable context takes a mutex, which is measurable at a million
+	// instances.
 	const pollEvery = 16
-	polled := 0
-	for ci := range r.classes {
-		cc := &r.classes[ci]
-		// Built on first need: a class with no instances in [lo, hi) is
-		// never built, so a class whose scratch cannot be constructed
-		// fails exactly the shards that contain it — not every shard the
-		// worker touches.
-		var cs *classScratch
-		for _, off := range r.classOffsets[ci] {
-			// First instance >= lo congruent to off mod L, then stride L.
-			first := lo + (off-lo%L+L)%L
-			if first >= hi {
-				continue
+	nextPoll := lo
+	for glo := lo; glo < hi; {
+		ghi := glo + min(size, hi-glo)
+		if glo >= nextPoll {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			if cs == nil {
-				var err error
-				if cs, err = ws.classState(r, ci); err != nil {
-					return nil, err
-				}
-			}
-			for i := first; i < hi; i += L {
-				if polled&(pollEvery-1) == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				polled++
-				var err error
-				if r.spec.Mode == ModeCT {
-					err = r.instanceCT(ctx, i, cc, cs, ws, &res[i-lo])
-				} else {
-					err = r.instanceSlot(ctx, i, cc, cs, ws, &res[i-lo])
-				}
-				if err != nil {
-					return nil, fmt.Errorf("fleet: instance %d (%s): %w", i, cc.name, err)
-				}
-			}
+			nextPoll = glo + pollEvery
 		}
+		var err error
+		if r.spec.Mode == ModeCT {
+			err = r.runGroupCT(ctx, glo, ghi, ws, res[glo-lo:ghi-lo])
+		} else {
+			err = r.instanceSlot(ctx, glo, ws, &res[glo-lo])
+		}
+		if err != nil {
+			return nil, err
+		}
+		glo = ghi
 	}
 	sum := r.takeSummary(n)
 	for i := lo; i < hi; i++ {
@@ -924,11 +890,7 @@ func runWith(ctx context.Context, r *runner, pool *engine.Pool) (*Summary, error
 	}
 	pe := &PartialError{Failed: make([]ShardError, len(ep.Failed)), Shards: shards}
 	for i, je := range ep.Failed {
-		lo := je.Index * r.spec.ShardSize
-		hi := lo + r.spec.ShardSize
-		if hi > r.spec.Devices {
-			hi = r.spec.Devices
-		}
+		lo, hi := r.spec.shardRange(je.Index)
 		pe.Failed[i] = ShardError{Shard: je.Index, Lo: lo, Hi: hi, Err: je.Err}
 	}
 	return total, pe

@@ -2,9 +2,11 @@ package fleet_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/ctsim"
@@ -278,15 +280,62 @@ func TestSummaryDerivedMetrics(t *testing.T) {
 }
 
 // TestRunCancellation: a cancelled context aborts the fleet promptly
-// with the context error.
+// with the context error, uncoupled and coupled alike (one group loop
+// serves both).
 func TestRunCancellation(t *testing.T) {
-	spec := testSpec(fleet.ModeCT)
-	spec.Devices = 64
-	spec.Horizon = 1e7 // far too long to finish
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := fleet.Run(ctx, spec, nil); err == nil {
-		t.Fatal("cancelled fleet run returned nil error")
+	for _, couple := range []fleet.CoupleMode{fleet.CoupleNone, fleet.CoupleChannel} {
+		spec := testSpec(fleet.ModeCT)
+		spec.Devices = 64
+		spec.Horizon = 1e7 // far too long to finish
+		if couple != fleet.CoupleNone {
+			spec.Couple, spec.CoupleSize = couple, spec.ShardSize
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := fleet.Run(ctx, spec, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("couple %q: cancelled fleet run returned %v, want context.Canceled", couple, err)
+		}
+	}
+}
+
+// TestSpecSizesNearMaxInt: shard and couple sizes near MaxInt neither
+// wrap the shard count nor size anything by them — a five-device fleet
+// runs as one shard, and a coupled one allocates five lanes, not
+// CoupleSize.
+func TestSpecSizesNearMaxInt(t *testing.T) {
+	for _, tc := range []struct {
+		couple       fleet.CoupleMode
+		shard, group int
+	}{
+		{fleet.CoupleNone, math.MaxInt, 0},
+		{fleet.CoupleChannel, math.MaxInt, math.MaxInt},
+		{fleet.CoupleChannel, 0, math.MaxInt}, // defaulted shard rounds up to the group
+	} {
+		spec := testSpec(fleet.ModeCT)
+		spec.Devices, spec.Horizon = 5, 10
+		spec.Couple, spec.ShardSize, spec.CoupleSize = tc.couple, tc.shard, tc.group
+		sum, err := fleet.Run(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		if sum.Shards != 1 || sum.Devices != 5 {
+			t.Fatalf("%+v: %d shards, %d devices; want 1 shard of 5", tc, sum.Shards, sum.Devices)
+		}
+	}
+}
+
+// TestSpecValidateTotalWeight: the summed class weight is bounded, and
+// the check cannot be dodged by overflowing the sum.
+func TestSpecValidateTotalWeight(t *testing.T) {
+	for _, weights := range [][]int{{1 << 17}, {1 << 15, 1<<15 + 1}, {1, math.MaxInt}} {
+		spec := testSpec(fleet.ModeCT)
+		spec.Classes = spec.Classes[:len(weights)]
+		for i, w := range weights {
+			spec.Classes[i].Weight = w
+		}
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "weight") {
+			t.Fatalf("weights %v: err = %v, want a total-weight error", weights, err)
+		}
 	}
 }
 
@@ -307,14 +356,19 @@ func TestParseMix(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		"hdd:exp:0.08",                      // too few fields
-		"nosuch:exp:0.1:timeout",            // unknown device
-		"hdd:nosuch:0.1:timeout",            // unknown dist
-		"hdd:exp:zero:timeout",              // bad rate
-		"hdd:exp:0.1:nosuch",                // unknown policy
-		"hdd:exp:0.1:timeout=-3",            // bad parameter
-		"hdd:exp:0.1:timeout:0",             // bad weight
-		"hdd:exp:0.1:timeout:1:extra-field", // too many fields
+		"hdd:exp:0.08",                                      // too few fields
+		"nosuch:exp:0.1:timeout",                            // unknown device
+		"hdd:nosuch:0.1:timeout",                            // unknown dist
+		"hdd:exp:zero:timeout",                              // bad rate
+		"hdd:exp:0.1:nosuch",                                // unknown policy
+		"hdd:exp:0.1:timeout=-3",                            // bad parameter
+		"hdd:exp:0.1:timeout:0",                             // bad weight
+		"hdd:exp:0.1:timeout:1:extra-field",                 // too many fields
+		"hdd:exp:0.08:timeout=Inf",                          // parameter not finite
+		"hdd:exp:0.08:timeout=1e300",                        // parameter overflows int64
+		"hdd:exp:0.08:adaptive-timeout=200",                 // outside the adaptive bounds
+		"hdd:exp:0.08:timeout:10000000000",                  // total weight too large
+		"hdd:exp:0.08:timeout:40000,wlan:exp:1:q-dpm:40000", // total weight too large
 	} {
 		if _, err := fleet.ParseMix(bad); err == nil {
 			t.Fatalf("ParseMix(%q) accepted invalid mix", bad)

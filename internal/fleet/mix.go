@@ -20,20 +20,34 @@ func Policies() []string {
 	return []string{"always-on", "greedy-off", "timeout", "adaptive-timeout", "predictive", "q-dpm"}
 }
 
+// The adaptive timeout's bounds in slots; its initial value must lie
+// within them.
+const (
+	adaptiveMinSlots = 1
+	adaptiveMaxSlots = 128
+)
+
 // parsePolicy splits a policy token into name and optional '=' parameter
-// and validates the name.
+// and validates both. A parameter is a slot count: it must be finite and
+// fit in an int64 (and, for adaptive-timeout, lie within the adaptive
+// bounds once truncated), so every accepted token builds a policy.
 func parsePolicy(tok string) (name string, param float64, err error) {
 	name = tok
 	param = -1
 	if i := strings.IndexByte(tok, '='); i >= 0 {
 		name = tok[:i]
 		param, err = strconv.ParseFloat(tok[i+1:], 64)
-		if err != nil || !(param >= 0) {
-			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q", tok)
+		if err != nil || !(param >= 0 && param < 1<<63) {
+			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want a slot count in [0, 2^63))", tok)
 		}
 	}
 	switch name {
-	case "always-on", "greedy-off", "timeout", "adaptive-timeout", "predictive", "q-dpm":
+	case "adaptive-timeout":
+		if param >= 0 && (param < adaptiveMinSlots || param >= adaptiveMaxSlots+1) {
+			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want an initial timeout in [%d, %d] slots)", tok, adaptiveMinSlots, adaptiveMaxSlots)
+		}
+		return name, param, nil
+	case "always-on", "greedy-off", "timeout", "predictive", "q-dpm":
 		return name, param, nil
 	default:
 		return "", 0, fmt.Errorf("fleet: unknown policy %q (want %s)", tok, strings.Join(Policies(), ", "))
@@ -62,7 +76,7 @@ func buildSlotPolicy(cc *compiledClass, queueCap int, latencyWeight float64, str
 		if cc.polParam >= 0 {
 			initial = int64(cc.polParam)
 		}
-		return policy.NewAdaptiveTimeout(cc.slotted, initial, 1, 128)
+		return policy.NewAdaptiveTimeout(cc.slotted, initial, adaptiveMinSlots, adaptiveMaxSlots)
 	case "predictive":
 		return policy.NewPredictive(cc.slotted, 0.5)
 	case "q-dpm":
@@ -140,6 +154,9 @@ func ParseMix(s string) ([]Class, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("fleet: empty mix")
+	}
+	if err := checkTotalWeight(out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
