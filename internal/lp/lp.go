@@ -1,4 +1,4 @@
-// Package lp implements a dense two-phase tableau simplex solver for
+// Package lp implements a two-phase simplex solver on a dense tableau for
 // linear programs, from scratch on the standard library.
 //
 // This is the "widely applied linear programming policy optimization" the
@@ -100,9 +100,17 @@ const (
 //
 // The tableau is a single backing []float64 with row stride `width` (one
 // allocation, contiguous rows) rather than an [][]float64: a pivot walks
-// every entry, so row locality and a flat index computation dominate the
+// whole rows, so row locality and a flat index computation dominate the
 // solver's runtime and allocation profile on the occupancy LPs stochpm
 // feeds it.
+//
+// Work the result cannot depend on is skipped. A pivot updates only the
+// nonzero entries of its pivot row (see pivot), and once phase 1 ends the
+// m artificial columns are dead: nothing reads them again, so the
+// drive-out pivots, the phase-2 objective and the phase-2 pivots touch
+// only the n structural columns and the rhs. Both shortcuts leave every
+// nonzero value and every branch exactly as a dense pivot over the whole
+// tableau would.
 func Solve(p Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -117,6 +125,7 @@ func Solve(p Problem) (*Solution, error) {
 	// normalized to >= 0 (sign-flipping the row inline), so no
 	// intermediate copy of A is made.
 	width := n + m + 1
+	rhs := width - 1
 	t := make([]float64, (m+1)*width)
 	for i := 0; i < m; i++ {
 		row := t[i*width : (i+1)*width]
@@ -129,34 +138,40 @@ func Solve(p Problem) (*Solution, error) {
 			bi = -bi
 		}
 		row[n+i] = 1
-		row[width-1] = bi
+		row[rhs] = bi
 	}
 	obj := t[m*width : (m+1)*width] // phase-1 objective row
 	basis := make([]int, m)
 	for i := 0; i < m; i++ {
 		basis[i] = n + i
 	}
-	// Objective row = -(sum of constraint rows) over structural columns,
-	// expressing artificial cost in terms of nonbasic variables.
-	for j := 0; j < width; j++ {
-		s := 0.0
-		for i := 0; i < m; i++ {
-			s += t[i*width+j]
+	// Objective row = -(sum of constraint rows) over structural columns
+	// and the rhs, expressing artificial cost in terms of nonbasic
+	// variables. The sums run row by row, but each column still adds its
+	// entries in row order.
+	for i := 0; i < m; i++ {
+		row := t[i*width : (i+1)*width]
+		for j, v := range row[:n] {
+			obj[j] += v
 		}
-		if j < n || j == width-1 {
-			obj[j] = -s
-		}
+		obj[rhs] += row[rhs]
 	}
+	for j := range obj[:n] {
+		obj[j] = -obj[j]
+	}
+	obj[rhs] = -obj[rhs]
 
-	iters, err := simplexLoop(t, width, basis, n+m)
+	nz := make([]int, 0, width) // pivot's scratch: nonzero pivot-row columns
+	iters, err := simplexLoop(t, width, basis, n+m, nz)
 	if err != nil {
 		return nil, err
 	}
-	if obj[width-1] < -1e-7 {
+	if obj[rhs] < -1e-7 {
 		return nil, ErrInfeasible
 	}
 
 	// Drive any artificial variables out of the basis (degenerate rows).
+	// From here on only the structural columns and the rhs are live.
 	for i := 0; i < m; i++ {
 		if basis[i] < n {
 			continue
@@ -165,7 +180,8 @@ func Solve(p Problem) (*Solution, error) {
 		pivoted := false
 		for j := 0; j < n; j++ {
 			if math.Abs(row[j]) > driveOutEps {
-				pivot(t, width, basis, i, j)
+				pivot(t, width, basis, i, j, n, nz)
+				iters++
 				pivoted = true
 				break
 			}
@@ -175,17 +191,13 @@ func Solve(p Problem) (*Solution, error) {
 			// redundant constraint. Zero the row outright so its noise
 			// entries can never win a ratio test — pivoting on a ~1e-7
 			// residue would destroy the tableau's conditioning.
-			for j := range row {
-				row[j] = 0
-			}
+			clear(row)
 		}
 	}
 
 	// Phase 2: replace the objective row with the true costs (reduced).
-	for j := 0; j < width; j++ {
-		obj[j] = 0
-	}
 	copy(obj, p.C)
+	obj[rhs] = 0
 	// Make reduced costs of basic variables zero.
 	for i := 0; i < m; i++ {
 		if basis[i] >= n {
@@ -196,11 +208,12 @@ func Solve(p Problem) (*Solution, error) {
 			continue
 		}
 		row := t[i*width : (i+1)*width]
-		for j := 0; j < width; j++ {
-			obj[j] -= c * row[j]
+		for j, v := range row[:n] {
+			obj[j] -= c * v
 		}
+		obj[rhs] -= c * row[rhs]
 	}
-	it2, err := simplexLoop(t, width, basis, n) // artificial columns excluded
+	it2, err := simplexLoop(t, width, basis, n, nz) // artificial columns excluded
 	iters += it2
 	if err != nil {
 		return nil, err
@@ -209,11 +222,11 @@ func Solve(p Problem) (*Solution, error) {
 	x := make([]float64, n)
 	for i := 0; i < m; i++ {
 		if basis[i] < n {
-			x[basis[i]] = t[i*width+width-1]
+			x[basis[i]] = t[i*width+rhs]
 		}
 	}
 
-	// Final verification against the ORIGINAL problem data: every dense
+	// Final verification against the ORIGINAL problem data: every tableau
 	// pivot loses precision, and on heavily degenerate instances the
 	// tableau can degrade silently. Returning a wrong "optimum" is worse
 	// than returning an error.
@@ -223,6 +236,7 @@ func Solve(p Problem) (*Solution, error) {
 			bScale = math.Abs(v)
 		}
 	}
+	nz = nz[:0]
 	for j := 0; j < n; j++ {
 		if x[j] < -1e-6*bScale {
 			return nil, fmt.Errorf("%w: negative variable x[%d]=%v", ErrNumerical, j, x[j])
@@ -230,11 +244,17 @@ func Solve(p Problem) (*Solution, error) {
 		if x[j] < 0 {
 			x[j] = 0
 		}
+		if x[j] != 0 {
+			nz = append(nz, j)
+		}
 	}
+	// A zero x[j] adds a signed zero to a sum that starts at +0, which
+	// changes nothing, so the residuals sum over the nonzero x[j] only.
 	for i := 0; i < len(p.B); i++ {
+		a := p.A[i]
 		dot := 0.0
-		for j := 0; j < n; j++ {
-			dot += p.A[i][j] * x[j]
+		for _, j := range nz {
+			dot += a[j] * x[j]
 		}
 		if math.Abs(dot-p.B[i]) > 1e-6*bScale {
 			return nil, fmt.Errorf("%w: row %d residual %v", ErrNumerical, i, dot-p.B[i])
@@ -250,15 +270,16 @@ func Solve(p Problem) (*Solution, error) {
 
 // simplexLoop pivots until optimal over the first `cols` columns of the
 // flat row-major tableau t (row stride width, len(basis) constraint rows
-// followed by the objective row). The entering rule is Dantzig's (most
+// followed by the objective row); pivots update those columns and the
+// rhs, nz is pivot's scratch. The entering rule is Dantzig's (most
 // negative reduced cost), which reaches the optimum of these occupancy
 // LPs in a handful of pivots; while the objective stalls on a degenerate
 // vertex it falls back to Bland's rule (smallest index), whose
 // anti-cycling guarantee breaks the stall. Keeping the pivot count low
-// matters beyond speed: every dense tableau pivot accumulates rounding
-// error, and hundreds of degenerate Bland pivots can corrupt the tableau
+// matters beyond speed: every tableau pivot accumulates rounding error,
+// and hundreds of degenerate Bland pivots can corrupt the tableau
 // outright.
-func simplexLoop(t []float64, width int, basis []int, cols int) (int, error) {
+func simplexLoop(t []float64, width int, basis []int, cols int, nz []int) (int, error) {
 	m := len(basis)
 	obj := t[m*width : (m+1)*width]
 	iters := 0
@@ -312,7 +333,7 @@ func simplexLoop(t []float64, width int, basis []int, cols int) (int, error) {
 			}
 			return iters, ErrUnbounded
 		}
-		pivot(t, width, basis, row, col)
+		pivot(t, width, basis, row, col, cols, nz)
 		iters++
 		// Track objective progress (the rhs of the objective row carries
 		// the negated objective, which rises as we minimize).
@@ -328,15 +349,32 @@ func simplexLoop(t []float64, width int, basis []int, cols int) (int, error) {
 	}
 }
 
-// pivot performs a full tableau pivot on (row, col) of the flat tableau.
-// Rows are materialized as subslices once per row, which keeps the inner
-// update loop free of index arithmetic and lets the compiler elide bounds
-// checks over the contiguous spans.
-func pivot(t []float64, width int, basis []int, row, col int) {
+// pivot performs a tableau pivot on (row, col) of the flat tableau over
+// its live columns: the first cols columns and the rhs (the last column).
+// It divides the nonzero entries of the pivot row, records their columns
+// in nz (scratch with capacity width), and updates only those columns of
+// every other row with a nonzero entry in col.
+//
+// Skipping the zero entries is exact. Each skipped update has the form
+// x − f·(±0), which leaves a nonzero x unchanged, so every nonzero value —
+// and with it every branch on the tableau (ratio tests, f == 0, |·|,
+// x < 0) — matches a dense pivot bit for bit. Only the sign of a zero
+// entry can differ, and no reader sees it: comparisons treat −0 as +0,
+// and every sum over tableau values starts at +0, where +0 + −0 = +0.
+func pivot(t []float64, width int, basis []int, row, col, cols int, nz []int) {
+	rhs := width - 1
 	pr := t[row*width : (row+1)*width]
 	pv := pr[col]
-	for j := range pr {
-		pr[j] /= pv
+	nz = nz[:0]
+	for j, v := range pr[:cols] {
+		if v != 0 {
+			pr[j] = v / pv
+			nz = append(nz, j)
+		}
+	}
+	if v := pr[rhs]; v != 0 {
+		pr[rhs] = v / pv
+		nz = append(nz, rhs)
 	}
 	rows := len(t) / width
 	for i := 0; i < rows; i++ {
@@ -348,8 +386,8 @@ func pivot(t []float64, width int, basis []int, row, col int) {
 		if f == 0 {
 			continue
 		}
-		for j, v := range pr {
-			ri[j] -= f * v
+		for _, j := range nz {
+			ri[j] -= f * pr[j]
 		}
 	}
 	basis[row] = col
@@ -394,18 +432,22 @@ func (bl *Builder) SetObjective(c []float64) error {
 	return nil
 }
 
-// Add appends a constraint row·x (sense) rhs.
+// Add appends a constraint row·x (sense) rhs. The builder keeps row
+// itself, not a copy, and problems it builds may share it, so the caller
+// must not modify row afterwards.
 func (bl *Builder) Add(row []float64, sense Sense, rhs float64) error {
 	if len(row) != bl.nVars {
 		return fmt.Errorf("lp: constraint has %d coefficients, want %d", len(row), bl.nVars)
 	}
-	bl.rows = append(bl.rows, append([]float64(nil), row...))
+	bl.rows = append(bl.rows, row)
 	bl.rhs = append(bl.rhs, rhs)
 	bl.senses = append(bl.senses, sense)
 	return nil
 }
 
-// Build converts to standard form (slack for ≤, surplus for ≥).
+// Build converts to standard form (slack for ≤, surplus for ≥). Without
+// ≤/≥ rows the problem shares the builder's rows; Solve never modifies
+// them.
 func (bl *Builder) Build() Problem {
 	extra := 0
 	for _, s := range bl.senses {
@@ -420,6 +462,10 @@ func (bl *Builder) Build() Problem {
 		B: append([]float64(nil), bl.rhs...),
 	}
 	copy(p.C, bl.obj)
+	if extra == 0 {
+		copy(p.A, bl.rows)
+		return p
+	}
 	slack := bl.nVars
 	for i, row := range bl.rows {
 		r := make([]float64, n)
@@ -437,7 +483,7 @@ func (bl *Builder) Build() Problem {
 	return p
 }
 
-// SolveBuilder builds and solves, returning only the structural variables.
+// Solve builds and solves, returning only the structural variables.
 func (bl *Builder) Solve() (*Solution, error) {
 	sol, err := Solve(bl.Build())
 	if err != nil {

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -394,4 +395,346 @@ func BenchmarkSolveSmall(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// diffReference solves p with Solve and with refSolve and describes the
+// first difference between the two results — error, Iterations,
+// Objective bits, or an X entry compared with == — or returns "". sol is
+// Solve's solution, nil when it failed.
+func diffReference(p Problem) (diff string, sol *Solution) {
+	sol, err := Solve(p)
+	ref, refErr := refSolve(p)
+	switch {
+	case (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()):
+		return fmt.Sprintf("error %v, reference %v", err, refErr), sol
+	case err != nil:
+		return "", nil
+	case sol.Iterations != ref.Iterations:
+		return fmt.Sprintf("%d iterations, reference %d", sol.Iterations, ref.Iterations), sol
+	case math.Float64bits(sol.Objective) != math.Float64bits(ref.Objective):
+		return fmt.Sprintf("objective %v, reference %v", sol.Objective, ref.Objective), sol
+	}
+	for j := range sol.X {
+		if sol.X[j] != ref.X[j] {
+			return fmt.Sprintf("x[%d] = %v, reference %v", j, sol.X[j], ref.X[j]), sol
+		}
+	}
+	return "", sol
+}
+
+// DiffReference exports diffReference to the package's external tests.
+var DiffReference = diffReference
+
+// fuzzGrid holds the coefficients a fuzz byte can select. Zeros and
+// repeated magnitudes are common, so the decoded LPs are often
+// degenerate, with redundant rows and ratio-test ties.
+var fuzzGrid = [16]float64{0, 0, 0, 0, 1, 1, -1, -1, 2, -2, 0.5, -0.5, 3, 0.25, -3, 4}
+
+// decodeLP reads a standard-form LP from data: m = 1 + data[0]%6 rows,
+// n = 1 + data[1]%8 columns, then C, then each row of A followed by its
+// B entry, one fuzzGrid index (byte % 16) per coefficient. Missing bytes
+// read as 0.
+func decodeLP(data []byte) Problem {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	m := 1 + int(next())%6
+	n := 1 + int(next())%8
+	coef := func() float64 { return fuzzGrid[next()%16] }
+	p := Problem{C: make([]float64, n), A: make([][]float64, m), B: make([]float64, m)}
+	for j := range p.C {
+		p.C[j] = coef()
+	}
+	for i := range p.A {
+		p.A[i] = make([]float64, n)
+		for j := range p.A[i] {
+			p.A[i][j] = coef()
+		}
+		p.B[i] = coef()
+	}
+	return p
+}
+
+// FuzzSolve checks Solve against the dense reference on small, often
+// degenerate LPs, and checks that an accepted solution is feasible within
+// the solver's own verification tolerance.
+func FuzzSolve(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := decodeLP(data)
+		diff, sol := diffReference(p)
+		if diff != "" {
+			t.Fatalf("Solve differs from the dense reference on %+v: %s", p, diff)
+		}
+		if sol == nil {
+			return
+		}
+		bScale := 1.0
+		for _, v := range p.B {
+			bScale = math.Max(bScale, math.Abs(v))
+		}
+		for j, v := range sol.X {
+			if !(v >= 0) {
+				t.Fatalf("x[%d] = %v < 0 on %+v", j, v, p)
+			}
+		}
+		for i, row := range p.A {
+			dot := 0.0
+			for j, a := range row {
+				dot += a * sol.X[j]
+			}
+			if math.Abs(dot-p.B[i]) > 1e-6*bScale {
+				t.Fatalf("row %d residual %v on %+v", i, dot-p.B[i], p)
+			}
+		}
+	})
+}
+
+// refSolve is the dense two-phase simplex: every pivot updates every
+// column of every row with a nonzero pivot-column entry, artificial
+// columns included, through both phases. Solve must match it bit for bit
+// (TestSolveMatchesDenseReference, FuzzSolve).
+func refSolve(p Problem) (*Solution, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	m := len(p.B)
+	n := len(p.C)
+
+	// Phase 1: add artificial variables, minimize their sum.
+	// Tableau columns: n structural + m artificial + 1 rhs; rows: m
+	// constraints + 1 objective, flattened row-major into one slice.
+	// Constraint rows are filled straight from the problem data with b
+	// normalized to >= 0 (sign-flipping the row inline), so no
+	// intermediate copy of A is made.
+	width := n + m + 1
+	t := make([]float64, (m+1)*width)
+	for i := 0; i < m; i++ {
+		row := t[i*width : (i+1)*width]
+		copy(row, p.A[i])
+		bi := p.B[i]
+		if bi < 0 {
+			for j := 0; j < n; j++ {
+				row[j] = -row[j]
+			}
+			bi = -bi
+		}
+		row[n+i] = 1
+		row[width-1] = bi
+	}
+	obj := t[m*width : (m+1)*width] // phase-1 objective row
+	basis := make([]int, m)
+	for i := 0; i < m; i++ {
+		basis[i] = n + i
+	}
+	// Objective row = -(sum of constraint rows) over structural columns,
+	// expressing artificial cost in terms of nonbasic variables.
+	for j := 0; j < width; j++ {
+		s := 0.0
+		for i := 0; i < m; i++ {
+			s += t[i*width+j]
+		}
+		if j < n || j == width-1 {
+			obj[j] = -s
+		}
+	}
+
+	iters, err := refSimplexLoop(t, width, basis, n+m)
+	if err != nil {
+		return nil, err
+	}
+	if obj[width-1] < -1e-7 {
+		return nil, ErrInfeasible
+	}
+
+	// Drive any artificial variables out of the basis (degenerate rows).
+	for i := 0; i < m; i++ {
+		if basis[i] < n {
+			continue
+		}
+		row := t[i*width : (i+1)*width]
+		pivoted := false
+		for j := 0; j < n; j++ {
+			if math.Abs(row[j]) > driveOutEps {
+				refPivot(t, width, basis, i, j)
+				iters++
+				pivoted = true
+				break
+			}
+		}
+		if !pivoted {
+			// Row is (numerically) all zeros over structural columns: a
+			// redundant constraint. Zero the row outright so its noise
+			// entries can never win a ratio test — pivoting on a ~1e-7
+			// residue would destroy the tableau's conditioning.
+			for j := range row {
+				row[j] = 0
+			}
+		}
+	}
+
+	// Phase 2: replace the objective row with the true costs (reduced).
+	for j := 0; j < width; j++ {
+		obj[j] = 0
+	}
+	copy(obj, p.C)
+	// Make reduced costs of basic variables zero.
+	for i := 0; i < m; i++ {
+		if basis[i] >= n {
+			continue
+		}
+		c := obj[basis[i]]
+		if c == 0 {
+			continue
+		}
+		row := t[i*width : (i+1)*width]
+		for j := 0; j < width; j++ {
+			obj[j] -= c * row[j]
+		}
+	}
+	it2, err := refSimplexLoop(t, width, basis, n) // artificial columns excluded
+	iters += it2
+	if err != nil {
+		return nil, err
+	}
+
+	x := make([]float64, n)
+	for i := 0; i < m; i++ {
+		if basis[i] < n {
+			x[basis[i]] = t[i*width+width-1]
+		}
+	}
+
+	// Final verification against the ORIGINAL problem data: every dense
+	// pivot loses precision, and on heavily degenerate instances the
+	// tableau can degrade silently. Returning a wrong "optimum" is worse
+	// than returning an error.
+	bScale := 1.0
+	for _, v := range p.B {
+		if math.Abs(v) > bScale {
+			bScale = math.Abs(v)
+		}
+	}
+	for j := 0; j < n; j++ {
+		if x[j] < -1e-6*bScale {
+			return nil, fmt.Errorf("%w: negative variable x[%d]=%v", ErrNumerical, j, x[j])
+		}
+		if x[j] < 0 {
+			x[j] = 0
+		}
+	}
+	for i := 0; i < len(p.B); i++ {
+		dot := 0.0
+		for j := 0; j < n; j++ {
+			dot += p.A[i][j] * x[j]
+		}
+		if math.Abs(dot-p.B[i]) > 1e-6*bScale {
+			return nil, fmt.Errorf("%w: row %d residual %v", ErrNumerical, i, dot-p.B[i])
+		}
+	}
+
+	val := 0.0
+	for j := 0; j < n; j++ {
+		val += p.C[j] * x[j]
+	}
+	return &Solution{X: x, Objective: val, Iterations: iters}, nil
+}
+
+// refSimplexLoop is simplexLoop with dense pivots.
+func refSimplexLoop(t []float64, width int, basis []int, cols int) (int, error) {
+	m := len(basis)
+	obj := t[m*width : (m+1)*width]
+	iters := 0
+	maxIters := 50000 + 200*(m+cols)
+	stall := 0
+	lastObj := obj[width-1]
+	for {
+		// Entering column.
+		col := -1
+		if stall > 25 {
+			// Bland: smallest index with negative reduced cost.
+			for j := 0; j < cols; j++ {
+				if obj[j] < -optEps {
+					col = j
+					break
+				}
+			}
+		} else {
+			// Dantzig: most negative reduced cost.
+			best := -optEps
+			for j := 0; j < cols; j++ {
+				if obj[j] < best {
+					best = obj[j]
+					col = j
+				}
+			}
+		}
+		if col < 0 {
+			return iters, nil // optimal
+		}
+		// Leaving row: min ratio, Bland tie-break on basis index.
+		row := -1
+		bestRatio := math.Inf(1)
+		for i := 0; i < m; i++ {
+			if piv := t[i*width+col]; piv > ratioEps {
+				ratio := t[i*width+width-1] / piv
+				if ratio < bestRatio-1e-12 || (math.Abs(ratio-bestRatio) <= 1e-12 && (row < 0 || basis[i] < basis[row])) {
+					bestRatio = ratio
+					row = i
+				}
+			}
+		}
+		if row < 0 {
+			// No leaving row. For a genuinely improving direction this
+			// means the LP is unbounded; for a noise-level reduced cost
+			// (degenerate vertex, accumulated float error) it only means
+			// the column cannot improve — zero it and continue.
+			if obj[col] > -1e-5 {
+				obj[col] = 0
+				continue
+			}
+			return iters, ErrUnbounded
+		}
+		refPivot(t, width, basis, row, col)
+		iters++
+		// Track objective progress (the rhs of the objective row carries
+		// the negated objective, which rises as we minimize).
+		if obj[width-1] > lastObj+1e-12 {
+			stall = 0
+			lastObj = obj[width-1]
+		} else {
+			stall++
+		}
+		if iters > maxIters {
+			return iters, fmt.Errorf("lp: simplex exceeded %d iterations", maxIters)
+		}
+	}
+}
+
+// refPivot performs a dense tableau pivot on (row, col).
+func refPivot(t []float64, width int, basis []int, row, col int) {
+	pr := t[row*width : (row+1)*width]
+	pv := pr[col]
+	for j := range pr {
+		pr[j] /= pv
+	}
+	rows := len(t) / width
+	for i := 0; i < rows; i++ {
+		if i == row {
+			continue
+		}
+		ri := t[i*width : (i+1)*width]
+		f := ri[col]
+		if f == 0 {
+			continue
+		}
+		for j, v := range pr {
+			ri[j] -= f * v
+		}
+	}
+	basis[row] = col
 }

@@ -58,10 +58,27 @@ type Solution struct {
 // constraint minimizes the scalarized cost (energy + w·backlog); a non-nil
 // constraint minimizes energy subject to the backlog bound.
 func SolveLP(d *mdp.DPM, cons *Constraint) (*Solution, error) {
+	start := time.Now()
+	b, err := OccupancyLP(d, cons)
+	if err != nil {
+		return nil, err
+	}
+	sol, err := b.Solve()
+	if err != nil {
+		return nil, fmt.Errorf("stochpm: occupancy LP: %w", err)
+	}
+	return solutionFromOccupancy(d, sol, start)
+}
+
+// OccupancyLP formulates the occupancy LP SolveLP solves, with one
+// variable per (state, action index) in state-major order.
+func OccupancyLP(d *mdp.DPM, cons *Constraint) (*lp.Builder, error) {
 	if d == nil {
 		return nil, fmt.Errorf("stochpm: nil model")
 	}
-	start := time.Now()
+	if cons != nil && !(cons.MaxMeanBacklog >= 0) {
+		return nil, fmt.Errorf("stochpm: backlog bound %v must be >= 0", cons.MaxMeanBacklog)
+	}
 	// Variable layout: one x per (state, action index).
 	offsets := make([]int, d.N+1)
 	for s := 0; s < d.N; s++ {
@@ -91,20 +108,27 @@ func SolveLP(d *mdp.DPM, cons *Constraint) (*Solution, error) {
 	// row (probabilities conserve mass), so one row is redundant; dropping
 	// the last keeps the system full-rank, which spares the simplex a
 	// permanently-basic artificial variable and a lot of degeneracy.
-	for sp := 0; sp < d.N-1; sp++ {
+	// Every transition outcome is scattered into its target's row once;
+	// each entry still receives its +1 first and then its −P terms in
+	// (s, a, outcome) order.
+	balance := make([][]float64, d.N-1)
+	for sp := range balance {
 		row := make([]float64, nv)
 		for ai := range d.Actions[sp] {
 			row[offsets[sp]+ai] += 1
 		}
-		for s := 0; s < d.N; s++ {
-			for ai := range d.Actions[s] {
-				for _, o := range d.Trans[s][ai] {
-					if o.Next == sp {
-						row[offsets[s]+ai] -= o.P
-					}
+		balance[sp] = row
+	}
+	for s := 0; s < d.N; s++ {
+		for ai := range d.Actions[s] {
+			for _, o := range d.Trans[s][ai] {
+				if o.Next < d.N-1 {
+					balance[o.Next][offsets[s]+ai] -= o.P
 				}
 			}
 		}
+	}
+	for _, row := range balance {
 		if err := b.Add(row, lp.EQ, 0); err != nil {
 			return nil, err
 		}
@@ -119,9 +143,6 @@ func SolveLP(d *mdp.DPM, cons *Constraint) (*Solution, error) {
 	}
 	// Optional performance constraint.
 	if cons != nil {
-		if !(cons.MaxMeanBacklog >= 0) {
-			return nil, fmt.Errorf("stochpm: backlog bound %v must be >= 0", cons.MaxMeanBacklog)
-		}
 		row := make([]float64, nv)
 		for s := 0; s < d.N; s++ {
 			for ai := range d.Actions[s] {
@@ -132,12 +153,7 @@ func SolveLP(d *mdp.DPM, cons *Constraint) (*Solution, error) {
 			return nil, err
 		}
 	}
-
-	sol, err := b.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("stochpm: occupancy LP: %w", err)
-	}
-	return solutionFromOccupancy(d, sol, start)
+	return b, nil
 }
 
 // solutionFromOccupancy converts an LP point into policy probabilities and
