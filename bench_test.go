@@ -39,7 +39,7 @@ func BenchmarkFig1Convergence(b *testing.B) {
 		Seeds:    []uint64{101},
 	}
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig1(cfg)
+		fig, err := experiment.Fig1Ctx(context.Background(), cfg, experiment.Parallel{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkFig2RapidResponse(b *testing.B) {
 		OptimizeLatencySlots: 1000,
 	}
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig2(cfg)
+		fig, err := experiment.Fig2Ctx(context.Background(), cfg, experiment.Parallel{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func BenchmarkTableR2Row(b *testing.B) {
 	pf := experiment.QDPMFactory(dev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunReplicated(sc, pf, []uint64{1}); err != nil {
+		if _, err := experiment.RunReplicatedCtx(context.Background(), sc, pf, []uint64{1}, experiment.Parallel{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func BenchmarkTableR3Tracking(b *testing.B) {
 	pf := experiment.AdaptiveLPFactory(sc.Device, 0.02, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunOne(sc, pf, 31, nil); err != nil {
+		if _, err := experiment.RunOneCtx(context.Background(), sc, pf, 31, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func BenchmarkTableR3Tracking(b *testing.B) {
 // continuously jittering parameters.
 func BenchmarkTableR4Jitter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.TableR4(0.15, 0.2, 2000, 20000, []uint64{41}); err != nil {
+		if _, err := experiment.TableR4Ctx(context.Background(), 0.15, 0.2, 2000, 20000, []uint64{41}, experiment.Parallel{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func BenchmarkAblationVariant(b *testing.B) {
 		{Name: "sarsa", Mut: func(c *core.Config) { c.Rule = qlearn.SARSA }},
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.TableAblations(specs, 0.1, 20000, []uint64{51}); err != nil {
+		if _, err := experiment.TableAblationsCtx(context.Background(), specs, 0.1, 20000, []uint64{51}, experiment.Parallel{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,7 +299,7 @@ func BenchmarkQDPMReplicaSlots(b *testing.B) {
 	pf := experiment.QDPMFactory(dev)
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := experiment.RunOne(sc, pf, 1, nil); err != nil {
+	if _, err := experiment.RunOneCtx(context.Background(), sc, pf, 1, nil); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -343,7 +343,7 @@ func BenchmarkCTReplicaTableCell(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunCTOne(sc, pf, 31); err != nil {
+		if _, err := experiment.RunCTOneCtx(context.Background(), sc, pf, 31); err != nil {
 			b.Fatal(err)
 		}
 	}

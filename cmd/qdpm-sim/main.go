@@ -152,7 +152,7 @@ func run() error {
 		return nil
 	}
 
-	m, err := experiment.RunOne(sc, pf, *seed, nil)
+	m, err := experiment.RunOneCtx(context.Background(), sc, pf, *seed, nil)
 	if err != nil {
 		return err
 	}
@@ -334,7 +334,7 @@ func runCT(psm *device.PSM, dev *device.Slotted, polName, wlName, traceFile stri
 		return nil
 	}
 
-	m, err := experiment.RunCTOne(sc, pf, seed)
+	m, err := experiment.RunCTOneCtx(context.Background(), sc, pf, seed)
 	if err != nil {
 		return err
 	}

@@ -134,5 +134,5 @@ func main() {
 	fmt.Println("\nNote the honest result: on stationary bimodal bursts a well-tuned")
 	fmt.Println("timeout is hard to beat — it encodes the disk's break-even directly.")
 	fmt.Println("Q-DPM reaches ~80% of always-on savings with zero device knowledge,")
-	fmt.Println("and its edge appears when the workload drifts (run examples/nonstationary).")
+	fmt.Println("and its edge appears when the workload drifts (run qdpm-bench -exp fig2).")
 }

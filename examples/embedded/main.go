@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -83,12 +84,12 @@ func main() {
 	// rule as Table R1 — concurrent simulation work would corrupt the
 	// nanoseconds-per-slot figure).
 	start := time.Now()
-	m, err := experiment.RunOne(sc, qdpm, *seed, nil)
+	m, err := experiment.RunOneCtx(context.Background(), sc, qdpm, *seed, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	mAO, err := experiment.RunOne(sc, experiment.AlwaysOnFactory(dev), *seed, nil)
+	mAO, err := experiment.RunOneCtx(context.Background(), sc, experiment.AlwaysOnFactory(dev), *seed, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

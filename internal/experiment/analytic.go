@@ -99,11 +99,6 @@ const (
 	fleetDevices = 64
 )
 
-// RunAnalytic runs the full conformance harness. See RunAnalyticCtx.
-func RunAnalytic(seeds []uint64) (*AnalyticReport, error) {
-	return RunAnalyticCtx(context.Background(), seeds, Parallel{})
-}
-
 // RunAnalyticCtx runs every rung of the analytic ladder against its
 // pinned simulator configuration and returns the checks. Each rung's
 // oracle first vets the regime through its AppliesTo predicate, so a
@@ -526,11 +521,6 @@ func analyticFleetChecks(ctx context.Context, r *AnalyticReport, seeds []uint64,
 
 // ---------------------------------------------------------------------------
 // Table rendering
-
-// TableAnalytic renders the conformance harness; see TableAnalyticCtx.
-func TableAnalytic(seeds []uint64) (*Table, error) {
-	return TableAnalyticCtx(context.Background(), seeds, Parallel{})
-}
 
 // TableAnalyticCtx runs the harness and renders one row per check.
 func TableAnalyticCtx(ctx context.Context, seeds []uint64, par Parallel) (*Table, error) {

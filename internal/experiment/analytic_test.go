@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ func TestAnalyticConformance(t *testing.T) {
 		t.Skip("analytic conformance needs full horizons")
 	}
 	seeds := []uint64{101, 102, 103, 104, 105, 106, 107, 108}
-	rep, err := RunAnalytic(seeds)
+	rep, err := RunAnalyticCtx(context.Background(), seeds, Parallel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestAnalyticConformance(t *testing.T) {
 
 // TestAnalyticNoSeeds pins the empty-seed error path.
 func TestAnalyticNoSeeds(t *testing.T) {
-	if _, err := RunAnalytic(nil); err == nil {
-		t.Error("RunAnalytic accepted an empty seed list")
+	if _, err := RunAnalyticCtx(context.Background(), nil, Parallel{}); err == nil {
+		t.Error("RunAnalyticCtx accepted an empty seed list")
 	}
 }

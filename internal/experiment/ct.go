@@ -7,7 +7,6 @@ import (
 	"repro/internal/ctsim"
 	"repro/internal/device"
 	"repro/internal/dist"
-	"repro/internal/engine"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -111,13 +110,8 @@ func runCTReplica(ctx context.Context, sc CTScenario, pf PolicyFactory, seed uin
 // of this many governor ticks and poll the context between chunks.
 const ctCancelChunkTicks = 8192
 
-// RunCTOne executes one continuous-time replica and returns its metrics.
-func RunCTOne(sc CTScenario, pf PolicyFactory, seed uint64) (ctsim.Metrics, error) {
-	return RunCTOneCtx(context.Background(), sc, pf, seed)
-}
-
-// RunCTOneCtx is RunCTOne with cooperative cancellation between simulated
-// chunks.
+// RunCTOneCtx executes one continuous-time replica and returns its
+// metrics, with cooperative cancellation between simulated chunks.
 func RunCTOneCtx(ctx context.Context, sc CTScenario, pf PolicyFactory, seed uint64) (ctsim.Metrics, error) {
 	if err := sc.Validate(); err != nil {
 		return ctsim.Metrics{}, err
@@ -168,83 +162,32 @@ func (s *CTSummary) Merge(o *CTSummary) {
 	s.LossRate.Merge(&o.LossRate)
 }
 
-// RunCTReplicated executes one continuous-time replica per seed on a
-// GOMAXPROCS pool and pools the metrics.
-func RunCTReplicated(sc CTScenario, pf PolicyFactory, seeds []uint64) (*CTSummary, error) {
-	return RunCTReplicatedCtx(context.Background(), sc, pf, seeds, Parallel{})
-}
-
-// RunCTReplicatedCtx is RunCTReplicated with cancellation and pool
-// control; the seed-order merge makes the result bit-identical for every
-// worker count.
+// RunCTReplicatedCtx executes one continuous-time replica per seed on a
+// worker pool and pools the metrics: a one-cell replicaGrid, so the
+// result is bit-identical for every worker count.
 func RunCTReplicatedCtx(ctx context.Context, sc CTScenario, pf PolicyFactory, seeds []uint64, par Parallel) (*CTSummary, error) {
-	if len(seeds) == 0 {
-		return nil, errNoSeeds
-	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	maxP := sc.Device.MaxPower()
-	pool := par.pool()
-	scratch := make([]ctScratch, pool.Size(len(seeds)))
-	parts, err := engine.MapWorkers(ctx, pool, len(seeds),
-		func(ctx context.Context, worker, i int) (*CTSummary, error) {
-			ws := &scratch[worker]
-			if err := runCTReplica(ctx, sc, pf, seeds[i], ws); err != nil {
-				return nil, err
-			}
-			s := &CTSummary{Policy: pf.Name, Scenario: sc.Name}
-			s.addReplica(&ws.metrics, maxP)
-			return s, nil
+	sums, err := replicaGrid(ctx, par, 1, seeds,
+		func(ctx context.Context, ws *ctScratch, _ int, seed uint64) (*CTSummary, error) {
+			return ctReplica(ctx, ws, sc, pf, seed)
 		})
 	if err != nil {
 		return nil, err
 	}
-	sum := &CTSummary{Policy: pf.Name, Scenario: sc.Name}
-	for _, p := range parts {
-		sum.Merge(p)
-	}
-	return sum, nil
+	return sums[0], nil
 }
 
-// ctReplicaGrid fans one continuous-time replica per (cell, seed) pair
-// across the pool and reduces each cell in seed order — the ct analog of
-// replicaGrid, with the same determinism guarantee.
-func ctReplicaGrid[C any](ctx context.Context, par Parallel, cells []C, seeds []uint64, cell func(C) (CTScenario, PolicyFactory)) ([]*CTSummary, error) {
-	if len(seeds) == 0 {
-		return nil, errNoSeeds
-	}
-	for _, c := range cells {
-		sc, _ := cell(c)
-		if err := sc.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	pool := par.pool()
-	scratch := make([]ctScratch, pool.Size(len(cells)*len(seeds)))
-	parts, err := engine.MapWorkers(ctx, pool, len(cells)*len(seeds),
-		func(ctx context.Context, worker, i int) (*CTSummary, error) {
-			sc, pf := cell(cells[i/len(seeds)])
-			ws := &scratch[worker]
-			if err := runCTReplica(ctx, sc, pf, seeds[i%len(seeds)], ws); err != nil {
-				return nil, err
-			}
-			s := &CTSummary{Policy: pf.Name, Scenario: sc.Name}
-			s.addReplica(&ws.metrics, sc.Device.MaxPower())
-			return s, nil
-		})
-	if err != nil {
+// ctReplica runs one continuous-time replica on the worker's reusable
+// simulator as a single-replica summary.
+func ctReplica(ctx context.Context, ws *ctScratch, sc CTScenario, pf PolicyFactory, seed uint64) (*CTSummary, error) {
+	if err := runCTReplica(ctx, sc, pf, seed, ws); err != nil {
 		return nil, err
 	}
-	out := make([]*CTSummary, len(cells))
-	for ci := range cells {
-		sum := &CTSummary{}
-		for si := range seeds {
-			sum.Merge(parts[ci*len(seeds)+si])
-		}
-		out[ci] = sum
-	}
-	return out, nil
+	s := &CTSummary{Policy: pf.Name, Scenario: sc.Name}
+	s.addReplica(&ws.metrics, sc.Device.MaxPower())
+	return s, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -256,18 +199,13 @@ type ctCell struct {
 	pf PolicyFactory
 }
 
-// TableCT compares policies on the event-driven simulator across renewal
-// workloads the slot grid cannot express natively — Poisson (exp),
-// high-variance hyperexponential, and heavy-tailed Pareto and Weibull
-// interarrivals — at ratePerSec arrivals per second over horizon seconds.
-func TableCT(ratePerSec, horizon float64, seeds []uint64) (*Table, error) {
-	return TableCTCtx(context.Background(), ratePerSec, horizon, seeds, Parallel{})
-}
-
-// TableCTCtx is TableCT with cancellation and pool control: the
-// scenario × policy × seed replica grid fans out across the worker pool
-// and reduces in seed order, so output is bit-identical for every
-// -parallel value.
+// TableCTCtx compares policies on the event-driven simulator across
+// renewal workloads the slot grid cannot express natively — Poisson
+// (exp), high-variance hyperexponential, and heavy-tailed Pareto and
+// Weibull interarrivals — at ratePerSec arrivals per second over horizon
+// seconds. The scenario × policy × seed replica grid fans out across the
+// worker pool and reduces in seed order, so output is bit-identical for
+// every -parallel value.
 func TableCTCtx(ctx context.Context, ratePerSec, horizon float64, seeds []uint64, par Parallel) (*Table, error) {
 	psm := device.Synthetic3()
 	dev, err := CanonDevice()
@@ -303,6 +241,9 @@ func TableCTCtx(ctx context.Context, ratePerSec, horizon float64, seeds []uint64
 				return src
 			},
 		}
+		if err := sc.Validate(); err != nil {
+			return nil, err
+		}
 		for _, pf := range []PolicyFactory{
 			AlwaysOnFactory(dev),
 			GreedyOffFactory(dev),
@@ -313,9 +254,10 @@ func TableCTCtx(ctx context.Context, ratePerSec, horizon float64, seeds []uint64
 		}
 	}
 
-	sums, err := ctReplicaGrid(ctx, par, cells, seeds, func(c ctCell) (CTScenario, PolicyFactory) {
-		return c.sc, c.pf
-	})
+	sums, err := replicaGrid(ctx, par, len(cells), seeds,
+		func(ctx context.Context, ws *ctScratch, ci int, seed uint64) (*CTSummary, error) {
+			return ctReplica(ctx, ws, cells[ci].sc, cells[ci].pf, seed)
+		})
 	if err != nil {
 		return nil, err
 	}

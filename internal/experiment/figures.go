@@ -47,18 +47,12 @@ func DefaultFig1() Fig1Config {
 	}
 }
 
-// Fig1 reproduces "Convergence on Optimal Policy": windowed average cost
-// of Q-DPM against the analytically optimal policy (and a timeout and
-// greedy baseline) under stationary input. The Q-DPM curve must approach
-// the optimal horizontal line.
-func Fig1(cfg Fig1Config) (*Figure, error) {
-	return Fig1Ctx(context.Background(), cfg, Parallel{})
-}
-
-// Fig1Ctx is Fig1 with cancellation and pool control: the policy × seed
-// replica grid fans out across the worker pool, and each policy's seed
-// series are averaged in seed order so the figure is independent of
-// worker count.
+// Fig1Ctx reproduces "Convergence on Optimal Policy": windowed average
+// cost of Q-DPM against the analytically optimal policy (and a timeout
+// and greedy baseline) under stationary input. The Q-DPM curve must
+// approach the optimal horizontal line. The policy × seed replica grid
+// fans out across the worker pool, and each policy's seed series are
+// averaged in seed order so the figure is independent of worker count.
 func Fig1Ctx(ctx context.Context, cfg Fig1Config, par Parallel) (*Figure, error) {
 	dev, err := CanonDevice()
 	if err != nil {
@@ -99,7 +93,8 @@ func Fig1Ctx(ctx context.Context, cfg Fig1Config, par Parallel) (*Figure, error)
 		TimeoutFactory(dev, 20),
 		GreedyOffFactory(dev),
 	}, cfg.Seeds, func(ctx context.Context, pf PolicyFactory, seed uint64) (*stats.Series, error) {
-		return WindowedCostSeriesCtx(ctx, sc, pf, seed, cfg.Window, cfg.Stride)
+		series, _, err := windowedSeries(ctx, sc, pf, seed, cfg.Window, cfg.Stride, slotCost, meanAsIs)
+		return series, err
 	})
 	if err != nil {
 		return nil, err
@@ -166,15 +161,11 @@ func Fig2Scenario(cfg Fig2Config) (Scenario, []int64, error) {
 	return sc, pw.SwitchPoints(), nil
 }
 
-// Fig2 reproduces "Rapid Response": windowed energy reduction (vs
+// Fig2Ctx reproduces "Rapid Response": windowed energy reduction (vs
 // always-on) under piecewise-stationary input with marked switching
 // points, for Q-DPM versus the model-based adaptive pipeline and a fixed
-// timeout. Q-DPM's post-switch dips must be shorter than adaptive-LP's.
-func Fig2(cfg Fig2Config) (*Figure, error) {
-	return Fig2Ctx(context.Background(), cfg, Parallel{})
-}
-
-// Fig2Ctx is Fig2 with cancellation and pool control.
+// timeout, with cancellation and pool control. Q-DPM's post-switch dips
+// must be shorter than adaptive-LP's.
 func Fig2Ctx(ctx context.Context, cfg Fig2Config, par Parallel) (*Figure, error) {
 	sc, switches, err := Fig2Scenario(cfg)
 	if err != nil {
@@ -193,12 +184,14 @@ func Fig2Ctx(ctx context.Context, cfg Fig2Config, par Parallel) (*Figure, error)
 		fig.VLines = append(fig.VLines, float64(sp))
 	}
 
+	reduction := reductionVs(dev.MaxPowerEnergy())
 	fig.Series, err = meanSeriesGrid(ctx, par, []PolicyFactory{
 		QDPMTrackingFactory(dev),
 		AdaptiveLPFactory(dev, cfg.Rates[0], cfg.OptimizeLatencySlots),
 		TimeoutFactory(dev, 8),
 	}, cfg.Seeds, func(ctx context.Context, pf PolicyFactory, seed uint64) (*stats.Series, error) {
-		return WindowedEnergyReductionSeriesCtx(ctx, sc, pf, seed, cfg.Window, cfg.Stride)
+		series, _, err := windowedSeries(ctx, sc, pf, seed, cfg.Window, cfg.Stride, slotEnergy, reduction)
+		return series, err
 	})
 	if err != nil {
 		return nil, err

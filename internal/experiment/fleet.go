@@ -68,14 +68,8 @@ func (s *FleetSummary) Merge(o *FleetSummary) {
 	s.Fleet.Merge(&o.Fleet)
 }
 
-// RunFleetReplicated executes one fleet run per seed on a GOMAXPROCS
-// pool and pools the results.
-func RunFleetReplicated(sc FleetScenario, seeds []uint64) (*FleetSummary, error) {
-	return RunFleetReplicatedCtx(context.Background(), sc, seeds, Parallel{})
-}
-
-// RunFleetReplicatedCtx is RunFleetReplicated with cancellation and pool
-// control. Replicas run back to back in seed order — the parallelism
+// RunFleetReplicatedCtx executes one fleet run per seed and pools the
+// results. Replicas run back to back in seed order — the parallelism
 // lives inside each fleet run, which fans its shards across the pool —
 // and fold in seed order, so the result honours the repository
 // determinism contract: bit-identical output for every -parallel value.
@@ -113,15 +107,10 @@ func RunFleetReplicatedCtx(ctx context.Context, sc FleetScenario, seeds []uint64
 // ---------------------------------------------------------------------------
 // Table Fleet — fleet-scale mixed-workload comparison
 
-// TableFleet runs the canonical heterogeneous fleet (DefaultMix) at the
-// given scale and renders per-class and per-policy aggregates plus
-// fleet-level wait percentiles.
-func TableFleet(devices int, horizon float64, mode fleet.Mode, seeds []uint64) (*Table, error) {
-	return TableFleetCtx(context.Background(), devices, horizon, mode, seeds, Parallel{})
-}
-
-// TableFleetCtx is TableFleet with cancellation and pool control; output
-// is bit-identical for every -parallel value.
+// TableFleetCtx runs the canonical heterogeneous fleet (DefaultMix) at
+// the given scale and renders per-class and per-policy aggregates plus
+// fleet-level wait percentiles; output is bit-identical for every
+// -parallel value.
 func TableFleetCtx(ctx context.Context, devices int, horizon float64, mode fleet.Mode, seeds []uint64, par Parallel) (*Table, error) {
 	sc := FleetScenario{
 		Name: "fleet",
@@ -261,18 +250,13 @@ func FleetTable(sum *FleetSummary) (*Table, error) {
 // ---------------------------------------------------------------------------
 // Table Coupled Fleet — policies under contention severity
 
-// TableCoupledFleet compares the canonical mix's policies under growing
-// contention severity: one coupled fleet per group size in sizes, all
-// contending for the given shared resource, rendered as per-policy
-// rollups per severity level.
-func TableCoupledFleet(devices int, horizon float64, couple fleet.CoupleMode, sizes []int, seeds []uint64) (*Table, error) {
-	return TableCoupledFleetCtx(context.Background(), devices, horizon, couple, sizes, seeds, Parallel{})
-}
-
-// TableCoupledFleetCtx is TableCoupledFleet with cancellation and pool
-// control; output is bit-identical for every -parallel value. The note
-// tracks the interference acceptance signal: the p99 of per-instance
-// mean waits per severity level, which grows with the group size.
+// TableCoupledFleetCtx compares the canonical mix's policies under
+// growing contention severity: one coupled fleet per group size in sizes,
+// all contending for the given shared resource, rendered as per-policy
+// rollups per severity level. Output is bit-identical for every -parallel
+// value. The note tracks the interference acceptance signal: the p99 of
+// per-instance mean waits per severity level, which grows with the group
+// size.
 func TableCoupledFleetCtx(ctx context.Context, devices int, horizon float64, couple fleet.CoupleMode, sizes []int, seeds []uint64, par Parallel) (*Table, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("experiment: coupled fleet table needs at least one group size")
@@ -355,17 +339,12 @@ func DefaultFaultLevels() []FaultLevel {
 	}
 }
 
-// TableFaultedFleet compares the canonical mix's policies across the
-// default fault-severity ladder.
-func TableFaultedFleet(devices int, horizon float64, seeds []uint64) (*Table, error) {
-	return TableFaultedFleetCtx(context.Background(), devices, horizon, DefaultFaultLevels(), seeds, Parallel{})
-}
-
-// TableFaultedFleetCtx is TableFaultedFleet with explicit levels,
-// cancellation, and pool control; output is bit-identical for every
-// -parallel value. The note tracks the resilience acceptance signal:
-// fleet availability per severity level, which falls as faults
-// intensify while the policies' losses and waits spread apart.
+// TableFaultedFleetCtx compares the canonical mix's policies across the
+// given fault-severity levels (DefaultFaultLevels is the canonical
+// ladder); output is bit-identical for every -parallel value. The note
+// tracks the resilience acceptance signal: fleet availability per
+// severity level, which falls as faults intensify while the policies'
+// losses and waits spread apart.
 func TableFaultedFleetCtx(ctx context.Context, devices int, horizon float64, levels []FaultLevel, seeds []uint64, par Parallel) (*Table, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("experiment: faulted fleet table needs at least one fault level")

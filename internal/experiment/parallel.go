@@ -30,9 +30,10 @@ func (p Parallel) pool() *engine.Pool {
 // full run length.
 const cancelCheckSlots = 8192
 
-// RunOneCtx executes one replica like RunOne but polls ctx between slot
-// chunks, so a cancelled context aborts a multi-million-slot replica
-// promptly with ctx's error.
+// RunOneCtx executes one replica and returns the metrics. The observer,
+// when non-nil, sees every slot record. The replica polls ctx between
+// slot chunks, so a cancelled context aborts a multi-million-slot
+// replica promptly with ctx's error.
 func RunOneCtx(ctx context.Context, sc Scenario, pf PolicyFactory, seed uint64, observer func(slotsim.SlotRecord)) (slotsim.Metrics, error) {
 	if err := sc.Validate(); err != nil {
 		return slotsim.Metrics{}, err
@@ -61,62 +62,61 @@ func RunOneCtx(ctx context.Context, sc Scenario, pf PolicyFactory, seed uint64, 
 }
 
 // RunReplicatedCtx executes one replica per seed on a worker pool and
-// pools the metrics. The reduction merges per-replica summaries in seed
-// order, so the result is bit-identical to the serial loop for every
-// worker count.
+// pools the metrics: a one-cell replicaGrid, so the result is
+// bit-identical to the serial loop for every worker count.
 func RunReplicatedCtx(ctx context.Context, sc Scenario, pf PolicyFactory, seeds []uint64, par Parallel) (*Summary, error) {
-	if len(seeds) == 0 {
-		return nil, errNoSeeds
-	}
-	maxPower := sc.Device.MaxPowerEnergy() / sc.Device.SlotDuration
-	parts, err := engine.Map(ctx, par.pool(), len(seeds),
-		func(ctx context.Context, i int) (*Summary, error) {
-			m, err := RunOneCtx(ctx, sc, pf, seeds[i], nil)
-			if err != nil {
-				return nil, err
-			}
-			s := &Summary{Policy: pf.Name, Scenario: sc.Name}
-			s.addReplica(&m, sc.Device.SlotDuration, maxPower)
-			return s, nil
+	sums, err := replicaGrid(ctx, par, 1, seeds,
+		func(ctx context.Context, _ *struct{}, _ int, seed uint64) (*Summary, error) {
+			return slotReplica(ctx, sc, pf, seed)
 		})
 	if err != nil {
 		return nil, err
 	}
-	sum := &Summary{Policy: pf.Name, Scenario: sc.Name}
-	for _, p := range parts {
-		sum.Merge(p)
-	}
-	return sum, nil
+	return sums[0], nil
 }
 
-// replicaGrid fans one replica job per (cell, seed) pair across the pool
-// and reduces each cell — a (scenario, policy) pair named by the table
-// drivers — by merging its single-replica summaries in seed order. The
-// reduction order makes every cell's summary bit-identical to a serial
-// RunReplicated, independent of worker count.
-func replicaGrid[C any](ctx context.Context, par Parallel, cells []C, seeds []uint64, cell func(C) (Scenario, PolicyFactory)) ([]*Summary, error) {
+// slotReplica runs one slotted replica as a single-replica summary.
+func slotReplica(ctx context.Context, sc Scenario, pf PolicyFactory, seed uint64) (*Summary, error) {
+	m, err := RunOneCtx(ctx, sc, pf, seed, nil)
+	if err != nil {
+		return nil, err
+	}
+	s := &Summary{Policy: pf.Name, Scenario: sc.Name}
+	s.addReplica(&m, sc.Device.SlotDuration, sc.Device.MaxPowerEnergy()/sc.Device.SlotDuration)
+	return s, nil
+}
+
+// replicaGrid fans one job per (cell, seed) pair across the pool — a cell
+// is a (scenario, policy) pair the caller indexes in [0, cells) — and
+// reduces each cell by merging its single-replica summaries in seed
+// order, which makes every cell's result bit-identical for every worker
+// count. Each job gets its worker's scratch W: jobs on one worker run
+// sequentially, so run may reuse it freely, but it must never influence
+// results.
+func replicaGrid[W, S any, P interface {
+	*S
+	Merge(*S)
+}](ctx context.Context, par Parallel, cells int, seeds []uint64,
+	run func(ctx context.Context, ws *W, cell int, seed uint64) (*S, error),
+) ([]*S, error) {
 	if len(seeds) == 0 {
 		return nil, errNoSeeds
 	}
-	parts, err := engine.Map(ctx, par.pool(), len(cells)*len(seeds),
-		func(ctx context.Context, i int) (*Summary, error) {
-			sc, pf := cell(cells[i/len(seeds)])
-			m, err := RunOneCtx(ctx, sc, pf, seeds[i%len(seeds)], nil)
-			if err != nil {
-				return nil, err
-			}
-			s := &Summary{Policy: pf.Name, Scenario: sc.Name}
-			s.addReplica(&m, sc.Device.SlotDuration, sc.Device.MaxPowerEnergy()/sc.Device.SlotDuration)
-			return s, nil
+	pool := par.pool()
+	n := cells * len(seeds)
+	scratch := make([]W, pool.Size(n))
+	parts, err := engine.MapWorkers(ctx, pool, n,
+		func(ctx context.Context, worker, i int) (*S, error) {
+			return run(ctx, &scratch[worker], i/len(seeds), seeds[i%len(seeds)])
 		})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Summary, len(cells))
-	for ci := range cells {
-		sum := &Summary{}
-		for si := range seeds {
-			sum.Merge(parts[ci*len(seeds)+si])
+	out := make([]*S, cells)
+	for ci := range out {
+		sum := P(new(S))
+		for _, p := range parts[ci*len(seeds) : (ci+1)*len(seeds)] {
+			sum.Merge(p)
 		}
 		out[ci] = sum
 	}

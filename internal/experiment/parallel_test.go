@@ -43,7 +43,7 @@ func summariesEqual(a, b *Summary) bool {
 }
 
 // TestPooledBitIdenticalToSerial is the engine's core guarantee: pooled
-// RunReplicated output is bit-identical to the legacy serial loop for
+// RunReplicatedCtx output is bit-identical to the legacy serial loop for
 // pool sizes 1, 4, and GOMAXPROCS.
 func TestPooledBitIdenticalToSerial(t *testing.T) {
 	sc := detScenario(20000)
@@ -55,7 +55,7 @@ func TestPooledBitIdenticalToSerial(t *testing.T) {
 	want := &Summary{Policy: pf.Name, Scenario: sc.Name, Replicas: len(seeds)}
 	maxPower := sc.Device.MaxPowerEnergy() / sc.Device.SlotDuration
 	for _, seed := range seeds {
-		m, err := RunOne(sc, pf, seed, nil)
+		m, err := RunOneCtx(context.Background(), sc, pf, seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

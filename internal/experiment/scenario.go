@@ -80,12 +80,6 @@ func newReplicaSim(sc Scenario, pf PolicyFactory, seed uint64) (*slotsim.Sim, er
 	})
 }
 
-// RunOne executes one replica and returns the metrics. The observer, when
-// non-nil, sees every slot record.
-func RunOne(sc Scenario, pf PolicyFactory, seed uint64, observer func(slotsim.SlotRecord)) (slotsim.Metrics, error) {
-	return RunOneCtx(context.Background(), sc, pf, seed, observer)
-}
-
 // Summary pools replica metrics for one policy on one scenario.
 type Summary struct {
 	Policy   string
@@ -132,58 +126,13 @@ func (s *Summary) Merge(o *Summary) {
 	s.EnergyReduction.Merge(&o.EnergyReduction)
 }
 
-// RunReplicated executes one replica per seed and pools the metrics. The
-// replicas run on a GOMAXPROCS worker pool; use RunReplicatedCtx to
-// control the pool or cancel mid-run.
-func RunReplicated(sc Scenario, pf PolicyFactory, seeds []uint64) (*Summary, error) {
-	return RunReplicatedCtx(context.Background(), sc, pf, seeds, Parallel{})
-}
-
-// WindowedCostSeries runs one replica and returns the sliding-window
-// average per-slot cost sampled every stride slots — the Fig. 1 y-axis.
-func WindowedCostSeries(sc Scenario, pf PolicyFactory, seed uint64, window, stride int) (*stats.Series, error) {
-	return WindowedCostSeriesCtx(context.Background(), sc, pf, seed, window, stride)
-}
-
-// WindowedCostSeriesCtx is WindowedCostSeries with cooperative
-// cancellation.
-func WindowedCostSeriesCtx(ctx context.Context, sc Scenario, pf PolicyFactory, seed uint64, window, stride int) (*stats.Series, error) {
-	if window <= 0 || stride <= 0 {
-		return nil, fmt.Errorf("experiment: window %d and stride %d must be positive", window, stride)
-	}
-	win, err := stats.NewWindow(window)
-	if err != nil {
-		return nil, err
-	}
-	series := &stats.Series{Name: pf.Name}
-	_, err = RunOneCtx(ctx, sc, pf, seed, func(r slotsim.SlotRecord) {
-		win.Add(r.Cost)
-		if r.Slot%int64(stride) == int64(stride)-1 && win.Full() {
-			series.Append(float64(r.Slot+1), win.Mean())
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return series, nil
-}
-
-// WindowedEnergyReductionSeries runs one replica and returns the sliding-
-// window energy reduction relative to always-on — the Fig. 2 y-axis.
-func WindowedEnergyReductionSeries(sc Scenario, pf PolicyFactory, seed uint64, window, stride int) (*stats.Series, error) {
-	return WindowedEnergyReductionSeriesCtx(context.Background(), sc, pf, seed, window, stride)
-}
-
-// WindowedEnergyReductionSeriesCtx is WindowedEnergyReductionSeries with
-// cooperative cancellation.
-func WindowedEnergyReductionSeriesCtx(ctx context.Context, sc Scenario, pf PolicyFactory, seed uint64, window, stride int) (*stats.Series, error) {
-	series, _, err := windowedEnergyReductionSeriesMetrics(ctx, sc, pf, seed, window, stride)
-	return series, err
-}
-
-// windowedEnergyReductionSeriesMetrics also returns the replica's metrics
-// so drivers that need both (Table R3) pay for one simulation, not two.
-func windowedEnergyReductionSeriesMetrics(ctx context.Context, sc Scenario, pf PolicyFactory, seed uint64, window, stride int) (*stats.Series, slotsim.Metrics, error) {
+// windowedSeries runs one replica and samples the sliding-window mean of
+// value(record) every stride slots as the point (slot, y(mean)). It also
+// returns the replica's metrics, so drivers that need both pay for one
+// simulation.
+func windowedSeries(ctx context.Context, sc Scenario, pf PolicyFactory, seed uint64, window, stride int,
+	value func(slotsim.SlotRecord) float64, y func(mean float64) float64,
+) (*stats.Series, slotsim.Metrics, error) {
 	if window <= 0 || stride <= 0 {
 		return nil, slotsim.Metrics{}, fmt.Errorf("experiment: window %d and stride %d must be positive", window, stride)
 	}
@@ -191,18 +140,27 @@ func windowedEnergyReductionSeriesMetrics(ctx context.Context, sc Scenario, pf P
 	if err != nil {
 		return nil, slotsim.Metrics{}, err
 	}
-	maxE := sc.Device.MaxPowerEnergy()
 	series := &stats.Series{Name: pf.Name}
 	m, err := RunOneCtx(ctx, sc, pf, seed, func(r slotsim.SlotRecord) {
-		win.Add(r.Energy)
+		win.Add(value(r))
 		if r.Slot%int64(stride) == int64(stride)-1 && win.Full() {
-			series.Append(float64(r.Slot+1), 1-win.Mean()/maxE)
+			series.Append(float64(r.Slot+1), y(win.Mean()))
 		}
 	})
 	if err != nil {
 		return nil, slotsim.Metrics{}, err
 	}
 	return series, m, nil
+}
+
+// The two windowed series the drivers plot: Fig. 1 windows the per-slot
+// cost as is; Fig. 2 windows the raw per-slot energy and plots the
+// reduction 1 - mean/maxE against always-on.
+func slotCost(r slotsim.SlotRecord) float64   { return r.Cost }
+func slotEnergy(r slotsim.SlotRecord) float64 { return r.Energy }
+func meanAsIs(mean float64) float64           { return mean }
+func reductionVs(maxE float64) func(mean float64) float64 {
+	return func(mean float64) float64 { return 1 - mean/maxE }
 }
 
 // MeanSeries averages several equally-sampled series pointwise (multi-seed

@@ -37,21 +37,20 @@ type R1Row struct {
 	QTableBytes    int
 	ModelBytes     int
 	LPSpeedupOverQ float64
+	// LPPivots counts the simplex pivots of one LP solve: a deterministic
+	// measure of solve work that, unlike LPSolveMs, machine load cannot
+	// perturb.
+	LPPivots int
 }
 
-// TableR1 measures the paper's §1 efficiency claims on this host: the
+// TableR1Ctx measures the paper's §1 efficiency claims on this host: the
 // per-decision cost of a Q-DPM step versus re-running LP policy
 // optimization or value iteration, and the resident memory of the Q table
 // versus the explicit model. Model size scales via the queue capacity.
 //
 // R1 is a wall-clock microbenchmark, so it deliberately never uses the
 // worker pool — concurrent simulation work on the same cores would
-// corrupt the timings. TableR1Ctx only adds cancellation between sizes.
-func TableR1(queueCaps []int) (*Table, []R1Row, error) {
-	return TableR1Ctx(context.Background(), queueCaps)
-}
-
-// TableR1Ctx is TableR1 with cancellation between model sizes.
+// corrupt the timings. The context is checked between model sizes.
 func TableR1Ctx(ctx context.Context, queueCaps []int) (*Table, []R1Row, error) {
 	dev, err := CanonDevice()
 	if err != nil {
@@ -100,10 +99,13 @@ func TableR1Ctx(ctx context.Context, queueCaps []int) (*Table, []R1Row, error) {
 		// LP solve.
 		lpStart := time.Now()
 		lpReps := 3
+		var lpPivots int
 		for i := 0; i < lpReps; i++ {
-			if _, err := stochpm.SolveLP(d, nil); err != nil {
+			sol, err := stochpm.SolveLP(d, nil)
+			if err != nil {
 				return nil, nil, err
 			}
+			lpPivots = sol.Pivots
 		}
 		lpMs := float64(time.Since(lpStart).Microseconds()) / float64(lpReps) / 1000
 
@@ -139,6 +141,7 @@ func TableR1Ctx(ctx context.Context, queueCaps []int) (*Table, []R1Row, error) {
 			States:      d.N,
 			QStepNs:     qStepNs,
 			LPSolveMs:   lpMs,
+			LPPivots:    lpPivots,
 			RVISolveMs:  rviMs,
 			EstimatorNs: estNs,
 			QTableBytes: m.TableBytes(),
@@ -177,12 +180,6 @@ func buildEstimators() (*estimator.WindowRate, *estimator.CUSUM, error) {
 // ---------------------------------------------------------------------------
 // Table R2 — stationary policy comparison
 
-// TableR2 compares every policy's average power and latency on stationary
-// workloads across arrival rates, pooled over seeds.
-func TableR2(rates []float64, slots int64, seeds []uint64) (*Table, error) {
-	return TableR2Ctx(context.Background(), rates, slots, seeds, Parallel{})
-}
-
 // r2Cell names one (scenario, policy) table cell.
 type r2Cell struct {
 	rate float64
@@ -190,7 +187,8 @@ type r2Cell struct {
 	pf   PolicyFactory
 }
 
-// TableR2Ctx is TableR2 with cancellation and pool control. The exact
+// TableR2Ctx compares every policy's average power and latency on
+// stationary workloads across arrival rates, pooled over seeds. The exact
 // model solves (one per rate) and the rate × policy × seed replica grid
 // both fan out across the worker pool; rows keep their canonical order.
 func TableR2Ctx(ctx context.Context, rates []float64, slots int64, seeds []uint64, par Parallel) (*Table, error) {
@@ -245,9 +243,10 @@ func TableR2Ctx(ctx context.Context, rates []float64, slots int64, seeds []uint6
 		}
 	}
 
-	sums, err := replicaGrid(ctx, par, cells, seeds, func(c r2Cell) (Scenario, PolicyFactory) {
-		return c.sc, c.pf
-	})
+	sums, err := replicaGrid(ctx, par, len(cells), seeds,
+		func(ctx context.Context, _ *struct{}, ci int, seed uint64) (*Summary, error) {
+			return slotReplica(ctx, cells[ci].sc, cells[ci].pf, seed)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -315,14 +314,9 @@ func abs(x float64) float64 {
 	return x
 }
 
-// TableR3 runs the Fig. 2 scenario per policy and reports recovery time
-// after each switch plus total energy.
-func TableR3(cfg Fig2Config) (*Table, error) {
-	return TableR3Ctx(context.Background(), cfg, Parallel{})
-}
-
-// TableR3Ctx is TableR3 with cancellation and pool control; the policies
-// run concurrently (each policy's pair of runs stays on one worker).
+// TableR3Ctx runs the Fig. 2 scenario per policy and reports recovery
+// time after each switch plus total energy. The policies run concurrently
+// on the worker pool, one simulation each.
 func TableR3Ctx(ctx context.Context, cfg Fig2Config, par Parallel) (*Table, error) {
 	sc, switches, err := Fig2Scenario(cfg)
 	if err != nil {
@@ -330,12 +324,9 @@ func TableR3Ctx(ctx context.Context, cfg Fig2Config, par Parallel) (*Table, erro
 	}
 	dev := sc.Device
 	segEnds := make([]float64, len(switches))
-	for i, sw := range switches {
-		_ = sw
-		segEnds[i] = float64(cfg.SegmentSlots) * float64(i+2)
-	}
 	swF := make([]float64, len(switches))
 	for i, sw := range switches {
+		segEnds[i] = float64(cfg.SegmentSlots) * float64(i+2)
 		swF[i] = float64(sw)
 	}
 
@@ -350,12 +341,13 @@ func TableR3Ctx(ctx context.Context, cfg Fig2Config, par Parallel) (*Table, erro
 		TimeoutFactory(dev, 8),
 		GreedyOffFactory(dev),
 	}
+	reduction := reductionVs(dev.MaxPowerEnergy())
 	rows, err := engine.Map(ctx, par.pool(), len(pfs),
 		func(ctx context.Context, i int) ([]string, error) {
 			pf := pfs[i]
 			// One simulation yields both the recovery series and the
 			// energy/wait metrics.
-			series, m, err := windowedEnergyReductionSeriesMetrics(ctx, sc, pf, cfg.Seeds[0], cfg.Window, cfg.Stride)
+			series, m, err := windowedSeries(ctx, sc, pf, cfg.Seeds[0], cfg.Window, cfg.Stride, slotEnergy, reduction)
 			if err != nil {
 				return nil, err
 			}
@@ -422,14 +414,9 @@ func (j *jitterArrivals) String() string {
 	return fmt.Sprintf("jitter(λ=%g±%.0f%%/%d)", j.base, 100*j.amp, j.period)
 }
 
-// TableR4 compares policies under continuously jittering parameters: the
-// regime where the paper claims Q-DPM's tolerance and where the
+// TableR4Ctx compares policies under continuously jittering parameters:
+// the regime where the paper claims Q-DPM's tolerance and where the
 // mode-switch controller either thrashes or ignores the drift.
-func TableR4(base, amp float64, period int64, slots int64, seeds []uint64) (*Table, error) {
-	return TableR4Ctx(context.Background(), base, amp, period, slots, seeds, Parallel{})
-}
-
-// TableR4Ctx is TableR4 with cancellation and pool control.
 func TableR4Ctx(ctx context.Context, base, amp float64, period int64, slots int64, seeds []uint64, par Parallel) (*Table, error) {
 	dev, err := CanonDevice()
 	if err != nil {
@@ -460,9 +447,10 @@ func TableR4Ctx(ctx context.Context, base, amp float64, period int64, slots int6
 		optFactory,
 		TimeoutFactory(dev, 8),
 	}
-	sums, err := replicaGrid(ctx, par, pfs, seeds, func(pf PolicyFactory) (Scenario, PolicyFactory) {
-		return sc, pf
-	})
+	sums, err := replicaGrid(ctx, par, len(pfs), seeds,
+		func(ctx context.Context, _ *struct{}, pi int, seed uint64) (*Summary, error) {
+			return slotReplica(ctx, sc, pfs[pi], seed)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -510,15 +498,10 @@ func DefaultAblations() []AblationSpec {
 	}
 }
 
-// TableAblations runs each variant on the Fig. 1 scenario and reports the
-// tail (post-convergence) average cost against the optimal gain.
-func TableAblations(specs []AblationSpec, arrivalP float64, slots int64, seeds []uint64) (*Table, error) {
-	return TableAblationsCtx(context.Background(), specs, arrivalP, slots, seeds, Parallel{})
-}
-
-// TableAblationsCtx is TableAblations with cancellation and pool control:
-// the variant × seed grid fans out across the pool and each variant's
-// tails pool in seed order.
+// TableAblationsCtx runs each variant on the Fig. 1 scenario and reports
+// the tail (post-convergence) average cost against the optimal gain. The
+// variant × seed grid fans out across the pool and each variant's tails
+// pool in seed order.
 func TableAblationsCtx(ctx context.Context, specs []AblationSpec, arrivalP float64, slots int64, seeds []uint64, par Parallel) (*Table, error) {
 	dev, err := CanonDevice()
 	if err != nil {
@@ -552,7 +535,7 @@ func TableAblationsCtx(ctx context.Context, specs []AblationSpec, arrivalP float
 		func(ctx context.Context, i int) (float64, error) {
 			spec := specs[i/len(seeds)]
 			pf := QDPMVariantFactory(spec.Name, dev, spec.Mut)
-			s, err := WindowedCostSeriesCtx(ctx, sc, pf, seeds[i%len(seeds)], 4000, 2000)
+			s, _, err := windowedSeries(ctx, sc, pf, seeds[i%len(seeds)], 4000, 2000, slotCost, meanAsIs)
 			if err != nil {
 				return 0, err
 			}

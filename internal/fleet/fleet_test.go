@@ -211,7 +211,7 @@ func TestInstanceMatchesExperimentCTReplica(t *testing.T) {
 		},
 	}
 	seed := engine.SeedFor(7, 0)
-	m, err := experiment.RunCTOne(sc, experiment.TimeoutFactory(dev, 8), seed)
+	m, err := experiment.RunCTOneCtx(context.Background(), sc, experiment.TimeoutFactory(dev, 8), seed)
 	if err != nil {
 		t.Fatal(err)
 	}

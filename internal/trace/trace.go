@@ -248,9 +248,13 @@ func (tr *Trace) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// maxBinaryCount caps the declared record count so a corrupt header cannot
-// trigger a huge allocation.
+// maxBinaryCount caps the declared record count.
 const maxBinaryCount = 1 << 30
+
+// binaryPrealloc caps ReadBinary's first allocation. The slice grows as
+// records arrive, so a header that declares more records than the input
+// holds costs memory only for the records actually read.
+const binaryPrealloc = 1 << 12
 
 // ReadBinary parses the binary format.
 func ReadBinary(r io.Reader) (*Trace, error) {
@@ -270,12 +274,12 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if n > maxBinaryCount {
 		return nil, fmt.Errorf("trace: declared count %d exceeds limit %d", n, maxBinaryCount)
 	}
-	tr := &Trace{Times: make([]float64, n)}
+	tr := &Trace{Times: make([]float64, 0, min(n, binaryPrealloc))}
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
 		}
-		tr.Times[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+		tr.Times = append(tr.Times, math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -234,6 +235,23 @@ func TestBinaryErrors(t *testing.T) {
 	huge := append([]byte("QDPMTRC1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	if _, err := ReadBinary(bytes.NewReader(huge)); err == nil {
 		t.Error("absurd count accepted")
+	}
+}
+
+// A header may declare up to maxBinaryCount records. Reading one that
+// declares 2^30 records and holds none must fail on the first missing
+// record without first allocating for all 2^30 (8 GiB).
+func TestBinaryDeclaredCountBeyondInput(t *testing.T) {
+	in := append([]byte("QDPMTRC1"), 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header declaring 2^30 records with none present accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("rejecting the header allocated %d bytes", got)
 	}
 }
 
