@@ -438,8 +438,9 @@ func (m *Manager) Observe(fb *slotsim.Feedback) {
 		return // keep accumulating until the next decision point
 	}
 
-	// Decision point reached: apply the update.
-	p := m.pending
+	// Decision point reached: apply the update. By pointer: nothing below
+	// writes m.pending, and a copy would block-move it at every decision.
+	p := &m.pending
 	m.hasPending = false
 	nextLegal := m.legal[fb.Next.Phase]
 
@@ -461,7 +462,7 @@ func (m *Manager) Observe(fb *slotsim.Feedback) {
 				m.agent.Q(s, int(p.action))+m.fuzzyAlpha(s, int(p.action))*p.weights[i]*delta)
 		}
 	case m.cfg.Rule == qlearn.SARSA:
-		m.sarsaReady = completedExp{pendingExp: p,
+		m.sarsaReady = completedExp{pendingExp: *p,
 			nextState: m.encode(fb.Next.Phase, fb.Next.Queue, fb.Next.IdleSlots)}
 		m.hasSarsa = true
 	default:

@@ -4,8 +4,9 @@
 // This is the "widely applied linear programming policy optimization" the
 // Q-DPM paper positions itself against: the Benini-style stochastic DPM
 // baseline in internal/stochpm formulates optimal randomized policies as an
-// occupancy-measure LP and solves it here. Bland's anti-cycling rule is
-// used throughout because occupancy LPs are heavily degenerate.
+// occupancy-measure LP and solves it here. Pivots enter by Dantzig's rule
+// and fall back to Bland's anti-cycling rule while the objective stalls,
+// because occupancy LPs are heavily degenerate (see simplexLoop).
 //
 // The solver accepts problems in computational standard form —
 // minimize c·x subject to Ax = b, x ≥ 0 — and a small builder converts
@@ -95,8 +96,28 @@ const (
 	driveOutEps = 1e-6
 )
 
-// Solve runs two-phase simplex with Bland's rule. It returns
+// Solve runs two-phase simplex on a fresh Solver. It returns
 // ErrInfeasible or ErrUnbounded as appropriate.
+func Solve(p Problem) (*Solution, error) {
+	return new(Solver).Solve(p)
+}
+
+// Solver runs the two-phase simplex with scratch it keeps between calls:
+// the tableau, the basis and the pivot's column list. Re-solving problems
+// of one shape then allocates only the returned Solution. The zero value
+// is ready to use; a Solver is not safe for concurrent use.
+type Solver struct {
+	t     []float64
+	basis []int
+	nz    []int
+}
+
+// Solve runs two-phase simplex on p, entering by Dantzig's rule with a
+// fallback to Bland's on stalls (see simplexLoop). It returns
+// ErrInfeasible or ErrUnbounded as appropriate. The result depends only
+// on p: the tableau is cleared before it is refilled, so a reused Solver
+// returns exactly what a fresh one would. p is validated, and the result
+// is checked against p's data, on every call.
 //
 // The tableau is a single backing []float64 with row stride `width` (one
 // allocation, contiguous rows) rather than an [][]float64: a pivot walks
@@ -111,7 +132,7 @@ const (
 // only the n structural columns and the rhs. Both shortcuts leave every
 // nonzero value and every branch exactly as a dense pivot over the whole
 // tableau would.
-func Solve(p Problem) (*Solution, error) {
+func (s *Solver) Solve(p Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -126,7 +147,8 @@ func Solve(p Problem) (*Solution, error) {
 	// intermediate copy of A is made.
 	width := n + m + 1
 	rhs := width - 1
-	t := make([]float64, (m+1)*width)
+	t := resize(&s.t, (m+1)*width)
+	clear(t)
 	for i := 0; i < m; i++ {
 		row := t[i*width : (i+1)*width]
 		copy(row, p.A[i])
@@ -141,7 +163,7 @@ func Solve(p Problem) (*Solution, error) {
 		row[rhs] = bi
 	}
 	obj := t[m*width : (m+1)*width] // phase-1 objective row
-	basis := make([]int, m)
+	basis := resize(&s.basis, m)
 	for i := 0; i < m; i++ {
 		basis[i] = n + i
 	}
@@ -161,7 +183,7 @@ func Solve(p Problem) (*Solution, error) {
 	}
 	obj[rhs] = -obj[rhs]
 
-	nz := make([]int, 0, width) // pivot's scratch: nonzero pivot-row columns
+	nz := resize(&s.nz, width)[:0] // pivot's scratch: nonzero pivot-row columns
 	iters, err := simplexLoop(t, width, basis, n+m, nz)
 	if err != nil {
 		return nil, err
@@ -266,6 +288,16 @@ func Solve(p Problem) (*Solution, error) {
 		val += p.C[j] * x[j]
 	}
 	return &Solution{X: x, Objective: val, Iterations: iters}, nil
+}
+
+// resize returns *buf resliced to length n, reallocating it when its
+// capacity is short. The contents are unspecified.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // simplexLoop pivots until optimal over the first `cols` columns of the
@@ -433,8 +465,8 @@ func (bl *Builder) SetObjective(c []float64) error {
 }
 
 // Add appends a constraint row·x (sense) rhs. The builder keeps row
-// itself, not a copy, and problems it builds may share it, so the caller
-// must not modify row afterwards.
+// itself, not a copy, and problems it builds may share it (see Build), so
+// a later write to row changes them too.
 func (bl *Builder) Add(row []float64, sense Sense, rhs float64) error {
 	if len(row) != bl.nVars {
 		return fmt.Errorf("lp: constraint has %d coefficients, want %d", len(row), bl.nVars)
@@ -446,8 +478,10 @@ func (bl *Builder) Add(row []float64, sense Sense, rhs float64) error {
 }
 
 // Build converts to standard form (slack for ≤, surplus for ≥). Without
-// ≤/≥ rows the problem shares the builder's rows; Solve never modifies
-// them.
+// ≤/≥ rows the problem's rows are the builder's rows; otherwise each is a
+// fresh copy with its slack or surplus column. C and B are always copies.
+// Solve never modifies a problem, so its owner may refill the
+// coefficients in place between solves (stochpm's re-solver does).
 func (bl *Builder) Build() Problem {
 	extra := 0
 	for _, s := range bl.senses {

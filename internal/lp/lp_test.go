@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -398,32 +399,44 @@ func BenchmarkSolveSmall(b *testing.B) {
 }
 
 // diffReference solves p with Solve and with refSolve and describes the
-// first difference between the two results — error, Iterations,
-// Objective bits, or an X entry compared with == — or returns "". sol is
-// Solve's solution, nil when it failed.
+// first difference between the two results, or returns "" (see
+// diffResults). sol is Solve's solution, nil when it failed.
 func diffReference(p Problem) (diff string, sol *Solution) {
 	sol, err := Solve(p)
 	ref, refErr := refSolve(p)
+	return diffResults(sol, err, ref, refErr), sol
+}
+
+// diffResults describes the first difference between two solver results
+// — error, Iterations, Objective bits, or an X entry compared with == —
+// or returns "".
+func diffResults(sol *Solution, err error, ref *Solution, refErr error) string {
 	switch {
 	case (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()):
-		return fmt.Sprintf("error %v, reference %v", err, refErr), sol
+		return fmt.Sprintf("error %v, reference %v", err, refErr)
 	case err != nil:
-		return "", nil
+		return ""
 	case sol.Iterations != ref.Iterations:
-		return fmt.Sprintf("%d iterations, reference %d", sol.Iterations, ref.Iterations), sol
+		return fmt.Sprintf("%d iterations, reference %d", sol.Iterations, ref.Iterations)
 	case math.Float64bits(sol.Objective) != math.Float64bits(ref.Objective):
-		return fmt.Sprintf("objective %v, reference %v", sol.Objective, ref.Objective), sol
+		return fmt.Sprintf("objective %v, reference %v", sol.Objective, ref.Objective)
+	case len(sol.X) != len(ref.X):
+		return fmt.Sprintf("%d variables, reference %d", len(sol.X), len(ref.X))
 	}
 	for j := range sol.X {
 		if sol.X[j] != ref.X[j] {
-			return fmt.Sprintf("x[%d] = %v, reference %v", j, sol.X[j], ref.X[j]), sol
+			return fmt.Sprintf("x[%d] = %v, reference %v", j, sol.X[j], ref.X[j])
 		}
 	}
-	return "", sol
+	return ""
 }
 
-// DiffReference exports diffReference to the package's external tests.
-var DiffReference = diffReference
+// DiffReference and DiffResults export diffReference and diffResults to
+// the package's external tests.
+var (
+	DiffReference = diffReference
+	DiffResults   = diffResults
+)
 
 // fuzzGrid holds the coefficients a fuzz byte can select. Zeros and
 // repeated magnitudes are common, so the decoded LPs are often
@@ -461,16 +474,28 @@ func decodeLP(data []byte) Problem {
 }
 
 // FuzzSolve checks Solve against the dense reference on small, often
-// degenerate LPs, and checks that an accepted solution is feasible within
-// the solver's own verification tolerance.
+// degenerate LPs, checks that a reused Solver — primed on a full-size LP,
+// then solving the input twice — returns what Solve does, and checks that
+// an accepted solution is feasible within the solver's own verification
+// tolerance.
 func FuzzSolve(f *testing.F) {
+	prime := decodeLP(bytes.Repeat([]byte{5, 7, 6, 9, 10, 4, 8, 11, 12}, 8))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeLP(data)
-		diff, sol := diffReference(p)
-		if diff != "" {
+		sol, err := Solve(p)
+		ref, refErr := refSolve(p)
+		if diff := diffResults(sol, err, ref, refErr); diff != "" {
 			t.Fatalf("Solve differs from the dense reference on %+v: %s", p, diff)
 		}
-		if sol == nil {
+		var s Solver
+		s.Solve(prime)
+		for pass := 1; pass <= 2; pass++ {
+			again, againErr := s.Solve(p)
+			if diff := diffResults(again, againErr, sol, err); diff != "" {
+				t.Fatalf("reused Solver, pass %d, differs from Solve on %+v: %s", pass, p, diff)
+			}
+		}
+		if err != nil {
 			return
 		}
 		bScale := 1.0

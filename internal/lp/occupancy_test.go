@@ -1,6 +1,7 @@
 package lp_test
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -97,6 +98,49 @@ func TestSolveIterationsCanonical(t *testing.T) {
 		if sol.Iterations != c.want {
 			t.Errorf("p=%v: %d iterations, want %d", c.p, sol.Iterations, c.want)
 		}
+	}
+}
+
+// TestSolverReuseMatchesFresh runs one Solver through occupancy LPs of
+// shrinking and growing size — its scratch holds a larger problem's stale
+// tableau each time it shrinks — plus an infeasible LP, and checks each
+// result against a fresh Solve: X, Objective, Iterations and the error.
+// The constrained queue-cap-8 LP ends in a numerical breakdown either
+// way, so the scratch is also reused after a failed solve.
+func TestSolverReuseMatchesFresh(t *testing.T) {
+	type step struct {
+		psm      *device.PSM
+		queueCap int
+		p        float64
+		cons     *stochpm.Constraint
+	}
+	steps := []step{
+		{device.Synthetic3(), 8, 0.25, nil},
+		{device.Synthetic3(), 2, 0.08, nil},
+		{device.Synthetic3(), 8, 0.02, &stochpm.Constraint{MaxMeanBacklog: 0.5}},
+		{device.Synthetic3(), 2, 0.30, &stochpm.Constraint{MaxMeanBacklog: 2}},
+		{device.Synthetic3(), 8, 0.30, nil},
+	}
+	var s lp.Solver
+	for i, st := range steps {
+		prob, _ := occupancyLP(t, st.psm, st.queueCap, st.p, st.cons)
+		got, err := s.Solve(prob)
+		want, wantErr := lp.Solve(prob)
+		if diff := lp.DiffResults(got, err, want, wantErr); diff != "" {
+			t.Fatalf("step %d (q%d p=%v): reused solver differs from a fresh one: %s", i, st.queueCap, st.p, diff)
+		}
+	}
+	// An error leaves the scratch usable: an infeasible LP, then the
+	// canonical one again.
+	infeasible := lp.Problem{C: []float64{1, 1}, A: [][]float64{{1, 1}, {1, 1}}, B: []float64{1, 2}}
+	if _, err := s.Solve(infeasible); !errors.Is(err, lp.ErrInfeasible) {
+		t.Fatalf("infeasible LP: %v", err)
+	}
+	prob, _ := occupancyLP(t, device.Synthetic3(), 8, 0.25, nil)
+	got, err := s.Solve(prob)
+	want, wantErr := lp.Solve(prob)
+	if diff := lp.DiffResults(got, err, want, wantErr); diff != "" {
+		t.Fatalf("after an infeasible LP: %s", diff)
 	}
 }
 

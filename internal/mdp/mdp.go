@@ -128,6 +128,11 @@ type DPM struct {
 //
 // Actions in settled states are the allowed target states (staying
 // included); switching states have the single pseudo-action -1 ("wait").
+//
+// The build runs in two passes. The structure pass lays out the states,
+// labels, actions, each outcome's successor and the energy costs, none
+// of which depends on the arrival probability; the rate pass (setRates)
+// fills in everything that does. SetArrivalP reruns only the rate pass.
 func BuildDPM(cfg DPMConfig) (*DPM, error) {
 	dev := cfg.Device
 	if dev == nil {
@@ -150,7 +155,9 @@ func BuildDPM(cfg DPMConfig) (*DPM, error) {
 	d.settledBase = make([]int, nDev)
 	d.transBase = make([][]int, nDev)
 
-	// Enumerate states.
+	// Enumerate states. Every block of states starts at a multiple of qn
+	// and runs through the queue levels in order, so a state's queue
+	// level is its index mod qn (setRates relies on this).
 	n := 0
 	for i := 0; i < nDev; i++ {
 		d.settledBase[i] = n
@@ -182,27 +189,17 @@ func BuildDPM(cfg DPMConfig) (*DPM, error) {
 	}
 	d.Model = m
 
-	pA := cfg.ArrivalP
+	var buf [2]arrival
+	arr := arrivals(cfg.ArrivalP, &buf)
 	cap := cfg.QueueCap
-	w := cfg.LatencyWeight
 
-	// arrivalsThen computes, for a slot spent with service flag `serves`
-	// in post-decision queue q, the two (q', prob, backlog) outcomes.
-	type after struct {
-		q    int
-		prob float64
-	}
-	arrivalsThen := func(q int, serves bool, serveN int) []after {
-		var outs []after
-		for a := 0; a <= 1; a++ {
-			prob := pA
-			if a == 0 {
-				prob = 1 - pA
-			}
-			if prob == 0 {
-				continue
-			}
-			q1 := q + a
+	// successors lists, for a slot spent with service flag `serves` in
+	// post-decision queue q, one outcome per arrival count in arr: the
+	// state at the resulting queue level in the block starting at base.
+	successors := func(q int, serves bool, serveN int, base int) []Outcome {
+		outs := make([]Outcome, len(arr))
+		for k, a := range arr {
+			q1 := q + a.n
 			if q1 > cap {
 				q1 = cap // overflow lost
 			}
@@ -212,7 +209,7 @@ func BuildDPM(cfg DPMConfig) (*DPM, error) {
 					q1 = 0
 				}
 			}
-			outs = append(outs, after{q: q1, prob: prob})
+			outs[k].Next = base + q1
 		}
 		return outs
 	}
@@ -227,44 +224,29 @@ func BuildDPM(cfg DPMConfig) (*DPM, error) {
 					continue // forbidden
 				}
 				var outs []Outcome
-				var energy, perf float64
+				var energy float64
 				switch {
 				case i == j:
 					// Stay: ordinary slot in state i.
-					serves := dev.PSM.States[i].CanService
 					energy = dev.StateEnergy[i]
-					for _, af := range arrivalsThen(q, serves, dev.ServePerSlot) {
-						outs = append(outs, Outcome{Next: d.settledBase[i] + af.q, P: af.prob})
-						perf += af.prob * float64(af.q)
-					}
+					outs = successors(q, dev.PSM.States[i].CanService, dev.ServePerSlot, d.settledBase[i])
 				case dev.TransSlots[i][j] == 0:
 					// Instant switch: slot spent in j, full switch energy now.
-					serves := dev.PSM.States[j].CanService
 					energy = dev.TransEnergy[i][j] + dev.StateEnergy[j]
-					for _, af := range arrivalsThen(q, serves, dev.ServePerSlot) {
-						outs = append(outs, Outcome{Next: d.settledBase[j] + af.q, P: af.prob})
-						perf += af.prob * float64(af.q)
-					}
+					outs = successors(q, dev.PSM.States[j].CanService, dev.ServePerSlot, d.settledBase[j])
 				default:
 					// First slot of an L-slot switch: no service.
 					l := dev.TransSlots[i][j]
 					energy = dev.TransEnergy[i][j] / float64(l)
-					for _, af := range arrivalsThen(q, false, 0) {
-						next := 0
-						if l == 1 {
-							next = d.settledBase[j] + af.q
-						} else {
-							next = d.transIndex(i, j, l-1, af.q)
-						}
-						outs = append(outs, Outcome{Next: next, P: af.prob})
-						perf += af.prob * float64(af.q)
+					next := d.settledBase[j]
+					if l > 1 {
+						next = d.transIndex(i, j, l-1, 0)
 					}
+					outs = successors(q, false, 0, next)
 				}
 				m.Actions[s] = append(m.Actions[s], j)
 				m.Trans[s] = append(m.Trans[s], outs)
-				m.Costs[s] = append(m.Costs[s], energy+w*perf)
 				m.Energy[s] = append(m.Energy[s], energy)
-				m.Perf[s] = append(m.Perf[s], perf)
 			}
 		}
 	}
@@ -281,32 +263,93 @@ func BuildDPM(cfg DPMConfig) (*DPM, error) {
 				for q := 0; q <= cap; q++ {
 					s := d.transIndex(i, j, k, q)
 					m.Label[s] = fmt.Sprintf("%s->%s k=%d q=%d", dev.PSM.States[i].Name, dev.PSM.States[j].Name, k, q)
-					var outs []Outcome
-					perf := 0.0
-					for _, af := range arrivalsThen(q, false, 0) {
-						next := 0
-						if k == 1 {
-							next = d.settledBase[j] + af.q
-						} else {
-							next = d.transIndex(i, j, k-1, af.q)
-						}
-						outs = append(outs, Outcome{Next: next, P: af.prob})
-						perf += af.prob * float64(af.q)
+					next := d.settledBase[j]
+					if k > 1 {
+						next = d.transIndex(i, j, k-1, 0)
 					}
+					outs := successors(q, false, 0, next)
 					m.Actions[s] = []int{-1}
 					m.Trans[s] = [][]Outcome{outs}
-					m.Costs[s] = []float64{perSlot + w*perf}
 					m.Energy[s] = []float64{perSlot}
-					m.Perf[s] = []float64{perf}
 				}
 			}
 		}
 	}
+	for s := range m.Actions {
+		m.Costs[s] = make([]float64, len(m.Actions[s]))
+		m.Perf[s] = make([]float64, len(m.Actions[s]))
+	}
 
+	d.setRates()
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("mdp: built model invalid: %w", err)
 	}
 	return d, nil
+}
+
+// arrival is one per-slot arrival count and its probability.
+type arrival struct {
+	n int
+	p float64
+}
+
+// arrivals lists the arrival counts with nonzero probability at per-slot
+// Bernoulli rate pA, in count order, using buf as backing. Every
+// state-action pair of a model has one outcome per entry, in this order.
+// At pA = 0 or 1 one count has probability zero and is left out.
+func arrivals(pA float64, buf *[2]arrival) []arrival {
+	out := buf[:0]
+	if p := 1 - pA; p != 0 {
+		out = append(out, arrival{0, p})
+	}
+	if pA != 0 {
+		out = append(out, arrival{1, pA})
+	}
+	return out
+}
+
+// setRates is the rate pass: it fills every value that depends on
+// Cfg.ArrivalP — each outcome's P, then Perf (the expected post-service
+// backlog, summed in outcome order), then Costs — leaving the structure
+// alone. The outcome lists must have been laid out at a rate with the
+// same arrival counts (see arrivals).
+func (d *DPM) setRates() {
+	var buf [2]arrival
+	arr := arrivals(d.Cfg.ArrivalP, &buf)
+	qn := d.Cfg.QueueCap + 1
+	w := d.Cfg.LatencyWeight
+	for s := 0; s < d.N; s++ {
+		for ai, outs := range d.Trans[s] {
+			perf := 0.0
+			for k, a := range arr {
+				outs[k].P = a.p
+				perf += a.p * float64(outs[k].Next%qn)
+			}
+			d.Perf[s][ai] = perf
+			d.Costs[s][ai] = d.Energy[s][ai] + w*perf
+		}
+	}
+}
+
+// SetArrivalP refills the model in place at arrival probability p, with
+// the same values BuildDPM would produce at p, and validates it. Only the
+// rate-dependent values change: transition probabilities, Perf, Costs
+// and Cfg.ArrivalP. Both the old and the new p must lie strictly inside
+// (0, 1), because at 0 or 1 an arrival count drops out and the model's
+// structure differs. If validation fails the model holds the new values.
+func (d *DPM) SetArrivalP(p float64) error {
+	if !(p > 0 && p < 1) {
+		return fmt.Errorf("mdp: refill arrival probability %v outside (0,1)", p)
+	}
+	if old := d.Cfg.ArrivalP; !(old > 0 && old < 1) {
+		return fmt.Errorf("mdp: model built at arrival probability %v cannot be refilled", old)
+	}
+	d.Cfg.ArrivalP = p
+	d.setRates()
+	if err := d.Validate(); err != nil {
+		return fmt.Errorf("mdp: refilled model invalid: %w", err)
+	}
+	return nil
 }
 
 // transIndex returns the state index of (i->j, k slots remaining, queue q).

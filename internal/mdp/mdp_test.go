@@ -1,6 +1,7 @@
 package mdp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -412,6 +413,113 @@ func TestDiscountedApproachesAverageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// diffModels describes the first difference between two DPM models —
+// structure, labels, or any rate-dependent value compared by its bits, so
+// that a −0 or a last-place rounding difference shows — or returns "".
+func diffModels(got, want *DPM) string {
+	if got.N != want.N || got.Cfg != want.Cfg {
+		return fmt.Sprintf("N/Cfg %d %+v, want %d %+v", got.N, got.Cfg, want.N, want.Cfg)
+	}
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for s := 0; s < want.N; s++ {
+		if got.Label[s] != want.Label[s] || len(got.Actions[s]) != len(want.Actions[s]) {
+			return fmt.Sprintf("state %d: label %q with %d actions, want %q with %d",
+				s, got.Label[s], len(got.Actions[s]), want.Label[s], len(want.Actions[s]))
+		}
+		for ai := range want.Actions[s] {
+			g, w := got.Trans[s][ai], want.Trans[s][ai]
+			if got.Actions[s][ai] != want.Actions[s][ai] || len(g) != len(w) {
+				return fmt.Sprintf("state %d action %d: label %d with %d outcomes, want %d with %d",
+					s, ai, got.Actions[s][ai], len(g), want.Actions[s][ai], len(w))
+			}
+			for k := range w {
+				if g[k].Next != w[k].Next || !bits(g[k].P, w[k].P) {
+					return fmt.Sprintf("state %d action %d outcome %d: %+v, want %+v", s, ai, k, g[k], w[k])
+				}
+			}
+			if !bits(got.Costs[s][ai], want.Costs[s][ai]) || !bits(got.Energy[s][ai], want.Energy[s][ai]) ||
+				!bits(got.Perf[s][ai], want.Perf[s][ai]) {
+				return fmt.Sprintf("state %d action %d: cost/energy/perf %v/%v/%v, want %v/%v/%v", s, ai,
+					got.Costs[s][ai], got.Energy[s][ai], got.Perf[s][ai],
+					want.Costs[s][ai], want.Energy[s][ai], want.Perf[s][ai])
+			}
+		}
+	}
+	return ""
+}
+
+// TestSetArrivalPMatchesBuild refills one model through a sequence of
+// rates, up and down the adaptive controller's clamp band, and checks
+// after each refill that it equals a fresh BuildDPM at that rate bit for
+// bit, on every catalog device at two queue caps.
+func TestSetArrivalPMatchesBuild(t *testing.T) {
+	rates := []float64{0.005, 0.02, 0.08, 0.25, 0.30, 0.98, 0.137, 0.5, 0.0123, 0.731, 0.02}
+	for name, psm := range device.Catalog() {
+		dev, err := psm.Slot(0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, queueCap := range []int{2, 8} {
+			cfg := DPMConfig{Device: dev, ArrivalP: 0.4, QueueCap: queueCap, LatencyWeight: 0.3}
+			d, err := BuildDPM(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range rates {
+				if err := d.SetArrivalP(p); err != nil {
+					t.Fatalf("%s/q%d p=%v: %v", name, queueCap, p, err)
+				}
+				cfg.ArrivalP = p
+				fresh, err := BuildDPM(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := diffModels(d, fresh); diff != "" {
+					t.Fatalf("%s/q%d p=%v: %s", name, queueCap, p, diff)
+				}
+			}
+		}
+	}
+}
+
+// TestSetArrivalPRejectsEndpoints: at p = 0 or 1 an arrival count has
+// probability zero and drops out of every outcome list, so neither a
+// refill to those rates nor a refill of a model built at them is allowed.
+func TestSetArrivalPRejectsEndpoints(t *testing.T) {
+	d := buildSynthDPM(t, 0.1)
+	for _, p := range []float64{0, 1, -0.1, 1.5, math.NaN()} {
+		if err := d.SetArrivalP(p); err == nil {
+			t.Errorf("refill to p=%v accepted", p)
+		}
+	}
+	fresh, err := BuildDPM(d.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := diffModels(d, fresh); diff != "" {
+		t.Errorf("rejected refill changed the model: %s", diff)
+	}
+	for _, p := range []float64{0, 1} {
+		if err := buildSynthDPM(t, p).SetArrivalP(0.5); err == nil {
+			t.Errorf("refill of a model built at p=%v accepted", p)
+		}
+	}
+}
+
+func BenchmarkSetArrivalP(b *testing.B) {
+	dev, _ := device.Synthetic3().Slot(0.5)
+	d, err := BuildDPM(DPMConfig{Device: dev, ArrivalP: 0.1, QueueCap: 8, LatencyWeight: 0.3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := d.SetArrivalP([]float64{0.02, 0.08, 0.25, 0.30}[i%4]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -426,18 +426,18 @@ func (s *Sim) step(rec *SlotRecord) {
 		// feedback record is two embedded observations wide, and copying
 		// it down the learner call chain (adapter, manager) shows up in
 		// fleet profiles. Receivers must not retain the pointer (the
-		// Learner contract).
-		s.fb = Feedback{
-			Prev:    prev,
-			Action:  action,
-			Energy:  slotEnergy,
-			Cost:    cost,
-			Served:  served,
-			Arrived: arrived,
-			Lost:    lost,
-			Next:    s.Observe(),
-		}
-		s.learner.Observe(&s.fb)
+		// Learner contract). Field by field: a composite literal would be
+		// built on the stack and then block-copied in.
+		fb := &s.fb
+		fb.Prev = prev
+		fb.Action = action
+		fb.Energy = slotEnergy
+		fb.Cost = cost
+		fb.Served = served
+		fb.Arrived = arrived
+		fb.Lost = lost
+		fb.Next = s.Observe()
+		s.learner.Observe(fb)
 	}
 }
 

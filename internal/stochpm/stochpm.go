@@ -59,15 +59,11 @@ type Solution struct {
 // constraint minimizes energy subject to the backlog bound.
 func SolveLP(d *mdp.DPM, cons *Constraint) (*Solution, error) {
 	start := time.Now()
-	b, err := OccupancyLP(d, cons)
+	o, err := newOccupancy(d, cons)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := b.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("stochpm: occupancy LP: %w", err)
-	}
-	return solutionFromOccupancy(d, sol, start)
+	return o.solve(start)
 }
 
 // OccupancyLP formulates the occupancy LP SolveLP solves, with one
@@ -79,11 +75,7 @@ func OccupancyLP(d *mdp.DPM, cons *Constraint) (*lp.Builder, error) {
 	if cons != nil && !(cons.MaxMeanBacklog >= 0) {
 		return nil, fmt.Errorf("stochpm: backlog bound %v must be >= 0", cons.MaxMeanBacklog)
 	}
-	// Variable layout: one x per (state, action index).
-	offsets := make([]int, d.N+1)
-	for s := 0; s < d.N; s++ {
-		offsets[s+1] = offsets[s] + len(d.Actions[s])
-	}
+	offsets := actionOffsets(d)
 	nv := offsets[d.N]
 
 	b, err := lp.NewBuilder(nv)
@@ -91,42 +83,22 @@ func OccupancyLP(d *mdp.DPM, cons *Constraint) (*lp.Builder, error) {
 		return nil, err
 	}
 	obj := make([]float64, nv)
-	for s := 0; s < d.N; s++ {
-		for ai := range d.Actions[s] {
-			if cons != nil {
-				obj[offsets[s]+ai] = d.Energy[s][ai]
-			} else {
-				obj[offsets[s]+ai] = d.Costs[s][ai]
-			}
-		}
-	}
-	if err := b.SetObjective(obj); err != nil {
-		return nil, err
-	}
-
 	// Balance constraints. The full set of balance rows sums to the zero
 	// row (probabilities conserve mass), so one row is redundant; dropping
 	// the last keeps the system full-rank, which spares the simplex a
 	// permanently-basic artificial variable and a lot of degeneracy.
-	// Every transition outcome is scattered into its target's row once;
-	// each entry still receives its +1 first and then its −P terms in
-	// (s, a, outcome) order.
 	balance := make([][]float64, d.N-1)
 	for sp := range balance {
-		row := make([]float64, nv)
-		for ai := range d.Actions[sp] {
-			row[offsets[sp]+ai] += 1
-		}
-		balance[sp] = row
+		balance[sp] = make([]float64, nv)
 	}
-	for s := 0; s < d.N; s++ {
-		for ai := range d.Actions[s] {
-			for _, o := range d.Trans[s][ai] {
-				if o.Next < d.N-1 {
-					balance[o.Next][offsets[s]+ai] -= o.P
-				}
-			}
-		}
+	var perf []float64
+	if cons != nil {
+		perf = make([]float64, nv)
+	}
+	fillOccupancy(d, cons, offsets, obj, balance, perf)
+
+	if err := b.SetObjective(obj); err != nil {
+		return nil, err
 	}
 	for _, row := range balance {
 		if err := b.Add(row, lp.EQ, 0); err != nil {
@@ -143,27 +115,105 @@ func OccupancyLP(d *mdp.DPM, cons *Constraint) (*lp.Builder, error) {
 	}
 	// Optional performance constraint.
 	if cons != nil {
-		row := make([]float64, nv)
-		for s := 0; s < d.N; s++ {
-			for ai := range d.Actions[s] {
-				row[offsets[s]+ai] = d.Perf[s][ai]
-			}
-		}
-		if err := b.Add(row, lp.LE, cons.MaxMeanBacklog); err != nil {
+		if err := b.Add(perf, lp.LE, cons.MaxMeanBacklog); err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
 }
 
-// solutionFromOccupancy converts an LP point into policy probabilities and
-// summary expectations.
-func solutionFromOccupancy(d *mdp.DPM, sol *lp.Solution, start time.Time) (*Solution, error) {
+// actionOffsets returns the variable layout: the variables of state s are
+// offsets[s]..offsets[s+1]-1, one per action index.
+func actionOffsets(d *mdp.DPM) []int {
 	offsets := make([]int, d.N+1)
 	for s := 0; s < d.N; s++ {
 		offsets[s+1] = offsets[s] + len(d.Actions[s])
 	}
+	return offsets
+}
 
+// fillOccupancy writes the coefficients of d's occupancy LP that depend
+// on the model's values: the objective, the d.N-1 balance rows and, when
+// cons is non-nil, the backlog row perf. Only the first offsets[d.N]
+// entries of each slice are written, so standard-form rows with slack
+// columns can be refilled in place. Each balance row is cleared, then
+// every entry receives its +1 first and then its −P terms in
+// (s, a, outcome) order, with every transition outcome scattered into its
+// target's row once.
+func fillOccupancy(d *mdp.DPM, cons *Constraint, offsets []int, obj []float64, balance [][]float64, perf []float64) {
+	for s := 0; s < d.N; s++ {
+		for ai := range d.Actions[s] {
+			if cons != nil {
+				obj[offsets[s]+ai] = d.Energy[s][ai]
+				perf[offsets[s]+ai] = d.Perf[s][ai]
+			} else {
+				obj[offsets[s]+ai] = d.Costs[s][ai]
+			}
+		}
+	}
+	nv := offsets[d.N]
+	for sp, row := range balance {
+		clear(row[:nv])
+		for ai := range d.Actions[sp] {
+			row[offsets[sp]+ai] += 1
+		}
+	}
+	for s := 0; s < d.N; s++ {
+		for ai := range d.Actions[s] {
+			for _, o := range d.Trans[s][ai] {
+				if o.Next < d.N-1 {
+					balance[o.Next][offsets[s]+ai] -= o.P
+				}
+			}
+		}
+	}
+}
+
+// occupancy is a model's occupancy LP in standard form together with the
+// simplex scratch that solves it. Its coefficients are refilled in place
+// after the model is refilled at a new arrival rate (mdp.DPM.SetArrivalP),
+// so the adaptive controller formulates and solves every re-solve in the
+// memory its first solve allocated.
+type occupancy struct {
+	d       *mdp.DPM
+	cons    *Constraint
+	offsets []int
+	prob    lp.Problem
+	solver  lp.Solver
+}
+
+func newOccupancy(d *mdp.DPM, cons *Constraint) (*occupancy, error) {
+	b, err := OccupancyLP(d, cons)
+	if err != nil {
+		return nil, err
+	}
+	return &occupancy{d: d, cons: cons, offsets: actionOffsets(d), prob: b.Build()}, nil
+}
+
+// refill rewrites the problem's coefficients from the model's current
+// values. The balance rows come first in the problem, the normalization
+// row next, and the backlog row, if any, last.
+func (o *occupancy) refill() {
+	var perf []float64
+	if o.cons != nil {
+		perf = o.prob.A[o.d.N]
+	}
+	fillOccupancy(o.d, o.cons, o.offsets, o.prob.C, o.prob.A[:o.d.N-1], perf)
+}
+
+// solve solves the problem as it stands and converts the optimum into a
+// policy; SolveTime runs from start.
+func (o *occupancy) solve(start time.Time) (*Solution, error) {
+	sol, err := o.solver.Solve(o.prob)
+	if err != nil {
+		return nil, fmt.Errorf("stochpm: occupancy LP: %w", err)
+	}
+	return solutionFromOccupancy(o.d, o.offsets, sol, start), nil
+}
+
+// solutionFromOccupancy converts an LP point into policy probabilities and
+// summary expectations.
+func solutionFromOccupancy(d *mdp.DPM, offsets []int, sol *lp.Solution, start time.Time) *Solution {
 	out := &Solution{
 		Probs:     make([][]float64, d.N),
 		Gain:      sol.Objective,
@@ -189,7 +239,7 @@ func solutionFromOccupancy(d *mdp.DPM, sol *lp.Solution, start time.Time) (*Solu
 			out.MeanEnergy += x * d.Energy[s][ai]
 		}
 	}
-	return out, nil
+	return out
 }
 
 // SolutionFromMDPPolicy wraps a deterministic MDP policy in a Solution
@@ -238,6 +288,13 @@ func SolutionFromMDPPolicy(d *mdp.DPM, pol mdp.Policy) (*Solution, error) {
 // states the LP left unvisited (zero occupancy) it falls back to "wake if
 // there is backlog, else stay" — such states are transient under the
 // optimal policy and only appear during adaptation.
+//
+// The policy reads only the parts of its model that no arrival rate
+// changes: Cfg.QueueCap, SettledState, Actions and the device. The
+// adaptive controller refills its model in place at each re-solve
+// (mdp.DPM.SetArrivalP) while a policy built on the old rates may still
+// be in force, so Decide must not read the transition probabilities,
+// Costs, Perf or Cfg.ArrivalP.
 type LPPolicy struct {
 	d      *mdp.DPM
 	sol    *Solution
@@ -335,6 +392,7 @@ type Adaptive struct {
 
 	est    *estimator.WindowRate
 	det    *estimator.CUSUM
+	occ    *occupancy // model and LP, built by the first solve and refilled by every later one
 	cur    *LPPolicy
 	pendAt int64 // slot at which the pending re-solve completes (-1 none)
 	slot   int64
@@ -391,26 +449,44 @@ func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) {
 	return a, nil
 }
 
-// resolve rebuilds the model at rate p and re-solves the LP.
+// resolve re-solves the LP with the model at rate p. The first call
+// builds the model and the LP; later calls refill both in place, which
+// yields exactly what a fresh build would. SolveTime covers formulating
+// (or refilling) and solving the LP, not the model.
 func (a *Adaptive) resolve(p float64) error {
 	// Clamp to a realistic band: the chain must stay unichain and the
-	// occupancy LP well-conditioned at both endpoints.
+	// occupancy LP well-conditioned at both endpoints. The band also keeps
+	// p inside (0, 1), where the model's structure does not depend on it.
 	if p < 0.005 {
 		p = 0.005
 	}
 	if p > 0.98 {
 		p = 0.98
 	}
-	d, err := mdp.BuildDPM(mdp.DPMConfig{
-		Device:        a.cfg.Device,
-		ArrivalP:      p,
-		QueueCap:      a.cfg.QueueCap,
-		LatencyWeight: a.cfg.LatencyWeight,
-	})
-	if err != nil {
-		return err
+	var start time.Time
+	if a.occ == nil {
+		d, err := mdp.BuildDPM(mdp.DPMConfig{
+			Device:        a.cfg.Device,
+			ArrivalP:      p,
+			QueueCap:      a.cfg.QueueCap,
+			LatencyWeight: a.cfg.LatencyWeight,
+		})
+		if err != nil {
+			return err
+		}
+		start = time.Now()
+		if a.occ, err = newOccupancy(d, nil); err != nil {
+			return err
+		}
+	} else {
+		if err := a.occ.d.SetArrivalP(p); err != nil {
+			return err
+		}
+		start = time.Now()
+		a.occ.refill()
 	}
-	sol, err := SolveLP(d, nil)
+	d := a.occ.d
+	sol, err := a.occ.solve(start)
 	if err != nil {
 		// Numerically cursed instance: fall back to relative value
 		// iteration, which solves the same average-cost problem.
