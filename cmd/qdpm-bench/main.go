@@ -27,8 +27,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -44,24 +46,43 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig1|fig2|r1|r2|r3|r4|ablate|ct|fleet|coupled|faulted|analytic|all")
-	quick := flag.Bool("quick", false, "shrink run lengths ~5x")
-	parallel := flag.Int("parallel", 0, "replica worker-pool size (0 = GOMAXPROCS, 1 = serial)")
-	seed := flag.Uint64("seed", 0, "derive replica seeds from this base (0 = canonical seeds)")
-	progress := flag.Bool("progress", false, "print replica completion progress to stderr")
-	flag.Parse()
-
 	// Ctrl-C cancels the pool; replicas poll the context between slot
 	// chunks, so the exit is prompt even mid-figure.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "qdpm-bench: %v\n", err)
+		stop()
+		os.Exit(1)
+	}
+}
+
+// run parses args and renders the selected experiments to stdout. Only
+// results go to stdout, so it is bit-identical across -parallel values;
+// section timings, progress and the ct perf probe go to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("qdpm-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp      = fs.String("exp", "all", "experiment: fig1|fig2|r1|r2|r3|r4|ablate|ct|fleet|coupled|faulted|analytic|all")
+		quick    = fs.Bool("quick", false, "shrink run lengths ~5x")
+		parallel = fs.Int("parallel", 0, "replica worker-pool size (0 = GOMAXPROCS, 1 = serial)")
+		seed     = fs.Uint64("seed", 0, "derive replica seeds from this base (0 = canonical seeds)")
+		progress = fs.Bool("progress", false, "print replica completion progress to stderr")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	par := experiment.Parallel{Workers: *parallel}
 	if *progress {
 		par.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d replicas", done, total)
+			fmt.Fprintf(stderr, "\r%d/%d replicas", done, total)
 			if done == total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
@@ -75,14 +96,19 @@ func main() {
 		return engine.DeriveSeeds(*seed+offset, len(canonical))
 	}
 
-	run := func(name string, f func() error) {
-		fmt.Printf("\n##### %s (started %s)\n\n", name, time.Now().Format(time.TimeOnly))
-		start := time.Now()
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "qdpm-bench: %s: %v\n", name, err)
-			os.Exit(1)
+	// section runs one experiment; the first failure skips the rest.
+	var err error
+	section := func(name string, f func() error) {
+		if err != nil {
+			return
 		}
-		fmt.Printf("\n[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "\n##### %s (started %s)\n\n", name, time.Now().Format(time.TimeOnly))
+		start := time.Now()
+		if err = f(); err != nil {
+			err = fmt.Errorf("%s: %w", name, err)
+			return
+		}
+		fmt.Fprintf(stderr, "\n[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
@@ -90,7 +116,7 @@ func main() {
 
 	if want("fig1") {
 		matched = true
-		run("fig1", func() error {
+		section("fig1", func() error {
 			cfg := experiment.DefaultFig1()
 			if *quick {
 				cfg.Slots = 60000
@@ -101,12 +127,12 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return fig.Render(os.Stdout)
+			return fig.Render(stdout)
 		})
 	}
 	if want("fig2") {
 		matched = true
-		run("fig2", func() error {
+		section("fig2", func() error {
 			cfg := experiment.DefaultFig2()
 			if *quick {
 				cfg.SegmentSlots = 12000
@@ -117,12 +143,12 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return fig.Render(os.Stdout)
+			return fig.Render(stdout)
 		})
 	}
 	if want("r1") {
 		matched = true
-		run("r1", func() error {
+		section("r1", func() error {
 			caps := []int{3, 8, 20, 40}
 			if *quick {
 				caps = []int{3, 8}
@@ -131,14 +157,14 @@ func main() {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(os.Stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Printf("# %s\n", tab.Note)
+			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
+			fmt.Fprintf(stdout, "# %s\n", tab.Note)
 			return nil
 		})
 	}
 	if want("r2") {
 		matched = true
-		run("r2", func() error {
+		section("r2", func() error {
 			slots := int64(200000)
 			seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 			if *quick {
@@ -150,14 +176,14 @@ func main() {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(os.Stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Printf("# %s\n", tab.Note)
+			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
+			fmt.Fprintf(stdout, "# %s\n", tab.Note)
 			return nil
 		})
 	}
 	if want("r3") {
 		matched = true
-		run("r3", func() error {
+		section("r3", func() error {
 			cfg := experiment.DefaultFig2()
 			if *quick {
 				cfg.SegmentSlots = 12000
@@ -167,14 +193,14 @@ func main() {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(os.Stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Printf("# %s\n", tab.Note)
+			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
+			fmt.Fprintf(stdout, "# %s\n", tab.Note)
 			return nil
 		})
 	}
 	if want("r4") {
 		matched = true
-		run("r4", func() error {
+		section("r4", func() error {
 			slots := int64(150000)
 			seeds := []uint64{11, 12, 13, 14}
 			if *quick {
@@ -186,14 +212,14 @@ func main() {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(os.Stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Printf("# %s\n", tab.Note)
+			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
+			fmt.Fprintf(stdout, "# %s\n", tab.Note)
 			return nil
 		})
 	}
 	if want("ablate") {
 		matched = true
-		run("ablate", func() error {
+		section("ablate", func() error {
 			slots := int64(150000)
 			seeds := []uint64{21, 22, 23}
 			specs := experiment.DefaultAblations()
@@ -206,14 +232,14 @@ func main() {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(os.Stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Printf("# %s\n", tab.Note)
+			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
+			fmt.Fprintf(stdout, "# %s\n", tab.Note)
 			return nil
 		})
 	}
 	if want("ct") {
 		matched = true
-		run("ct", func() error {
+		section("ct", func() error {
 			horizon := 100000.0 // seconds ≈ 200k governor ticks
 			seeds := []uint64{31, 32, 33, 34}
 			if *quick {
@@ -225,17 +251,17 @@ func main() {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(os.Stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Printf("# %s\n", tab.Note)
+			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
+			fmt.Fprintf(stdout, "# %s\n", tab.Note)
 			// Kernel figures of merit on stderr: stdout must stay
 			// bit-identical across -parallel values (CI diffs it), and
 			// wall-clock numbers are not.
-			return ctPerfProbe(*quick)
+			return ctPerfProbe(stderr, *quick)
 		})
 	}
 	if want("fleet") {
 		matched = true
-		run("fleet", func() error {
+		section("fleet", func() error {
 			devices, horizon := 2000, 400.0
 			seeds := []uint64{41, 42}
 			if *quick {
@@ -247,14 +273,14 @@ func main() {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(os.Stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Printf("# %s\n", tab.Note)
+			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
+			fmt.Fprintf(stdout, "# %s\n", tab.Note)
 			return nil
 		})
 	}
 	if want("coupled") {
 		matched = true
-		run("coupled", func() error {
+		section("coupled", func() error {
 			devices, horizon := 512, 240.0
 			sizes := []int{1, 8, 32}
 			seeds := []uint64{41, 42}
@@ -268,14 +294,14 @@ func main() {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(os.Stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Printf("# %s\n", tab.Note)
+			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
+			fmt.Fprintf(stdout, "# %s\n", tab.Note)
 			return nil
 		})
 	}
 	if want("faulted") {
 		matched = true
-		run("faulted", func() error {
+		section("faulted", func() error {
 			devices, horizon := 600, 240.0
 			seeds := []uint64{41, 42}
 			if *quick {
@@ -287,14 +313,14 @@ func main() {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(os.Stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Printf("# %s\n", tab.Note)
+			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
+			fmt.Fprintf(stdout, "# %s\n", tab.Note)
 			return nil
 		})
 	}
 	if want("analytic") {
 		matched = true
-		run("analytic", func() error {
+		section("analytic", func() error {
 			seeds := []uint64{101, 102, 103, 104, 105, 106, 107, 108}
 			if *quick {
 				seeds = seeds[:4]
@@ -304,16 +330,16 @@ func main() {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(os.Stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Printf("# %s\n", tab.Note)
+			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
+			fmt.Fprintf(stdout, "# %s\n", tab.Note)
 			return nil
 		})
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "qdpm-bench: unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
+	return err
 }
 
 // ctPerfProbe measures the continuous-time kernel's per-event cost on one
@@ -326,7 +352,7 @@ func main() {
 // (synthetic3, canonical queue cap, latency weight rescaled to J/req-s,
 // exponential renewal arrivals) with one fixed policy and seed; if
 // experiment.TableCTCtx changes that shape, change this probe with it.
-func ctPerfProbe(quick bool) error {
+func ctPerfProbe(w io.Writer, quick bool) error {
 	horizon := 200000.0
 	if quick {
 		horizon = 40000
@@ -380,7 +406,7 @@ func ctPerfProbe(quick bool) error {
 		if ev == 0 {
 			return fmt.Errorf("ct perf probe %s fired no events", name)
 		}
-		fmt.Fprintf(os.Stderr, "# ct perf %-22s %7.1f ns/event  %6.3f allocs/event  (%d events / %.0f s simulated)\n",
+		fmt.Fprintf(w, "# ct perf %-22s %7.1f ns/event  %6.3f allocs/event  (%d events / %.0f s simulated)\n",
 			name, float64(elapsed.Nanoseconds())/float64(ev),
 			float64(m1.Mallocs-m0.Mallocs)/float64(ev), ev, horizon)
 		return nil
