@@ -77,6 +77,7 @@ func TestRunCustomMix(t *testing.T) {
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mix", "hdd:exp"},
+		{"-devices", "1", "-horizon", "1", "-mix", "synthetic3:erlang:1e308:always-on"},
 		{"-mode", "quantum"},
 		{"-devices", "0"},
 		{"-replicas", "0"},

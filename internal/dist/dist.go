@@ -83,10 +83,10 @@ type Pareto struct {
 	Alpha float64
 }
 
-// NewPareto validates xm > 0 and alpha > 0.
+// NewPareto validates finite xm > 0 and alpha > 0.
 func NewPareto(xm, alpha float64) (Pareto, error) {
-	if !(xm > 0) {
-		return Pareto{}, fmt.Errorf("dist: pareto scale %v must be positive", xm)
+	if !(xm > 0) || math.IsInf(xm, 1) {
+		return Pareto{}, fmt.Errorf("dist: pareto scale %v must be positive and finite", xm)
 	}
 	if !(alpha > 0) {
 		return Pareto{}, fmt.Errorf("dist: pareto shape %v must be positive", alpha)
@@ -147,10 +147,10 @@ type Weibull struct {
 	K      float64
 }
 
-// NewWeibull validates lambda > 0 and k > 0.
+// NewWeibull validates finite lambda > 0 and k > 0.
 func NewWeibull(lambda, k float64) (Weibull, error) {
-	if !(lambda > 0) {
-		return Weibull{}, fmt.Errorf("dist: weibull scale %v must be positive", lambda)
+	if !(lambda > 0) || math.IsInf(lambda, 1) {
+		return Weibull{}, fmt.Errorf("dist: weibull scale %v must be positive and finite", lambda)
 	}
 	if !(k > 0) {
 		return Weibull{}, fmt.Errorf("dist: weibull shape %v must be positive", k)
@@ -185,13 +185,13 @@ type Erlang struct {
 	Rate float64
 }
 
-// NewErlang validates k >= 1 and rate > 0.
+// NewErlang validates k >= 1 and finite rate > 0.
 func NewErlang(k int, rate float64) (Erlang, error) {
 	if k < 1 {
 		return Erlang{}, fmt.Errorf("dist: erlang phase count %d must be >= 1", k)
 	}
-	if !(rate > 0) {
-		return Erlang{}, fmt.Errorf("dist: erlang rate %v must be positive", rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return Erlang{}, fmt.Errorf("dist: erlang rate %v must be positive and finite", rate)
 	}
 	return Erlang{K: k, Rate: rate}, nil
 }
@@ -233,13 +233,13 @@ type HyperExp struct {
 	Rate2 float64
 }
 
-// NewHyperExp validates p in [0,1] and both rates positive.
+// NewHyperExp validates p in [0,1] and both rates positive and finite.
 func NewHyperExp(p, rate1, rate2 float64) (HyperExp, error) {
 	if !(p >= 0 && p <= 1) {
 		return HyperExp{}, fmt.Errorf("dist: hyperexp mix %v out of [0,1]", p)
 	}
-	if !(rate1 > 0) || !(rate2 > 0) {
-		return HyperExp{}, fmt.Errorf("dist: hyperexp rates (%v, %v) must be positive", rate1, rate2)
+	if !(rate1 > 0) || !(rate2 > 0) || math.IsInf(rate1, 1) || math.IsInf(rate2, 1) {
+		return HyperExp{}, fmt.Errorf("dist: hyperexp rates (%v, %v) must be positive and finite", rate1, rate2)
 	}
 	return HyperExp{P: p, Rate1: rate1, Rate2: rate2}, nil
 }
@@ -281,10 +281,11 @@ type Uniform struct {
 	B float64
 }
 
-// NewUniform validates a < b and a >= 0 (interarrivals are nonnegative).
+// NewUniform validates a < b, a >= 0 (interarrivals are nonnegative) and
+// a finite b.
 func NewUniform(a, b float64) (Uniform, error) {
-	if !(a < b) {
-		return Uniform{}, fmt.Errorf("dist: uniform requires a < b, got [%v,%v)", a, b)
+	if !(a < b) || math.IsInf(b, 1) {
+		return Uniform{}, fmt.Errorf("dist: uniform requires finite a < b, got [%v,%v)", a, b)
 	}
 	if a < 0 {
 		return Uniform{}, fmt.Errorf("dist: uniform lower bound %v must be >= 0", a)
@@ -319,9 +320,14 @@ func (u Uniform) String() string { return fmt.Sprintf("Uniform[%g,%g)", u.A, u.B
 // interarrival time is exactly 1/rate — i.e. every law produces `rate`
 // arrivals per second in the long run. This is the single source of truth
 // for the shape parameters; TestByNameMeansMatchRate audits every branch.
+//
+// A rate is rejected when the law it compiles to would not have a
+// positive, finite mean or could draw +Inf: a rate so large that a phase
+// rate overflows (erlang's 3·rate, hyperexp's 5·rate), or so small that
+// 1/rate leaves no room for the largest draw (see minRate).
 func ByName(name string, rate float64) (Continuous, error) {
-	if !(rate > 0) || math.IsInf(rate, 1) {
-		return nil, fmt.Errorf("dist: rate %v must be positive and finite", rate)
+	if !(rate >= minRate) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("dist: rate %v must be finite and at least %.3g", rate, minRate)
 	}
 	mean := 1 / rate
 	switch name {
@@ -358,6 +364,13 @@ func ByName(name string, rate float64) (Continuous, error) {
 		return nil, fmt.Errorf("dist: unknown distribution %q (want exp, pareto, weibull, erlang, hyperexp, or uniform)", name)
 	}
 }
+
+// minRate is the smallest rate ByName accepts. Every ByName law draws at
+// most 2^36 means: the largest is Pareto's at the smallest uniform
+// Float64Open returns, (1/3)·(2^53)^(2/3) ≈ 1.4e10 means, and the others
+// stay below 200. A mean of at most MaxFloat64/2^36 keeps every draw
+// finite.
+const minRate = (1 << 36) / math.MaxFloat64
 
 // Names lists the distributions ByName accepts, in display order.
 func Names() []string {

@@ -228,4 +228,36 @@ func TestByNameErrors(t *testing.T) {
 	if _, err := ByName("exp", -2); err == nil {
 		t.Error("negative rate accepted")
 	}
+	// 3·1e308 overflows to an infinite phase rate, which used to compile
+	// to a zero-mean Erlang; at 1e-310 the mean 1/rate is +Inf.
+	if _, err := ByName("erlang", 1e308); err == nil {
+		t.Error("erlang rate 1e308 accepted")
+	}
+	for _, name := range Names() {
+		if _, err := ByName(name, 1e-310); err == nil {
+			t.Errorf("%s rate 1e-310 accepted", name)
+		}
+	}
+}
+
+// FuzzByName: every (name, rate) ByName accepts compiles to a law whose
+// mean is positive, finite and 1/rate, and whose draws are finite and
+// nonnegative. Seeds live in testdata/fuzz/FuzzByName.
+func FuzzByName(f *testing.F) {
+	f.Fuzz(func(t *testing.T, name string, rate float64, seed uint64) {
+		d, err := ByName(name, rate)
+		if err != nil {
+			return
+		}
+		m := d.Mean()
+		if !(m > 0) || math.IsInf(m, 1) || math.Abs(m*rate-1) > 1e-9 {
+			t.Fatalf("ByName(%q, %v) = %v with mean %v, want 1/rate", name, rate, d, m)
+		}
+		s := rng.New(seed)
+		for i := 0; i < 4; i++ {
+			if x := d.Sample(s); !(x >= 0) || math.IsInf(x, 1) {
+				t.Fatalf("ByName(%q, %v) = %v drew %v", name, rate, d, x)
+			}
+		}
+	})
 }

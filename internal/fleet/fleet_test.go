@@ -369,6 +369,8 @@ func TestParseMix(t *testing.T) {
 		"hdd:exp:0.08:adaptive-timeout=200",                 // outside the adaptive bounds
 		"hdd:exp:0.08:timeout:10000000000",                  // total weight too large
 		"hdd:exp:0.08:timeout:40000,wlan:exp:1:q-dpm:40000", // total weight too large
+		"synthetic3:erlang:1e308:always-on",                 // phase rate 3·rate overflows
+		"hdd:exp:1e-310:timeout",                            // mean 1/rate overflows
 	} {
 		if _, err := fleet.ParseMix(bad); err == nil {
 			t.Fatalf("ParseMix(%q) accepted invalid mix", bad)
@@ -398,6 +400,7 @@ func TestSpecValidate(t *testing.T) {
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, QueueCap: -1},
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, ShardSize: -1},
 		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: -1, Policy: "timeout"}}, Horizon: 100},
+		{Devices: 1, Classes: []fleet.Class{{Device: device.Synthetic3(), Dist: "erlang", RatePerSec: 1e308, Policy: "always-on"}}, Horizon: 1},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {
