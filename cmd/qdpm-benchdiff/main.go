@@ -71,6 +71,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -184,6 +185,11 @@ func parseBench(r io.Reader, module string) ([]result, error) {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("bad value %q in line %q", f[i], line)
+			}
+			// Every comparison with NaN is false, so a NaN would pass
+			// each gate; no recorded figure is negative or infinite.
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return nil, fmt.Errorf("value %q in line %q must be finite and >= 0", f[i], line)
 			}
 			switch f[i+1] {
 			case "ns/op":

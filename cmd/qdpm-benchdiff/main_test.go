@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -69,6 +70,64 @@ func TestParseBenchKeysAndFields(t *testing.T) {
 	if sched.NsPerOp != 12.74 || sched.AllocsPerOp != 0 {
 		t.Fatalf("pkg-prefixed benchmark misparsed: %+v", sched)
 	}
+}
+
+// TestParseBenchRejectsNonFinite: NaN, ±Inf and negative figures are
+// errors that name their line. A NaN used to pass every gate, because
+// every comparison with NaN is false.
+func TestParseBenchRejectsNonFinite(t *testing.T) {
+	for _, line := range []string{
+		"BenchmarkX-2 1 NaN ns/op 0 B/op 0 allocs/op",
+		"BenchmarkX-2 1 +Inf ns/op 0 B/op 0 allocs/op",
+		"BenchmarkX-2 1 -Inf ns/op 0 B/op 0 allocs/op",
+		"BenchmarkX-2 1 -5 ns/op 0 B/op 0 allocs/op",
+		"BenchmarkX-2 1 5 ns/op 0 B/op NaN allocs/op",
+		"BenchmarkX-2 1 5 ns/op -1 B/op 0 allocs/op",
+		"BenchmarkX-2 1 5 ns/op Inf ns/event",
+	} {
+		_, err := parseBench(strings.NewReader(line+"\n"), "repro")
+		if err == nil {
+			t.Errorf("parseBench accepted %q", line)
+		} else if !strings.Contains(err.Error(), line) {
+			t.Errorf("error %q does not name the line %q", err, line)
+		}
+	}
+}
+
+// TestNaNRunFailsGate: NaN ns/op and allocs/op on the gated fleet rows
+// make the gate fail instead of printing ok for both rows and for their
+// ratio gate.
+func TestNaNRunFailsGate(t *testing.T) {
+	in := `BenchmarkFleet10kCT-2 1 NaN ns/op 0 B/op NaN allocs/op NaN ns/event
+BenchmarkFleet1MCT-2 1 NaN ns/op 0 B/op NaN allocs/op NaN ns/event
+`
+	var out bytes.Buffer
+	if err := run(strings.NewReader(in), &out, []string{"-baseline", filepath.Join("..", "..", "BENCH_pr10.json")}); err == nil {
+		t.Fatalf("NaN bench run passed the gate:\n%s", out.String())
+	}
+}
+
+// FuzzParseBench: parseBench never panics, and every figure it accepts
+// is finite and nonnegative (-1 marks an absent B/op or allocs/op).
+// Seeds live in testdata/fuzz/FuzzParseBench.
+func FuzzParseBench(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		res, err := parseBench(strings.NewReader(in), "repro")
+		if err != nil {
+			return
+		}
+		ok := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+		for _, r := range res {
+			if !ok(r.NsPerOp) || !(ok(r.AllocsPerOp) || r.AllocsPerOp == -1) || !(ok(r.BytesPerOp) || r.BytesPerOp == -1) {
+				t.Fatalf("parseBench(%q) accepted %+v", in, r)
+			}
+			for k, v := range r.Extra {
+				if !ok(v) {
+					t.Fatalf("parseBench(%q) accepted %s = %v", in, k, v)
+				}
+			}
+		}
+	})
 }
 
 // TestGatePasses: a run matching its baseline exits clean and reports
