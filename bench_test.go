@@ -390,11 +390,10 @@ func benchBernoulli(p float64) func() workload.Arrivals {
 // devices/s and ns/event. The pool is pinned to 4 workers so allocs/op
 // (one reusable simulator per worker) is host-independent and the CI
 // regression gate can compare it against the recorded baseline.
-func benchFleet(b *testing.B, devices int, horizon float64, mode fleet.Mode) {
+func benchFleet(b *testing.B, devices int, horizon float64) {
 	benchFleetSpec(b, fleet.Spec{
 		Devices: devices,
 		Classes: fleet.DefaultMix(),
-		Mode:    mode,
 		Horizon: horizon,
 		Seed:    11,
 	})
@@ -423,14 +422,10 @@ func benchFleetSpec(b *testing.B, spec fleet.Spec) {
 }
 
 // BenchmarkFleet1kCT: 1000 heterogeneous CT instances, 64 s horizon.
-func BenchmarkFleet1kCT(b *testing.B) { benchFleet(b, 1000, 64, fleet.ModeCT) }
+func BenchmarkFleet1kCT(b *testing.B) { benchFleet(b, 1000, 64) }
 
 // BenchmarkFleet10kCT: the acceptance-scale fleet — 10,000 CT instances.
-func BenchmarkFleet10kCT(b *testing.B) { benchFleet(b, 10000, 64, fleet.ModeCT) }
-
-// BenchmarkFleet1kSlot: the slotted kernel at the same scale, for the
-// cost comparison between the two simulators.
-func BenchmarkFleet1kSlot(b *testing.B) { benchFleet(b, 1000, 64, fleet.ModeSlot) }
+func BenchmarkFleet10kCT(b *testing.B) { benchFleet(b, 10000, 64) }
 
 // BenchmarkFleet1MCT: the million-device acceptance scale at a short
 // horizon, where per-instance turnover dominates — it tracks the
@@ -438,7 +433,7 @@ func BenchmarkFleet1kSlot(b *testing.B) { benchFleet(b, 1000, 64, fleet.ModeSlot
 // merge together. One op = one full million-device CT fleet; memory
 // stays bounded because shard summaries fold as they complete and wait
 // percentiles live in the mergeable sketch.
-func BenchmarkFleet1MCT(b *testing.B) { benchFleet(b, 1_000_000, 4, fleet.ModeCT) }
+func BenchmarkFleet1MCT(b *testing.B) { benchFleet(b, 1_000_000, 4) }
 
 // BenchmarkFleetCoupled10kCT: the acceptance-scale fleet with coupling
 // on — groups of 8 share one kernel and contend for a single-occupancy
@@ -449,7 +444,6 @@ func BenchmarkFleetCoupled10kCT(b *testing.B) {
 	benchFleetSpec(b, fleet.Spec{
 		Devices:    10000,
 		Classes:    fleet.DefaultMix(),
-		Mode:       fleet.ModeCT,
 		Horizon:    64,
 		Seed:       11,
 		Couple:     fleet.CoupleChannel,
@@ -467,7 +461,6 @@ func BenchmarkFleetCoupled1MCT(b *testing.B) {
 	benchFleetSpec(b, fleet.Spec{
 		Devices:    1_000_000,
 		Classes:    fleet.DefaultMix(),
-		Mode:       fleet.ModeCT,
 		Horizon:    4,
 		Seed:       11,
 		Couple:     fleet.CoupleChannel,
@@ -485,7 +478,6 @@ func BenchmarkFleetFaulted10kCT(b *testing.B) {
 	benchFleetSpec(b, fleet.Spec{
 		Devices: 10000,
 		Classes: fleet.DefaultMix(),
-		Mode:    fleet.ModeCT,
 		Horizon: 64,
 		Seed:    11,
 		Faults: &fleet.FaultSpec{

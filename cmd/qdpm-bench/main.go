@@ -269,7 +269,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				seeds = seeds[:1]
 			}
 			seeds = reseed(seeds, 8)
-			tab, err := experiment.TableFleetCtx(ctx, devices, horizon, fleet.ModeCT, seeds, par)
+			tab, err := experiment.TableFleetCtx(ctx, devices, horizon, seeds, par)
 			if err != nil {
 				return err
 			}

@@ -21,8 +21,7 @@ func TestRunUncoupledMatchesPR6Golden(t *testing.T) {
 		golden string
 		args   []string
 	}{
-		{"golden_pr6_ct2k.txt", []string{"-devices", "2000", "-mode", "ct", "-horizon", "120", "-seed", "1"}},
-		{"golden_pr6_slot500.txt", []string{"-devices", "500", "-mode", "slot", "-horizon", "120", "-seed", "1"}},
+		{"golden_pr6_ct2k.txt", []string{"-devices", "2000", "-horizon", "120", "-seed", "1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {

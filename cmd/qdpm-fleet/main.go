@@ -2,10 +2,10 @@
 // devices — catalog devices under mixed interarrival laws and mixed
 // policies — sharded across the worker pool, and reports fleet-level
 // energy, latency percentiles, loss, and per-class/per-policy
-// breakdowns:
+// breakdowns. Every device runs on the continuous-time event kernel
+// (ctsim) under the periodic governor:
 //
-//	qdpm-fleet -devices 10000                      # canonical mix, CT kernel
-//	qdpm-fleet -devices 2000 -mode slot            # slotted kernel
+//	qdpm-fleet -devices 10000                      # canonical mix
 //	qdpm-fleet -mix hdd:exp:0.08:timeout=8:2,wlan:hyperexp:2:q-dpm
 //	qdpm-fleet -devices 5000 -replicas 4 -json     # machine-readable output
 //	qdpm-fleet -devices 1000000 -progress          # million-device run,
@@ -83,13 +83,12 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 	var (
 		devices  = fs.Int("devices", 1000, "number of device instances")
 		mixStr   = fs.String("mix", "", "fleet mix: device:dist:rate:policy[:weight],... (default: canonical heterogeneous mix)")
-		mode     = fs.String("mode", "ct", "simulation kernel: ct (event-driven) or slot (discrete-time)")
 		horizon  = fs.Float64("horizon", 400, "per-instance horizon in seconds")
-		period   = fs.Float64("period", 0, "governor tick / slot duration in seconds (0 = canonical 0.5)")
+		period   = fs.Float64("period", 0, "governor tick in seconds (0 = canonical 0.5)")
 		queueCap = fs.Int("qcap", 0, "queue capacity per instance (0 = canonical 8)")
 		latW     = fs.Float64("latw", 0, "latency weight in J per request-slot (0 = canonical 0.3)")
 		shard    = fs.Int("shard", 0, "instances per pool job (0 = default 128; coupled runs round the default up to a -couple-size multiple)")
-		couple   = fs.String("couple", "", "coupled mode's shared resource: channel, gateway, or power (default: uncoupled independent instances; CT mode only)")
+		couple   = fs.String("couple", "", "coupled mode's shared resource: channel, gateway, or power (default: uncoupled independent instances)")
 		coupleK  = fs.Int("couple-size", 0, "instances per coupled group sharing one kernel and resource (0 = default 8 when -couple is set)")
 		budgetF  = fs.Float64("budget-frac", 0, "power-budget cap as a fraction of each group's summed always-on power (0 = default 0.5; -couple power only)")
 		gateWait = fs.Int("gateway-wait", 0, "gateway wait-room bound (0 = default 2; -couple gateway only)")
@@ -161,7 +160,6 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 		Spec: fleet.Spec{
 			Devices:       *devices,
 			Classes:       classes,
-			Mode:          fleet.Mode(*mode),
 			Horizon:       *horizon,
 			Period:        *period,
 			QueueCap:      *queueCap,
@@ -306,6 +304,7 @@ type jsonResilience struct {
 
 // jsonReport is the machine-readable fleet report.
 type jsonReport struct {
+	// Mode names the fleet kernel, always "ct".
 	Mode        string  `json:"mode"`
 	Quantiles   string  `json:"quantiles"`
 	Devices     int64   `json:"devices"`
@@ -388,7 +387,7 @@ func writeJSON(w io.Writer, sum *experiment.FleetSummary, quant fleet.QuantileMo
 		return err
 	}
 	rep := jsonReport{
-		Mode:        string(sum.Fleet.Mode),
+		Mode:        "ct",
 		Quantiles:   string(quant),
 		Devices:     sum.Fleet.Devices,
 		Replicas:    sum.Replicas,

@@ -33,7 +33,7 @@ func TestRunDeterministicAcrossPools(t *testing.T) {
 // consistent with the flags.
 func TestRunJSONReport(t *testing.T) {
 	var out bytes.Buffer
-	args := []string{"-devices", "30", "-horizon", "30", "-mode", "slot", "-replicas", "2", "-json"}
+	args := []string{"-devices", "30", "-horizon", "30", "-replicas", "2", "-json"}
 	if err := run(context.Background(), &out, args); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestRunJSONReport(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out.String())
 	}
-	if rep.Devices != 60 || rep.Replicas != 2 || rep.Mode != "slot" {
+	if rep.Devices != 60 || rep.Replicas != 2 || rep.Mode != "ct" {
 		t.Fatalf("report totals wrong: %+v", rep)
 	}
 	if len(rep.Classes) != 4 || len(rep.Policies) != 3 {

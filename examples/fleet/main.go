@@ -48,7 +48,6 @@ func main() {
 	spec := fleet.Spec{
 		Devices: *devices,
 		Classes: fleet.DefaultMix(),
-		Mode:    fleet.ModeCT,
 		Horizon: *horizon,
 		Seed:    *seed,
 	}

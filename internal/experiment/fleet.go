@@ -111,13 +111,12 @@ func RunFleetReplicatedCtx(ctx context.Context, sc FleetScenario, seeds []uint64
 // the given scale and renders per-class and per-policy aggregates plus
 // fleet-level wait percentiles; output is bit-identical for every
 // -parallel value.
-func TableFleetCtx(ctx context.Context, devices int, horizon float64, mode fleet.Mode, seeds []uint64, par Parallel) (*Table, error) {
+func TableFleetCtx(ctx context.Context, devices int, horizon float64, seeds []uint64, par Parallel) (*Table, error) {
 	sc := FleetScenario{
 		Name: "fleet",
 		Spec: fleet.Spec{
 			Devices: devices,
 			Classes: fleet.DefaultMix(),
-			Mode:    mode,
 			Horizon: horizon,
 		},
 	}
@@ -143,11 +142,9 @@ func FleetTable(sum *FleetSummary) (*Table, error) {
 	}
 	coupled := sum.Fleet.Couple != fleet.CoupleNone
 	faulted := sum.Fleet.Faulted
-	kernel := string(sum.Fleet.Mode)
+	kernel := "ct kernel"
 	if coupled {
-		kernel = fmt.Sprintf("%s kernel, coupled %s ×%d", sum.Fleet.Mode, sum.Fleet.Couple, sum.Fleet.CoupleSize)
-	} else {
-		kernel += " kernel"
+		kernel += fmt.Sprintf(", coupled %s ×%d", sum.Fleet.Couple, sum.Fleet.CoupleSize)
 	}
 	if faulted {
 		kernel += ", faulted"
@@ -272,7 +269,6 @@ func TableCoupledFleetCtx(ctx context.Context, devices int, horizon float64, cou
 			Spec: fleet.Spec{
 				Devices:    devices,
 				Classes:    fleet.DefaultMix(),
-				Mode:       fleet.ModeCT,
 				Horizon:    horizon,
 				Couple:     couple,
 				CoupleSize: k,
@@ -360,7 +356,6 @@ func TableFaultedFleetCtx(ctx context.Context, devices int, horizon float64, lev
 			Spec: fleet.Spec{
 				Devices: devices,
 				Classes: fleet.DefaultMix(),
-				Mode:    fleet.ModeCT,
 				Horizon: horizon,
 				Faults:  lv.Faults,
 			},

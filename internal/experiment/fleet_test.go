@@ -17,7 +17,6 @@ func fleetScenario() experiment.FleetScenario {
 		Spec: fleet.Spec{
 			Devices:   23,
 			Classes:   fleet.DefaultMix(),
-			Mode:      fleet.ModeCT,
 			Horizon:   50,
 			ShardSize: 4,
 		},
@@ -74,7 +73,7 @@ func TestRunFleetReplicatedValidates(t *testing.T) {
 // one per distinct policy, and a fleet-total row, plus wait percentiles
 // in the note.
 func TestTableFleetShape(t *testing.T) {
-	tab, err := experiment.TableFleetCtx(context.Background(), 16, 40, fleet.ModeCT,
+	tab, err := experiment.TableFleetCtx(context.Background(), 16, 40,
 		[]uint64{1}, experiment.Parallel{})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 )
 
 // warmScratch returns a worker scratch that has already run every class
-// of r's mix once in the given mode, so pooled policies, sources,
+// of r's mix once, so pooled policies, sources,
 // simulators, and ring buffers exist at their high-water marks — the
 // steady state a long-lived fleet worker operates in.
 func warmScratch(t testing.TB, r *runner, sum *Summary) *workerScratch {
@@ -24,17 +24,11 @@ func warmScratch(t testing.TB, r *runner, sum *Summary) *workerScratch {
 }
 
 // runInstance runs instance i on the worker's pooled objects through the
-// production per-instance path of the spec's mode (a one-lane runGroupCT
-// or instanceSlot) and folds its result row into sum, as runShard does.
+// production per-instance path (a one-lane runGroupCT) and folds its
+// result row into sum, as runShard does.
 func runInstance(ctx context.Context, r *runner, i int, ws *workerScratch, sum *Summary) error {
 	var res [1]instanceResult
-	var err error
-	if r.spec.Mode == ModeCT {
-		err = r.runGroupCT(ctx, i, i+1, ws, res[:])
-	} else {
-		err = r.instanceSlot(ctx, i, ws, &res[0])
-	}
-	if err != nil {
+	if err := r.runGroupCT(ctx, i, i+1, ws, res[:]); err != nil {
 		return err
 	}
 	sum.addInstance(r.classOf(i), res[0])
@@ -45,31 +39,27 @@ func runInstance(ctx context.Context, r *runner, i int, ws *workerScratch, sum *
 // zero-allocation instance lifecycle: once a worker's pooled object set
 // is warm, running a complete fleet instance — stream reseed, policy and
 // source reset, simulator Reset, full horizon, metrics fold — performs
-// zero heap allocations, in both kernels and for every class of the
-// default mix (the Q-DPM learner included). Part of the CI
-// allocation-regression step (AllocationFree name match).
+// zero heap allocations, for every class of the default mix (the Q-DPM
+// learner included). Part of the CI allocation-regression step
+// (AllocationFree name match).
 func TestFleetInstanceSetupAllocationFree(t *testing.T) {
-	for _, mode := range []Mode{ModeCT, ModeSlot} {
-		t.Run(string(mode), func(t *testing.T) {
-			spec := Spec{Devices: 64, Classes: DefaultMix(), Mode: mode, Horizon: 64, Seed: 3}
-			r, err := newRunner(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := newSummary(r, 0)
-			ws := warmScratch(t, r, sum)
-			ctx := context.Background()
-			i := 0
-			allocs := testing.AllocsPerRun(16, func() {
-				if err := runInstance(ctx, r, i%spec.Devices, ws, sum); err != nil {
-					t.Fatal(err)
-				}
-				i++
-			})
-			if allocs != 0 {
-				t.Fatalf("%s instance lifecycle allocates %.1f times per instance after warm-up", mode, allocs)
-			}
-		})
+	spec := Spec{Devices: 64, Classes: DefaultMix(), Horizon: 64, Seed: 3}
+	r, err := newRunner(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := newSummary(r, 0)
+	ws := warmScratch(t, r, sum)
+	ctx := context.Background()
+	i := 0
+	allocs := testing.AllocsPerRun(16, func() {
+		if err := runInstance(ctx, r, i%spec.Devices, ws, sum); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("instance lifecycle allocates %.1f times per instance after warm-up", allocs)
 	}
 }
 
@@ -82,7 +72,7 @@ func TestFleetInstanceSetupAllocationFree(t *testing.T) {
 // kernel so the test can drive it chunk by chunk. Part of the CI
 // allocation-regression step (AllocationFree name match).
 func TestFleetCTEventLoopAllocationFree(t *testing.T) {
-	spec := Spec{Devices: 8, Classes: DefaultMix(), Mode: ModeCT, Horizon: 1e9, Seed: 3}
+	spec := Spec{Devices: 8, Classes: DefaultMix(), Horizon: 1e9, Seed: 3}
 	r, err := newRunner(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -131,35 +121,31 @@ func TestFleetCTEventLoopAllocationFree(t *testing.T) {
 // shard summaries: once a worker is warm and the summary pool holds a
 // recycled part, a complete shard cycle — runShard over every instance,
 // merge into the fleet total, return the part to the pool — performs
-// zero heap allocations, in both kernels. This is what makes fleet
-// allocations scale with classes (and the in-flight merge window), not
-// with the number of shards run. Part of the CI allocation-regression
-// step (AllocationFree name match).
+// zero heap allocations. This is what makes fleet allocations scale
+// with classes (and the in-flight merge window), not with the number of
+// shards run. Part of the CI allocation-regression step (AllocationFree
+// name match).
 func TestFleetShardLoopAllocationFree(t *testing.T) {
-	for _, mode := range []Mode{ModeCT, ModeSlot} {
-		t.Run(string(mode), func(t *testing.T) {
-			spec := Spec{Devices: 64, Classes: DefaultMix(), Mode: mode, Horizon: 64, ShardSize: 64, Seed: 3}
-			r, err := newRunner(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total := newSummary(r, 0)
-			ws := warmScratch(t, r, total)
-			ctx := context.Background()
-			cycle := func() {
-				part, err := r.runShard(ctx, 0, ws)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total.Merge(part)
-				r.putSummary(part)
-			}
-			cycle() // warm: results store, pooled part, total's sketch bins
-			allocs := testing.AllocsPerRun(16, cycle)
-			if allocs != 0 {
-				t.Fatalf("%s shard loop allocates %.1f times per shard after warm-up", mode, allocs)
-			}
-		})
+	spec := Spec{Devices: 64, Classes: DefaultMix(), Horizon: 64, ShardSize: 64, Seed: 3}
+	r, err := newRunner(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := newSummary(r, 0)
+	ws := warmScratch(t, r, total)
+	ctx := context.Background()
+	cycle := func() {
+		part, err := r.runShard(ctx, 0, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total.Merge(part)
+		r.putSummary(part)
+	}
+	cycle() // warm: results store, pooled part, total's sketch bins
+	allocs := testing.AllocsPerRun(16, cycle)
+	if allocs != 0 {
+		t.Fatalf("shard loop allocates %.1f times per shard after warm-up", allocs)
 	}
 }
 
@@ -178,7 +164,7 @@ func TestFleetFaultedShardAllocationFree(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			spec := Spec{
-				Devices: 40, Classes: DefaultMix(), Mode: ModeCT,
+				Devices: 40, Classes: DefaultMix(),
 				Horizon: 64, ShardSize: 40, Seed: 3,
 				Faults: &FaultSpec{CrashMTBF: 30, RepairMean: 4, FailProb: 0.1},
 			}
@@ -219,7 +205,7 @@ func TestFleetFaultedShardAllocationFree(t *testing.T) {
 // the worker reuse path (reseed, reset, run, MetricsInto), reporting
 // ns/event. One op = one instance at a 512 s horizon.
 func BenchmarkFleetInstanceCT(b *testing.B) {
-	spec := Spec{Devices: 64, Classes: DefaultMix(), Mode: ModeCT, Horizon: 512, Seed: 5}
+	spec := Spec{Devices: 64, Classes: DefaultMix(), Horizon: 512, Seed: 5}
 	r, err := newRunner(spec)
 	if err != nil {
 		b.Fatal(err)

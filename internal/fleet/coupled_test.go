@@ -15,7 +15,6 @@ func coupledSpec(couple CoupleMode) Spec {
 	return Spec{
 		Devices:    37,
 		Classes:    DefaultMix(),
-		Mode:       ModeCT,
 		Horizon:    60,
 		ShardSize:  10,
 		Couple:     couple,
@@ -102,7 +101,6 @@ func TestFleetCoupledInterferenceGrowsWithCoupleSize(t *testing.T) {
 		spec := Spec{
 			Devices:    64,
 			Classes:    DefaultMix(),
-			Mode:       ModeCT,
 			Horizon:    120,
 			ShardSize:  32,
 			Quantiles:  QuantilesExact,
@@ -158,7 +156,6 @@ func TestFleetCoupledShardAllocationFree(t *testing.T) {
 			spec := Spec{
 				Devices:    64,
 				Classes:    DefaultMix(),
-				Mode:       ModeCT,
 				Horizon:    64,
 				ShardSize:  64,
 				Couple:     couple,
@@ -228,7 +225,6 @@ func TestFleetCoupledShardAllocationFreeParity(t *testing.T) {
 	base := Spec{
 		Devices:   64,
 		Classes:   DefaultMix(),
-		Mode:      ModeCT,
 		Horizon:   64,
 		ShardSize: 64,
 		Seed:      3,
@@ -269,7 +265,7 @@ func TestFleetCoupledShardAllocationFreeParity(t *testing.T) {
 // every scalar into the instance's result row before the simulator is
 // reset for the next instance.
 func TestMetricsViewClobberedByNextPooledInstance(t *testing.T) {
-	spec := Spec{Devices: 8, Classes: DefaultMix(), Mode: ModeCT, Horizon: 60, Seed: 11}
+	spec := Spec{Devices: 8, Classes: DefaultMix(), Horizon: 60, Seed: 11}
 	r, err := newRunner(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +301,7 @@ func TestMetricsViewClobberedByNextPooledInstance(t *testing.T) {
 // defaults, the shard-multiple rule, and the rejects.
 func TestSpecValidateCoupling(t *testing.T) {
 	base := func() Spec {
-		return Spec{Devices: 10, Classes: DefaultMix(), Mode: ModeCT, Horizon: 10}
+		return Spec{Devices: 10, Classes: DefaultMix(), Horizon: 10}
 	}
 	ok := base()
 	ok.Couple = CoupleChannel
@@ -326,7 +322,6 @@ func TestSpecValidateCoupling(t *testing.T) {
 	}
 	bad := []func(*Spec){
 		func(sp *Spec) { sp.Couple = "mesh" },
-		func(sp *Spec) { sp.Couple = CoupleChannel; sp.Mode = ModeSlot },
 		func(sp *Spec) { sp.Couple = CoupleChannel; sp.CoupleSize = 5; sp.ShardSize = 12 },
 		func(sp *Spec) { sp.CoupleSize = 4 },
 		func(sp *Spec) { sp.Couple = CouplePower; sp.BudgetFrac = -1 },

@@ -17,7 +17,6 @@ func faultedSpec(couple CoupleMode) Spec {
 	sp := Spec{
 		Devices: 37,
 		Classes: DefaultMix(),
-		Mode:    ModeCT,
 		Horizon: 120,
 		Seed:    42,
 		Faults: &FaultSpec{
@@ -123,7 +122,6 @@ func TestFleetFaultMonotonicity(t *testing.T) {
 		sp := Spec{
 			Devices: 32,
 			Classes: DefaultMix(),
-			Mode:    ModeCT,
 			Horizon: 120,
 			Seed:    7,
 			Faults:  f,
@@ -178,7 +176,7 @@ func TestFleetUnfaultedIdenticalToNilFaults(t *testing.T) {
 // ranges, and the partial summary is still bit-identical across pool
 // sizes.
 func TestFleetPartialFailureDegradesGracefully(t *testing.T) {
-	spec := Spec{Devices: 8, Classes: DefaultMix(), Mode: ModeCT, Horizon: 30, ShardSize: 1, Seed: 9}
+	spec := Spec{Devices: 8, Classes: DefaultMix(), Horizon: 30, ShardSize: 1, Seed: 9}
 	poisoned := func(workers int) (*Summary, error) {
 		r, err := newRunner(spec)
 		if err != nil {
@@ -279,7 +277,6 @@ func TestSpecValidateFaults(t *testing.T) {
 		mut  func(*Spec)
 		want string
 	}{
-		{"slot mode", func(sp *Spec) { sp.Mode = ModeSlot; sp.Faults = &FaultSpec{CrashMTBF: 10} }, "CT mode"},
 		{"empty spec", func(sp *Spec) { sp.Faults = &FaultSpec{} }, "enables nothing"},
 		{"negative mtbf", func(sp *Spec) { sp.Faults = &FaultSpec{CrashMTBF: -1} }, "MTBF"},
 		{"bad prob", func(sp *Spec) { sp.Faults = &FaultSpec{FailProb: 1} }, "probability"},

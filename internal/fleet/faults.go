@@ -12,7 +12,6 @@ import (
 // byte-identical to a build without the fault code). Crash and retry
 // faults apply per instance from a dedicated per-instance fault rng
 // lane; outage windows apply to each coupled group's shared resource.
-// CT mode only.
 type FaultSpec struct {
 	// CrashMTBF is each instance's mean operating time between crashes
 	// in seconds (exponential; 0 disables crashes).
@@ -50,10 +49,7 @@ const (
 // validate checks the fault spec against its enclosing fleet spec and
 // fills defaults (mutating the receiver). period and couple are the
 // enclosing spec's already-defaulted values.
-func (f *FaultSpec) validate(mode Mode, period float64, couple CoupleMode) error {
-	if mode != ModeCT {
-		return fmt.Errorf("fleet: faults require CT mode (slot mode has no service-completion hook)")
-	}
+func (f *FaultSpec) validate(period float64, couple CoupleMode) error {
 	if f.CrashMTBF < 0 || math.IsNaN(f.CrashMTBF) || math.IsInf(f.CrashMTBF, 0) {
 		return fmt.Errorf("fleet: crash MTBF %v must be >= 0 and finite", f.CrashMTBF)
 	}
@@ -127,10 +123,10 @@ func (f *FaultSpec) crashOrRetry() bool {
 // delay s), outage (window period s, optionally period/duration),
 // brownout (power-cap fraction during windows). Unset keys take the
 // FaultSpec defaults (filled in by Spec.Validate, so the result
-// round-trips through String). Values are checked here against CT mode
-// with a couple mode, so an accepted string fails Spec.Validate only
-// for a reason that is the enclosing spec's: slot mode, or outage
-// windows without a couple mode.
+// round-trips through String). Values are checked here against a
+// coupled spec, so an accepted string fails Spec.Validate only for a
+// reason that is the enclosing spec's: outage windows without a couple
+// mode.
 func ParseFaults(s string) (*FaultSpec, error) {
 	f := &FaultSpec{}
 	for _, part := range strings.Split(s, ",") {
@@ -186,7 +182,7 @@ func ParseFaults(s string) (*FaultSpec, error) {
 		}
 	}
 	probe := *f
-	if err := probe.validate(ModeCT, defaultPeriod, CoupleChannel); err != nil {
+	if err := probe.validate(defaultPeriod, CoupleChannel); err != nil {
 		return nil, err
 	}
 	return f, nil

@@ -31,16 +31,20 @@
 //     freshly-constructed state bit for bit, so per-worker state never
 //     influences results — it only keeps instance turnover off the
 //     allocator entirely: after warm-up a complete instance lifecycle
-//     performs zero heap allocations in both kernels
-//     (TestFleetInstanceSetupAllocationFree), and the CT event loop
-//     itself is allocation-free in steady state
+//     performs zero heap allocations
+//     (TestFleetInstanceSetupAllocationFree), and the event loop itself
+//     is allocation-free in steady state
 //     (TestFleetCTEventLoopAllocationFree).
 //   - Shard summaries stream through an index-ordered fold
 //     (engine.MapReduceWorkers) and wait percentiles default to a
 //     mergeable log-binned sketch (Spec.Quantiles), so fleet memory is
 //     O(workers + classes), independent of the device count.
 //
-// Coupling. Every CT shard runs as a sequence of groups on the worker's
+// Every instance runs on the continuous-time event kernel (ctsim) under
+// the periodic governor, with the class's slotted policy behind the
+// slot adapter.
+//
+// Coupling. Every shard runs as a sequence of groups on the worker's
 // one event kernel. By default a group is a single instance with no
 // shared resource, so instances are independent. Spec.Couple widens the
 // groups: CoupleSize consecutive instances advance on ONE shared kernel
@@ -75,22 +79,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/shared"
 	"repro/internal/slotsim"
-	"repro/internal/workload"
-)
-
-// Mode selects the simulation kernel a fleet runs on.
-type Mode string
-
-const (
-	// ModeCT runs every instance on the continuous-time event kernel
-	// (ctsim) under the periodic governor. This is the default: it is the
-	// production-shaped path (real-valued arrival times, physical
-	// transition latencies) and its event loop is allocation-free.
-	ModeCT Mode = "ct"
-	// ModeSlot runs every instance on the slotted simulator with the
-	// class's interarrival law binned into per-slot counts — the
-	// discretization the paper studies, at fleet scale.
-	ModeSlot Mode = "slot"
 )
 
 // QuantileMode selects how fleet-level wait percentiles are computed.
@@ -116,12 +104,11 @@ const (
 const WaitSketchAccuracy = 0.01
 
 // CoupleMode selects the shared resource the instances of a coupled
-// group contend for (CT mode only — slot mode has no service-start
-// hook). Coupling widens the shard loop's groups from one instance to
-// CoupleSize consecutive instances advancing on ONE shared event
-// kernel, their event streams interleaved deterministically by (time,
-// seq), with the group's resource arbitrating service starts and power
-// commands (see internal/shared).
+// group contend for. Coupling widens the shard loop's groups from one
+// instance to CoupleSize consecutive instances advancing on ONE shared
+// event kernel, their event streams interleaved deterministically by
+// (time, seq), with the group's resource arbitrating service starts and
+// power commands (see internal/shared).
 type CoupleMode string
 
 const (
@@ -195,24 +182,22 @@ func (c *Class) validate(i int) error {
 }
 
 // Spec describes one fleet run. The zero values of Period, QueueCap,
-// LatencyWeight, ShardSize, and Mode take the canonical defaults
-// (Validate fills them in).
+// LatencyWeight, and ShardSize take the canonical defaults (Validate
+// fills them in).
 type Spec struct {
 	// Devices is the number of instances.
 	Devices int
 	// Classes is the heterogeneity mix (see ParseMix / DefaultMix).
 	Classes []Class
-	// Mode selects the kernel: ModeCT (default) or ModeSlot.
-	Mode Mode
 	// Horizon is each instance's run length in seconds.
 	Horizon float64
-	// Period is the governor tick / slot duration in seconds (default
-	// 0.5, the canonical slot).
+	// Period is the governor tick in seconds, the slot length the
+	// policies decide in (default 0.5, the canonical slot).
 	Period float64
 	// QueueCap bounds each instance's queue (default 8).
 	QueueCap int
 	// LatencyWeight scalarizes backlog into cost, in J per request-slot
-	// (default 0.3); CT mode rescales it to J per request-second.
+	// (default 0.3); the runner rescales it to J per request-second.
 	LatencyWeight float64
 	// ShardSize is the number of instances per pool job (default 128).
 	// It shapes scheduling granularity only — results are independent of
@@ -222,7 +207,7 @@ type Spec struct {
 	// Quantiles selects sketch (default) or exact wait percentiles.
 	Quantiles QuantileMode
 	// Couple selects the coupled mode's shared resource (default
-	// CoupleNone: independent instances). Requires ModeCT.
+	// CoupleNone: independent instances).
 	Couple CoupleMode
 	// CoupleSize is the number of consecutive instances per coupled
 	// group (default 8 when Couple is set). ShardSize must be a
@@ -238,8 +223,7 @@ type Spec struct {
 	GatewayWait int
 	// Faults enables deterministic fault injection (nil: fault-free,
 	// output byte-identical to a build without the fault layer). See
-	// FaultSpec. Requires ModeCT; outage windows additionally require a
-	// couple mode.
+	// FaultSpec. Outage windows require a couple mode.
 	Faults *FaultSpec
 	// Seed roots the per-instance seed derivation.
 	Seed uint64
@@ -262,12 +246,6 @@ func (sp *Spec) Validate() error {
 	}
 	if len(sp.Classes) == 0 {
 		return fmt.Errorf("fleet: spec needs at least one class")
-	}
-	if sp.Mode == "" {
-		sp.Mode = ModeCT
-	}
-	if sp.Mode != ModeCT && sp.Mode != ModeSlot {
-		return fmt.Errorf("fleet: unknown mode %q (want %q or %q)", sp.Mode, ModeCT, ModeSlot)
 	}
 	if !(sp.Horizon > 0) || math.IsInf(sp.Horizon, 0) {
 		return fmt.Errorf("fleet: horizon %v must be positive and finite", sp.Horizon)
@@ -296,9 +274,6 @@ func (sp *Spec) Validate() error {
 		return fmt.Errorf("fleet: unknown couple mode %q (want %q, %q, or %q)", sp.Couple, CoupleChannel, CoupleGateway, CouplePower)
 	}
 	if sp.Couple != CoupleNone {
-		if sp.Mode == ModeSlot {
-			return fmt.Errorf("fleet: coupling requires CT mode (slot mode has no service-start hook)")
-		}
 		if sp.CoupleSize == 0 {
 			sp.CoupleSize = defaultCoupleSize
 		}
@@ -343,21 +318,13 @@ func (sp *Spec) Validate() error {
 		return fmt.Errorf("fleet: unknown quantile mode %q (want %q or %q)", sp.Quantiles, QuantilesSketch, QuantilesExact)
 	}
 	if sp.Faults != nil {
-		if err := sp.Faults.validate(sp.Mode, sp.Period, sp.Couple); err != nil {
+		if err := sp.Faults.validate(sp.Period, sp.Couple); err != nil {
 			return err
 		}
 	}
 	for i := range sp.Classes {
-		c := &sp.Classes[i]
-		if err := c.validate(i); err != nil {
+		if err := sp.Classes[i].validate(i); err != nil {
 			return err
-		}
-		// Slot mode compiles the law per slot; the product can underflow
-		// or overflow a rate the class accepts per second.
-		if sp.Mode == ModeSlot {
-			if _, err := dist.ByName(c.Dist, c.RatePerSec*sp.Period); err != nil {
-				return fmt.Errorf("fleet: class %d rate %v/s at period %v s: %w", i, c.RatePerSec, sp.Period, err)
-			}
 		}
 	}
 	return checkTotalWeight(sp.Classes)
@@ -399,8 +366,7 @@ func (sp *Spec) shardRange(s int) (lo, hi int) {
 
 // class is a Class compiled for execution: slotted device form, class
 // label, the always-on reference power, and the interarrival law
-// compiled once in the running kernel's units (seconds for CT, slots
-// for slot mode) so instances never re-box a dist.Continuous.
+// compiled once so instances never re-box a dist.Continuous.
 type compiledClass struct {
 	src      Class
 	name     string
@@ -461,17 +427,15 @@ func (r *runner) putSummary(s *Summary) {
 }
 
 // workerScratch is one worker's reusable simulation state: the event
-// kernel every CT group runs on, one lane per slot of the largest group
-// run so far, the slotted simulator, the shard's result rows, and the
-// shared resource of coupled runs. Every piece survives across all the
-// shards the worker runs — an instance lifecycle is Reseed + Reset + Run
-// with zero heap traffic (TestFleetInstanceSetupAllocationFree) —
-// without influencing results: a reset object is bit-identical to a
-// freshly built one.
+// kernel every group runs on, one lane per slot of the largest group
+// run so far, the shard's result rows, and the shared resource of
+// coupled runs. Every piece survives across all the shards the worker
+// runs — an instance lifecycle is Reseed + Reset + Run with zero heap
+// traffic (TestFleetInstanceSetupAllocationFree) — without influencing
+// results: a reset object is bit-identical to a freshly built one.
 type workerScratch struct {
 	kernel *eventq.Kernel
 	lanes  []lane
-	slot   *slotsim.Sim
 
 	// results is the shard's struct-of-arrays result store: one flat
 	// instanceResult row per instance, folded into the summary in
@@ -543,11 +507,7 @@ func (ln *lane) start(r *runner, i int, res ctsim.Resource) (*classScratch, erro
 		ln.root.SplitInto(&ln.faultStream)
 	}
 	cs.resetPol(&ln.polStream)
-	if cs.src != nil {
-		cs.src.Reset()
-	} else {
-		cs.arr.Reset()
-	}
+	cs.src.Reset()
 	return cs, nil
 }
 
@@ -555,9 +515,7 @@ func (ln *lane) start(r *runner, i int, res ctsim.Resource) (*classScratch, erro
 type classScratch struct {
 	pol      slotsim.Policy
 	resetPol func(*rng.Stream)
-	adapted  ctsim.Policy         // CT mode: pol behind the slot adapter
-	src      *ctsim.RenewalSource // CT mode arrival source
-	arr      *workload.Renewal    // slot mode arrival process
+	src      *ctsim.RenewalSource
 	// faults is the cached per-(lane, class) ctsim fault config; cfg
 	// points at it when the spec enables crash/retry faults. Its Stream
 	// aliases the lane's fault stream, reseeded per instance.
@@ -586,47 +544,36 @@ func (cs *classScratch) build(r *runner, ci int, polStream, simStream, faultStre
 		return err
 	}
 	cs.pol, cs.resetPol = pol, reset
-	if r.spec.Mode == ModeCT {
-		cs.adapted = ctsim.Adapt(pol, r.spec.Period)
-		if cs.src, err = ctsim.NewRenewalSource(cc.arrDist); err != nil {
-			return err
-		}
-		// Instances never run past the spec horizon, so the source can
-		// size its pre-draw blocks against it instead of buying a full
-		// ramp block for the one speculative past-horizon draw. Purely a
-		// sizing hint: arrival sequences (and so all output) are
-		// unchanged.
-		cs.src.SetLimit(r.spec.Horizon)
-		cs.cfg = ctsim.Config{
-			Device:         cc.src.Device,
-			QueueCap:       r.spec.QueueCap,
-			LatencyWeight:  r.spec.LatencyWeight / r.spec.Period,
-			Policy:         cs.adapted,
-			Source:         cs.src,
-			Stream:         simStream,
-			DecisionPeriod: r.spec.Period,
-			Resource:       res,
-		}
-		if f := r.spec.Faults; f.crashOrRetry() {
-			cs.faults = ctsim.Faults{
-				CrashMTBF:  f.CrashMTBF,
-				RepairMean: f.RepairMean,
-				FailProb:   f.FailProb,
-				RetryMax:   f.RetryMax,
-				Backoff:    f.Backoff,
-				Stream:     faultStream,
-			}
-			cs.cfg.Faults = &cs.faults
-		}
-		if err := cs.cfg.Validate(); err != nil {
-			return err
-		}
-	} else {
-		if cs.arr, err = workload.NewRenewal(cc.arrDist); err != nil {
-			return err
-		}
+	if cs.src, err = ctsim.NewRenewalSource(cc.arrDist); err != nil {
+		return err
 	}
-	return nil
+	// Instances never run past the spec horizon, so the source can size
+	// its pre-draw blocks against it instead of buying a full ramp block
+	// for the one speculative past-horizon draw. Purely a sizing hint:
+	// arrival sequences (and so all output) are unchanged.
+	cs.src.SetLimit(r.spec.Horizon)
+	cs.cfg = ctsim.Config{
+		Device:         cc.src.Device,
+		QueueCap:       r.spec.QueueCap,
+		LatencyWeight:  r.spec.LatencyWeight / r.spec.Period,
+		Policy:         ctsim.Adapt(pol, r.spec.Period),
+		Source:         cs.src,
+		Stream:         simStream,
+		DecisionPeriod: r.spec.Period,
+		Resource:       res,
+	}
+	if f := r.spec.Faults; f.crashOrRetry() {
+		cs.faults = ctsim.Faults{
+			CrashMTBF:  f.CrashMTBF,
+			RepairMean: f.RepairMean,
+			FailProb:   f.FailProb,
+			RetryMax:   f.RetryMax,
+			Backoff:    f.Backoff,
+			Stream:     faultStream,
+		}
+		cs.cfg.Faults = &cs.faults
+	}
+	return cs.cfg.Validate()
 }
 
 func newRunner(spec Spec) (*runner, error) {
@@ -644,13 +591,7 @@ func newRunner(spec Spec) (*runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Interarrival law in the running kernel's time unit: seconds
-		// for CT; slots for slot mode (rate/sec × period = rate/slot).
-		arrRate := c.RatePerSec
-		if spec.Mode == ModeSlot {
-			arrRate *= spec.Period
-		}
-		arrDist, err := dist.ByName(c.Dist, arrRate)
+		arrDist, err := dist.ByName(c.Dist, c.RatePerSec)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: class %d (%s): %w", ci, c.Name(), err)
 		}
@@ -679,76 +620,16 @@ func (r *runner) instanceErr(i int, err error) error {
 	return fmt.Errorf("fleet: instance %d (%s): %w", i, r.classes[r.classOf(i)].name, err)
 }
 
-// cancelChunkTicks bounds cancellation latency: instances run in chunks
-// of this many governor ticks (CT mode, × Period seconds each) or slots
-// (slot mode) and poll the context between chunks.
+// cancelChunkTicks bounds cancellation latency: groups run in chunks of
+// this many governor ticks (× Period seconds each) and poll the context
+// between chunks.
 const cancelChunkTicks = 8192
-
-// instanceSlot executes instance i on the worker's reusable slotted
-// simulator, with the pooled objects and streams of the worker's first
-// lane, and writes its result row into *out.
-func (r *runner) instanceSlot(ctx context.Context, i int, ws *workerScratch, out *instanceResult) error {
-	ln := &ws.lanesFor(1)[0]
-	cs, err := ln.start(r, i, nil)
-	if err != nil {
-		return r.instanceErr(i, err)
-	}
-	cc := &r.classes[r.classOf(i)]
-	cfg := slotsim.Config{
-		Device:        cc.slotted,
-		Arrivals:      cs.arr,
-		QueueCap:      r.spec.QueueCap,
-		Policy:        cs.pol,
-		Stream:        &ln.simStream,
-		LatencyWeight: r.spec.LatencyWeight,
-	}
-	if ws.slot == nil {
-		ws.slot, err = slotsim.New(cfg)
-	} else {
-		err = ws.slot.Reset(cfg)
-	}
-	if err != nil {
-		return r.instanceErr(i, err)
-	}
-	sim := ws.slot
-	slots := int64(math.Ceil(r.spec.Horizon/r.spec.Period - 1e-9))
-	var m slotsim.Metrics
-	// Poll the context between chunks, not before the first: an instance
-	// that fits in one chunk costs no context check here (the shard loop
-	// polls per batch of instances).
-	for remaining := slots; remaining > 0; {
-		chunk := int64(cancelChunkTicks)
-		if remaining < chunk {
-			chunk = remaining
-		}
-		if m, err = sim.Run(chunk, nil); err != nil {
-			return r.instanceErr(i, err)
-		}
-		remaining -= chunk
-		if remaining > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	p := m.AvgPowerW(r.spec.Period)
-	out.avgPowerW = p
-	out.energyRed = 1 - p/cc.maxPower
-	out.meanWaitSec = m.MeanWaitSlots() * r.spec.Period
-	out.lossRate = m.LossRate()
-	out.energyJ = m.EnergyJ
-	out.arrived = m.Arrived
-	out.served = m.Served
-	out.lost = m.Lost
-	out.events = uint64(m.Slots)
-	return nil
-}
 
 // runShard executes one contiguous block of instances and returns its
 // streaming summary. Instances run in index order, as groups of
-// max(CoupleSize, 1) on the worker's one kernel in CT mode (see
-// runGroupCT; an uncoupled instance is a group of one with no shared
-// resource) and one at a time in slot mode. Groups are aligned to
+// max(CoupleSize, 1) on the worker's one kernel (see runGroupCT; an
+// uncoupled instance is a group of one with no shared resource).
+// Groups are aligned to
 // absolute instance index — Validate makes ShardSize a multiple of
 // CoupleSize — so only the fleet's trailing group can be partial.
 // Result rows fold into the summary in ascending instance order.
@@ -776,13 +657,7 @@ func (r *runner) runShard(ctx context.Context, shard int, ws *workerScratch) (*S
 			}
 			nextPoll = glo + pollEvery
 		}
-		var err error
-		if r.spec.Mode == ModeCT {
-			err = r.runGroupCT(ctx, glo, ghi, ws, res[glo-lo:ghi-lo])
-		} else {
-			err = r.instanceSlot(ctx, glo, ws, &res[glo-lo])
-		}
-		if err != nil {
+		if err := r.runGroupCT(ctx, glo, ghi, ws, res[glo-lo:ghi-lo]); err != nil {
 			return nil, err
 		}
 		glo = ghi

@@ -20,11 +20,10 @@ import (
 
 // testSpec returns a small but heterogeneous fleet spec that runs in
 // well under a second.
-func testSpec(mode fleet.Mode) fleet.Spec {
+func testSpec() fleet.Spec {
 	return fleet.Spec{
 		Devices:   37,
 		Classes:   fleet.DefaultMix(),
-		Mode:      mode,
 		Horizon:   60,
 		ShardSize: 5,
 		Seed:      42,
@@ -34,45 +33,43 @@ func testSpec(mode fleet.Mode) fleet.Spec {
 // TestRunBitIdenticalAcrossPoolSizes pins the fleet determinism
 // contract: the merged summary — accumulator bits, per-class stats,
 // sketch bin counts, wait order — is identical for every worker count,
-// in both kernels and both quantile modes.
+// in both quantile modes.
 func TestRunBitIdenticalAcrossPoolSizes(t *testing.T) {
-	for _, mode := range []fleet.Mode{fleet.ModeCT, fleet.ModeSlot} {
-		for _, quant := range []fleet.QuantileMode{fleet.QuantilesSketch, fleet.QuantilesExact} {
-			spec := testSpec(mode)
-			spec.Quantiles = quant
-			serial, err := fleet.Run(context.Background(), spec, &engine.Pool{Workers: 1})
+	for _, quant := range []fleet.QuantileMode{fleet.QuantilesSketch, fleet.QuantilesExact} {
+		spec := testSpec()
+		spec.Quantiles = quant
+		serial, err := fleet.Run(context.Background(), spec, &engine.Pool{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s serial: %v", quant, err)
+		}
+		for _, workers := range []int{2, 4, 16} {
+			pooled, err := fleet.Run(context.Background(), spec, &engine.Pool{Workers: workers})
 			if err != nil {
-				t.Fatalf("%s/%s serial: %v", mode, quant, err)
+				t.Fatalf("%s workers=%d: %v", quant, workers, err)
 			}
-			for _, workers := range []int{2, 4, 16} {
-				pooled, err := fleet.Run(context.Background(), spec, &engine.Pool{Workers: workers})
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", mode, quant, workers, err)
-				}
-				if !reflect.DeepEqual(serial, pooled) {
-					t.Fatalf("%s/%s: summary differs between 1 and %d workers:\n%+v\nvs\n%+v",
-						mode, quant, workers, serial, pooled)
-				}
+			if !reflect.DeepEqual(serial, pooled) {
+				t.Fatalf("%s: summary differs between 1 and %d workers:\n%+v\nvs\n%+v",
+					quant, workers, serial, pooled)
 			}
-			if serial.Devices != int64(spec.Devices) {
-				t.Fatalf("%s: %d devices simulated, want %d", mode, serial.Devices, spec.Devices)
+		}
+		if serial.Devices != int64(spec.Devices) {
+			t.Fatalf("%s: %d devices simulated, want %d", quant, serial.Devices, spec.Devices)
+		}
+		if serial.Shards != (spec.Devices+spec.ShardSize-1)/spec.ShardSize {
+			t.Fatalf("%s: %d shards, want %d", quant, serial.Shards, spec.Shards())
+		}
+		if serial.WaitSketch.N() != int64(spec.Devices) {
+			t.Fatalf("%s: sketch pooled %d instances, want %d", quant, serial.WaitSketch.N(), spec.Devices)
+		}
+		if quant == fleet.QuantilesExact {
+			if len(serial.Waits) != spec.Devices {
+				t.Fatalf("%s: %d waits recorded, want %d", quant, len(serial.Waits), spec.Devices)
 			}
-			if serial.Shards != (spec.Devices+spec.ShardSize-1)/spec.ShardSize {
-				t.Fatalf("%s: %d shards, want %d", mode, serial.Shards, spec.Shards())
-			}
-			if serial.WaitSketch.N() != int64(spec.Devices) {
-				t.Fatalf("%s: sketch pooled %d instances, want %d", mode, serial.WaitSketch.N(), spec.Devices)
-			}
-			if quant == fleet.QuantilesExact {
-				if len(serial.Waits) != spec.Devices {
-					t.Fatalf("%s: %d waits recorded, want %d", mode, len(serial.Waits), spec.Devices)
-				}
-			} else if serial.Waits != nil {
-				t.Fatalf("%s: sketch mode retained a per-instance wait vector (%d entries)", mode, len(serial.Waits))
-			}
-			if serial.Events == 0 || serial.Arrived == 0 {
-				t.Fatalf("%s: fleet simulated nothing: %+v", mode, serial)
-			}
+		} else if serial.Waits != nil {
+			t.Fatalf("%s: sketch mode retained a per-instance wait vector (%d entries)", quant, len(serial.Waits))
+		}
+		if serial.Events == 0 || serial.Arrived == 0 {
+			t.Fatalf("%s: fleet simulated nothing: %+v", quant, serial)
 		}
 	}
 }
@@ -83,9 +80,9 @@ func TestRunBitIdenticalAcrossPoolSizes(t *testing.T) {
 // instance order) must not, and pooled moments must agree to float
 // tolerance.
 func TestRunIndependentOfShardSize(t *testing.T) {
-	a := testSpec(fleet.ModeCT)
+	a := testSpec()
 	a.Quantiles = fleet.QuantilesExact
-	b := testSpec(fleet.ModeCT)
+	b := testSpec()
 	b.Quantiles = fleet.QuantilesExact
 	b.ShardSize = 37 // single shard: the purely sequential reduction
 	sa, err := fleet.Run(context.Background(), a, nil)
@@ -129,7 +126,7 @@ func TestRunIndependentOfShardSize(t *testing.T) {
 // WaitSketchAccuracy relative bound of the order statistics bracketing
 // the same rank.
 func TestSketchQuantilesWithinBoundOfExact(t *testing.T) {
-	spec := testSpec(fleet.ModeCT)
+	spec := testSpec()
 	spec.Devices = 600
 	spec.Horizon = 30
 	spec.Quantiles = fleet.QuantilesExact
@@ -178,7 +175,6 @@ func TestInstanceMatchesExperimentCTReplica(t *testing.T) {
 	spec := fleet.Spec{
 		Devices: 1,
 		Classes: []fleet.Class{cls},
-		Mode:    fleet.ModeCT,
 		Horizon: 500,
 		Seed:    7,
 	}
@@ -229,7 +225,7 @@ func TestInstanceMatchesExperimentCTReplica(t *testing.T) {
 // TestWeightedClassAssignment: instances spread across classes by
 // weighted round-robin, exactly.
 func TestWeightedClassAssignment(t *testing.T) {
-	spec := testSpec(fleet.ModeCT)
+	spec := testSpec()
 	spec.Devices = 16 // 2 full weight cycles (total weight 8)
 	spec.Horizon = 20
 	sum, err := fleet.Run(context.Background(), spec, nil)
@@ -247,7 +243,7 @@ func TestWeightedClassAssignment(t *testing.T) {
 // TestSummaryDerivedMetrics: quantiles, per-policy rollups, and the
 // fleet-total power are well-formed and internally consistent.
 func TestSummaryDerivedMetrics(t *testing.T) {
-	sum, err := fleet.Run(context.Background(), testSpec(fleet.ModeCT), nil)
+	sum, err := fleet.Run(context.Background(), testSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +280,7 @@ func TestSummaryDerivedMetrics(t *testing.T) {
 // serves both).
 func TestRunCancellation(t *testing.T) {
 	for _, couple := range []fleet.CoupleMode{fleet.CoupleNone, fleet.CoupleChannel} {
-		spec := testSpec(fleet.ModeCT)
+		spec := testSpec()
 		spec.Devices = 64
 		spec.Horizon = 1e7 // far too long to finish
 		if couple != fleet.CoupleNone {
@@ -311,7 +307,7 @@ func TestSpecSizesNearMaxInt(t *testing.T) {
 		{fleet.CoupleChannel, math.MaxInt, math.MaxInt},
 		{fleet.CoupleChannel, 0, math.MaxInt}, // defaulted shard rounds up to the group
 	} {
-		spec := testSpec(fleet.ModeCT)
+		spec := testSpec()
 		spec.Devices, spec.Horizon = 5, 10
 		spec.Couple, spec.ShardSize, spec.CoupleSize = tc.couple, tc.shard, tc.group
 		sum, err := fleet.Run(context.Background(), spec, nil)
@@ -328,7 +324,7 @@ func TestSpecSizesNearMaxInt(t *testing.T) {
 // the check cannot be dodged by overflowing the sum.
 func TestSpecValidateTotalWeight(t *testing.T) {
 	for _, weights := range [][]int{{1 << 17}, {1 << 15, 1<<15 + 1}, {1, math.MaxInt}} {
-		spec := testSpec(fleet.ModeCT)
+		spec := testSpec()
 		spec.Classes = spec.Classes[:len(weights)]
 		for i, w := range weights {
 			spec.Classes[i].Weight = w
@@ -384,7 +380,7 @@ func TestSpecValidate(t *testing.T) {
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if sp.Mode != fleet.ModeCT || sp.Period != 0.5 || sp.QueueCap != 8 || sp.ShardSize == 0 {
+	if sp.Period != 0.5 || sp.QueueCap != 8 || sp.ShardSize == 0 {
 		t.Fatalf("defaults not filled: %+v", sp)
 	}
 	if sp.Quantiles != fleet.QuantilesSketch {
@@ -395,7 +391,6 @@ func TestSpecValidate(t *testing.T) {
 		{Devices: 0, Classes: fleet.DefaultMix(), Horizon: 100},
 		{Devices: 10, Horizon: 100},
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 0},
-		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, Mode: "quantum"},
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, Period: -1},
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, QueueCap: -1},
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, ShardSize: -1},

@@ -13,10 +13,8 @@ import (
 const fuzzMaxRate = 1e4
 
 // FuzzParseMix: every mix ParseMix accepts validates as parsed and runs
-// one device per class for one second in CT mode without error. Slot
-// mode bins the law per slot, so a rate can be too small for the
-// period; such a spec must then fail Spec.Validate, never Run. Seeds
-// live in testdata/fuzz/FuzzParseMix.
+// one device per class for one second without error. Seeds live in
+// testdata/fuzz/FuzzParseMix.
 func FuzzParseMix(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		classes, err := fleet.ParseMix(s)
@@ -33,14 +31,9 @@ func FuzzParseMix(f *testing.F) {
 			}
 			classes[i].Weight = 1
 		}
-		for _, mode := range []fleet.Mode{fleet.ModeCT, fleet.ModeSlot} {
-			spec := fleet.Spec{Devices: len(classes), Classes: classes, Mode: mode, Horizon: 1, Seed: 1}
-			if mode == fleet.ModeSlot && spec.Validate() != nil {
-				continue
-			}
-			if _, err := fleet.Run(context.Background(), spec, nil); err != nil {
-				t.Fatalf("ParseMix(%q) accepted a mix that fails in %s mode: %v", s, mode, err)
-			}
+		spec = fleet.Spec{Devices: len(classes), Classes: classes, Horizon: 1, Seed: 1}
+		if _, err := fleet.Run(context.Background(), spec, nil); err != nil {
+			t.Fatalf("ParseMix(%q) accepted a mix that fails: %v", s, err)
 		}
 	})
 }

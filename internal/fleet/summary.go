@@ -99,8 +99,6 @@ type instanceResult struct {
 // under any merge order); the exact opt-in (Spec.Quantiles ==
 // QuantilesExact) additionally keeps them in instance order in Waits.
 type Summary struct {
-	// Mode is the kernel the fleet ran on.
-	Mode Mode
 	// Devices is the number of simulated instances; Shards is the number
 	// of pool jobs they were sharded into (0 on a shard-local summary).
 	Devices int64
@@ -117,7 +115,7 @@ type Summary struct {
 	Faulted bool
 	// EnergyJ is the fleet-total energy; Arrived/Served/Lost are
 	// fleet-total request counts; Events is the fleet-total kernel event
-	// count (CT mode) or slot count (slot mode).
+	// count.
 	EnergyJ               float64
 	Arrived, Served, Lost int64
 	Events                uint64
@@ -163,7 +161,6 @@ func newSummary(r *runner, n int) *Summary {
 		panic("fleet: wait sketch accuracy invalid: " + err.Error())
 	}
 	s := &Summary{
-		Mode:       r.spec.Mode,
 		HorizonSec: r.spec.Horizon,
 		Couple:     r.spec.Couple,
 		CoupleSize: r.spec.CoupleSize,
@@ -189,7 +186,6 @@ func newSummary(r *runner, n int) *Summary {
 // summary construction off the allocator so fleet allocs scale with
 // classes, not shards run.
 func (s *Summary) reset(r *runner, n int) {
-	s.Mode = r.spec.Mode
 	s.Devices = 0
 	s.Shards = 0
 	s.HorizonSec = r.spec.Horizon
@@ -283,8 +279,8 @@ func (s *Summary) addInstance(class int, ir instanceResult) {
 // is the engine's sequential reduction, so the result is independent of
 // which workers ran which shards.
 func (s *Summary) Merge(o *Summary) {
-	if s.Mode == "" {
-		s.Mode, s.HorizonSec = o.Mode, o.HorizonSec
+	if s.HorizonSec == 0 { // empty: take o's run shape
+		s.HorizonSec = o.HorizonSec
 		s.Couple, s.CoupleSize = o.Couple, o.CoupleSize
 		s.Faulted = o.Faulted
 	}
@@ -386,6 +382,6 @@ func (s *Summary) PerPolicy() []ClassStats {
 
 // String summarizes the fleet in one line.
 func (s *Summary) String() string {
-	return fmt.Sprintf("fleet(%d devices, %s, %.0f s, %.4f W avg, %.2f%% loss)",
-		s.Devices, s.Mode, s.HorizonSec, s.AvgPowerW.Mean(), 100*s.LossOverall())
+	return fmt.Sprintf("fleet(%d devices, ct, %.0f s, %.4f W avg, %.2f%% loss)",
+		s.Devices, s.HorizonSec, s.AvgPowerW.Mean(), 100*s.LossOverall())
 }

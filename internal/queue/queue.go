@@ -115,25 +115,3 @@ func (q *Queue) MeanWait() float64 {
 	}
 	return float64(q.waitSlots) / float64(q.served)
 }
-
-// Reset restores the queue to empty and clears the counters.
-func (q *Queue) Reset() {
-	q.head, q.n = 0, 0
-	q.lost, q.arrived, q.served, q.waitSlots = 0, 0, 0, 0
-}
-
-// Reconfigure resets the queue and changes its capacity in place,
-// growing the ring only when the new bound exceeds it — a queue cycled
-// through same-capacity replicas (the fleet reuse path) never
-// reallocates. capacity < 0 is an error; 0 means unbounded.
-func (q *Queue) Reconfigure(capacity int) error {
-	if capacity < 0 {
-		return fmt.Errorf("queue: negative capacity %d", capacity)
-	}
-	q.Reset()
-	q.cap = capacity
-	if capacity > len(q.buf) {
-		q.buf = make([]int64, capacity)
-	}
-	return nil
-}

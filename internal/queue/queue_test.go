@@ -117,18 +117,6 @@ func TestOldestWait(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	q, _ := New(2)
-	q.Push(0)
-	q.Push(0)
-	q.Push(0) // lost
-	q.Serve(1, 2)
-	q.Reset()
-	if q.Len() != 0 || q.Lost() != 0 || q.Arrived() != 0 || q.Served() != 0 || q.WaitSlots() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 // Property: conservation — arrived = served + lost + backlog, and ring
 // buffer behaves identically to a reference slice queue.
 func TestConservationProperty(t *testing.T) {
@@ -176,52 +164,5 @@ func TestConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestReconfigure: capacity changes in place, counters clear, and
-// same-or-smaller capacities never reallocate the ring.
-func TestReconfigure(t *testing.T) {
-	q, err := New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 6; i++ {
-		q.Push(i)
-	}
-	if err := q.Reconfigure(2); err != nil {
-		t.Fatal(err)
-	}
-	if q.Len() != 0 || q.Arrived() != 0 || q.Lost() != 0 || q.Cap() != 2 {
-		t.Fatalf("reconfigure did not reset: %+v", q)
-	}
-	if !q.Push(1) || !q.Push(2) || q.Push(3) {
-		t.Fatal("capacity 2 not enforced after reconfigure")
-	}
-	// Growing beyond the ring reallocates and then honours the bound.
-	if err := q.Reconfigure(8); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 8; i++ {
-		if !q.Push(i) {
-			t.Fatalf("push %d rejected below capacity 8", i)
-		}
-	}
-	if q.Push(99) {
-		t.Fatal("push above capacity 8 accepted")
-	}
-	if err := q.Reconfigure(-1); err == nil {
-		t.Fatal("negative capacity accepted")
-	}
-	// Same-capacity cycles are allocation-free.
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := q.Reconfigure(8); err != nil {
-			t.Fatal(err)
-		}
-		q.Push(1)
-		q.Serve(1, 2)
-	})
-	if allocs != 0 {
-		t.Fatalf("same-capacity Reconfigure allocates %.1f times", allocs)
 	}
 }

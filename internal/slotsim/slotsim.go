@@ -250,60 +250,25 @@ type Sim struct {
 
 // New validates cfg and returns a ready simulator.
 func New(cfg Config) (*Sim, error) {
-	s := &Sim{}
-	if err := s.init(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// Reset reinitializes s for a new replica under cfg — rebinding device,
-// arrivals, policy, and stream — reusing the queue ring and the
-// StateSlots buffer. A Reset simulator is behaviorally bit-identical to
-// a fresh New(cfg) one; it is the slotted counterpart of ctsim.Sim.Reset
-// and keeps fleet instance turnover off the allocator.
-func (s *Sim) Reset(cfg Config) error { return s.init(cfg) }
-
-// init validates cfg and (re)sets every piece of run state.
-func (s *Sim) init(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
+	q, err := queue.New(cfg.QueueCap)
+	if err != nil {
+		return nil, err
 	}
-	if s.q == nil {
-		q, err := queue.New(cfg.QueueCap)
-		if err != nil {
-			return err
-		}
-		s.q = q
-	} else if err := s.q.Reconfigure(cfg.QueueCap); err != nil {
-		return err
+	s := &Sim{
+		cfg:        cfg,
+		q:          q,
+		phase:      cfg.InitialState,
+		metrics:    Metrics{StateSlots: make([]int64, cfg.Device.PSM.NumStates())},
+		idleSatCap: cfg.IdleSaturation,
 	}
-	s.cfg = cfg
-	s.phase = cfg.InitialState
-	s.transTo = 0
-	s.transLeft = 0
-	s.transCost = 0
-	s.idleSlots = 0
-	s.slot = 0
-	s.idleSatCap = cfg.IdleSaturation
 	if s.idleSatCap == 0 {
 		s.idleSatCap = 1024
 	}
-	n := cfg.Device.PSM.NumStates()
-	st := s.metrics.StateSlots
-	if cap(st) < n {
-		st = make([]int64, n)
-	}
-	st = st[:n]
-	for i := range st {
-		st[i] = 0
-	}
-	s.metrics = Metrics{StateSlots: st}
-	s.learner = nil
-	if l, ok := cfg.Policy.(Learner); ok {
-		s.learner = l
-	}
-	return nil
+	s.learner, _ = cfg.Policy.(Learner)
+	return s, nil
 }
 
 // Observe returns the current observation without advancing time.

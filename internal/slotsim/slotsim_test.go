@@ -2,7 +2,6 @@ package slotsim
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -534,67 +533,5 @@ func TestSensorRadioEndToEnd(t *testing.T) {
 	}
 	if m.Arrived != m.Served+m.Lost+int64(sim.Queue().Len()) {
 		t.Error("conservation violated on sensor radio")
-	}
-}
-
-// TestResetBitIdenticalToFresh: a Reset simulator replays a replica
-// bit-identically to a freshly built one — including a capacity change —
-// and the reuse path performs no heap allocations once warmed.
-func TestResetBitIdenticalToFresh(t *testing.T) {
-	run := func(s *Sim, slots int64) Metrics {
-		m, err := s.Run(slots, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	reused, err := New(baseConfig(gotoPolicy{target: 0}, 0.3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(reused, 500) // dirty the state
-
-	for i, mk := range []func(seed uint64) Config{
-		func(seed uint64) Config { return baseConfig(stayPolicy{}, 0.2, seed) },
-		func(seed uint64) Config {
-			c := baseConfig(gotoPolicy{target: 0}, 0.6, seed)
-			c.QueueCap = 3
-			return c
-		},
-	} {
-		if err := reused.Reset(mk(7)); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := New(mk(7)) // own stream, same seed
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := run(reused, 400), run(fresh, 400)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("case %d: reset sim diverges from fresh:\n%+v\nvs\n%+v", i, a, b)
-		}
-	}
-
-	// Allocation-free once the ring and StateSlots are warm: one config
-	// whose stream is reseeded in place per replica, the fleet reuse
-	// shape.
-	cfg := baseConfig(stayPolicy{}, 0.2, 11)
-	seed := uint64(11)
-	if err := reused.Reset(cfg); err != nil {
-		t.Fatal(err)
-	}
-	run(reused, 64)
-	allocs := testing.AllocsPerRun(20, func() {
-		seed++
-		cfg.Stream.Reseed(seed)
-		if err := reused.Reset(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := reused.Run(64, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("slotsim Reset+Run allocates %.1f times per replica", allocs)
 	}
 }

@@ -363,15 +363,6 @@ func (r *Renewal) MeanRate() float64 {
 	return 1 / m
 }
 
-// Reset rewinds the process to its initial phase in place — the
-// allocation-free alternative to Clone for callers that cycle one
-// Renewal through many independent replicas (the fleet slot kernel).
-func (r *Renewal) Reset() {
-	r.nextAt = 0
-	r.now = 0
-	r.primed = false
-}
-
 // Clone returns a reset copy.
 func (r *Renewal) Clone() Arrivals { return &Renewal{D: r.D} }
 

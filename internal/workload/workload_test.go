@@ -359,32 +359,3 @@ func BenchmarkMMPPNext(b *testing.B) {
 	}
 	_ = sink
 }
-
-// TestRenewalResetMatchesClone: an in-place Reset replays the same
-// counts a fresh Clone would, without allocating.
-func TestRenewalResetMatchesClone(t *testing.T) {
-	d, err := dist.NewExponential(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRenewal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rng.New(5)
-	for i := 0; i < 200; i++ {
-		r.Next(s) // advance the phase
-	}
-	r.Reset()
-	fresh := r.Clone()
-	sa, sb := rng.New(9), rng.New(9)
-	for i := 0; i < 500; i++ {
-		if got, want := r.Next(sa), fresh.Next(sb); got != want {
-			t.Fatalf("slot %d: reset renewal %d != clone %d", i, got, want)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() { r.Reset() })
-	if allocs != 0 {
-		t.Fatalf("Renewal.Reset allocates %.1f times", allocs)
-	}
-}
