@@ -360,7 +360,8 @@ func analyticCTChecks(ctx context.Context, r *AnalyticReport, seeds []uint64) er
 // Slotted rungs
 
 // analyticSlotChecks runs the always-on exactness rung and the LP/MDP
-// optimal-cost bound on the slotted simulator.
+// optimal-cost bound on the slotted simulator, every policy in one
+// replica grid.
 func analyticSlotChecks(ctx context.Context, r *AnalyticReport, seeds []uint64, par Parallel) error {
 	dev, err := CanonDevice()
 	if err != nil {
@@ -382,15 +383,33 @@ func analyticSlotChecks(ctx context.Context, r *AnalyticReport, seeds []uint64, 
 		},
 	}
 
+	optPF, _, err := OptimalFactory(dev, arrivalP)
+	if err != nil {
+		return err
+	}
+	// pfs[0] serves rung 6 and, with pfs[2:], the rung 7 bound;
+	// pfs[1] is the derived optimal policy.
+	pfs := []PolicyFactory{
+		AlwaysOnFactory(dev),
+		optPF,
+		GreedyOffFactory(dev),
+		TimeoutFactory(dev, 8),
+		QDPMFactory(dev),
+	}
+	sums, err := replicaGrid(ctx, par, len(pfs), seeds,
+		func(ctx context.Context, _ *struct{}, pi int, seed uint64) (*Summary, error) {
+			return slotReplica(ctx, sc, pfs[pi], seed)
+		})
+	if err != nil {
+		return err
+	}
+
 	// Rung 6 — slotted always-on exactness: with one service per slot
 	// and at most one Bernoulli arrival per slot, every request is
 	// served in its arrival slot — power is exactly the active draw,
 	// wait and loss are exactly zero, and the per-slot cost is exactly
 	// the active energy. No CI needed: the identity holds per replica.
-	sum, err := RunReplicatedCtx(ctx, sc, AlwaysOnFactory(dev), seeds, par)
-	if err != nil {
-		return err
-	}
+	sum := sums[0]
 	activePower := device.Synthetic3().States[0].Power
 	r.add(AnalyticCheck{Rung: "slotted always-on", Sim: "slotsim", Metric: "power (W)",
 		Theory: activePower, Observed: sum.AvgPowerW.Mean(), Slack: exactTol})
@@ -419,28 +438,13 @@ func analyticSlotChecks(ctx context.Context, r *AnalyticReport, seeds []uint64, 
 	r.add(AnalyticCheck{Rung: "optimal bound", Sim: "mdp/lp", Metric: "RVI vs LP gain",
 		Theory: oc.Gain, Observed: oc.LPGain, Slack: analytic.CrossTol})
 
-	optPF, _, err := OptimalFactory(dev, arrivalP)
-	if err != nil {
-		return err
-	}
-	opt, err := RunReplicatedCtx(ctx, sc, optPF, seeds, par)
-	if err != nil {
-		return err
-	}
+	opt := sums[1]
 	r.add(AnalyticCheck{Rung: "optimal bound", Sim: "slotsim", Metric: "optimal policy cost/slot",
 		Theory: oc.Gain, Observed: opt.AvgCost.Mean(), CI: opt.AvgCost.CI95(), Slack: relSlack * oc.Gain})
-	for _, pf := range []PolicyFactory{
-		AlwaysOnFactory(dev),
-		GreedyOffFactory(dev),
-		TimeoutFactory(dev, 8),
-		QDPMFactory(dev),
-	} {
-		s, err := RunReplicatedCtx(ctx, sc, pf, seeds, par)
-		if err != nil {
-			return err
-		}
+	for _, pi := range []int{0, 2, 3, 4} {
+		s := sums[pi]
 		r.add(AnalyticCheck{Rung: "optimal bound", Sim: "slotsim",
-			Metric: fmt.Sprintf("%s cost/slot ≥ optimum", pf.Name),
+			Metric: fmt.Sprintf("%s cost/slot ≥ optimum", pfs[pi].Name),
 			Theory: oc.Gain, Observed: s.AvgCost.Mean(), CI: s.AvgCost.CI95(),
 			Slack: relSlack * oc.Gain, Bound: true})
 	}

@@ -500,8 +500,9 @@ func DefaultAblations() []AblationSpec {
 
 // TableAblationsCtx runs each variant on the Fig. 1 scenario and reports
 // the tail (post-convergence) average cost against the optimal gain. The
-// variant × seed grid fans out across the pool and each variant's tails
-// pool in seed order.
+// variant × seed grid is a replicaGrid whose jobs each return their tail
+// as a one-sample Running; merging singletons in seed order equals the
+// serial Add loop bit for bit.
 func TableAblationsCtx(ctx context.Context, specs []AblationSpec, arrivalP float64, slots int64, seeds []uint64, par Parallel) (*Table, error) {
 	dev, err := CanonDevice()
 	if err != nil {
@@ -528,27 +529,22 @@ func TableAblationsCtx(ctx context.Context, specs []AblationSpec, arrivalP float
 		Note: fmt.Sprintf("λ=%g, %d slots, tail = last 25%% of the windowed series, optimal gain %.4f",
 			arrivalP, slots, gain),
 	}
-	if len(seeds) == 0 {
-		return nil, errNoSeeds
-	}
-	tailGrid, err := engine.Map(ctx, par.pool(), len(specs)*len(seeds),
-		func(ctx context.Context, i int) (float64, error) {
-			spec := specs[i/len(seeds)]
-			pf := QDPMVariantFactory(spec.Name, dev, spec.Mut)
-			s, _, err := windowedSeries(ctx, sc, pf, seeds[i%len(seeds)], 4000, 2000, slotCost, meanAsIs)
+	tailGrid, err := replicaGrid(ctx, par, len(specs), seeds,
+		func(ctx context.Context, _ *struct{}, si int, seed uint64) (*stats.Running, error) {
+			pf := QDPMVariantFactory(specs[si].Name, dev, specs[si].Mut)
+			s, _, err := windowedSeries(ctx, sc, pf, seed, 4000, 2000, slotCost, meanAsIs)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			return s.TailMean(0.25), nil
+			var tail stats.Running
+			tail.Add(s.TailMean(0.25))
+			return &tail, nil
 		})
 	if err != nil {
 		return nil, err
 	}
 	for si, spec := range specs {
-		var tails stats.Running
-		for _, tail := range tailGrid[si*len(seeds) : (si+1)*len(seeds)] {
-			tails.Add(tail)
-		}
+		tails := tailGrid[si]
 		t.Rows = append(t.Rows, []string{
 			spec.Name,
 			fmt.Sprintf("%.4f", tails.Mean()),
