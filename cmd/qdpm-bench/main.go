@@ -96,27 +96,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return engine.DeriveSeeds(*seed+offset, len(canonical))
 	}
 
-	// section runs one experiment; the first failure skips the rest.
-	var err error
-	section := func(name string, f func() error) {
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(stderr, "\n##### %s (started %s)\n\n", name, time.Now().Format(time.TimeOnly))
-		start := time.Now()
-		if err = f(); err != nil {
-			err = fmt.Errorf("%s: %w", name, err)
-			return
-		}
-		fmt.Fprintf(stderr, "\n[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	matched := false
-
-	if want("fig1") {
-		matched = true
-		section("fig1", func() error {
+	experiments := []struct {
+		name string
+		run  func() error
+	}{
+		{"fig1", func() error {
 			cfg := experiment.DefaultFig1()
 			if *quick {
 				cfg.Slots = 60000
@@ -128,11 +112,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 			return fig.Render(stdout)
-		})
-	}
-	if want("fig2") {
-		matched = true
-		section("fig2", func() error {
+		}},
+		{"fig2", func() error {
 			cfg := experiment.DefaultFig2()
 			if *quick {
 				cfg.SegmentSlots = 12000
@@ -144,11 +125,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 			return fig.Render(stdout)
-		})
-	}
-	if want("r1") {
-		matched = true
-		section("r1", func() error {
+		}},
+		{"r1", func() error {
 			caps := []int{3, 8, 20, 40}
 			if *quick {
 				caps = []int{3, 8}
@@ -157,14 +135,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Fprintf(stdout, "# %s\n", tab.Note)
-			return nil
-		})
-	}
-	if want("r2") {
-		matched = true
-		section("r2", func() error {
+			return renderTable(stdout, tab)
+		}},
+		{"r2", func() error {
 			slots := int64(200000)
 			seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 			if *quick {
@@ -176,14 +149,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Fprintf(stdout, "# %s\n", tab.Note)
-			return nil
-		})
-	}
-	if want("r3") {
-		matched = true
-		section("r3", func() error {
+			return renderTable(stdout, tab)
+		}},
+		{"r3", func() error {
 			cfg := experiment.DefaultFig2()
 			if *quick {
 				cfg.SegmentSlots = 12000
@@ -193,14 +161,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Fprintf(stdout, "# %s\n", tab.Note)
-			return nil
-		})
-	}
-	if want("r4") {
-		matched = true
-		section("r4", func() error {
+			return renderTable(stdout, tab)
+		}},
+		{"r4", func() error {
 			slots := int64(150000)
 			seeds := []uint64{11, 12, 13, 14}
 			if *quick {
@@ -212,14 +175,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Fprintf(stdout, "# %s\n", tab.Note)
-			return nil
-		})
-	}
-	if want("ablate") {
-		matched = true
-		section("ablate", func() error {
+			return renderTable(stdout, tab)
+		}},
+		{"ablate", func() error {
 			slots := int64(150000)
 			seeds := []uint64{21, 22, 23}
 			specs := experiment.DefaultAblations()
@@ -232,14 +190,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Fprintf(stdout, "# %s\n", tab.Note)
-			return nil
-		})
-	}
-	if want("ct") {
-		matched = true
-		section("ct", func() error {
+			return renderTable(stdout, tab)
+		}},
+		{"ct", func() error {
 			horizon := 100000.0 // seconds ≈ 200k governor ticks
 			seeds := []uint64{31, 32, 33, 34}
 			if *quick {
@@ -251,17 +204,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Fprintf(stdout, "# %s\n", tab.Note)
+			if err := renderTable(stdout, tab); err != nil {
+				return err
+			}
 			// Kernel figures of merit on stderr: stdout must stay
 			// bit-identical across -parallel values (CI diffs it), and
 			// wall-clock numbers are not.
 			return ctPerfProbe(stderr, *quick)
-		})
-	}
-	if want("fleet") {
-		matched = true
-		section("fleet", func() error {
+		}},
+		{"fleet", func() error {
 			devices, horizon := 2000, 400.0
 			seeds := []uint64{41, 42}
 			if *quick {
@@ -273,14 +224,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Fprintf(stdout, "# %s\n", tab.Note)
-			return nil
-		})
-	}
-	if want("coupled") {
-		matched = true
-		section("coupled", func() error {
+			return renderTable(stdout, tab)
+		}},
+		{"coupled", func() error {
 			devices, horizon := 512, 240.0
 			sizes := []int{1, 8, 32}
 			seeds := []uint64{41, 42}
@@ -294,14 +240,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Fprintf(stdout, "# %s\n", tab.Note)
-			return nil
-		})
-	}
-	if want("faulted") {
-		matched = true
-		section("faulted", func() error {
+			return renderTable(stdout, tab)
+		}},
+		{"faulted", func() error {
 			devices, horizon := 600, 240.0
 			seeds := []uint64{41, 42}
 			if *quick {
@@ -313,14 +254,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Fprintf(stdout, "# %s\n", tab.Note)
-			return nil
-		})
-	}
-	if want("analytic") {
-		matched = true
-		section("analytic", func() error {
+			return renderTable(stdout, tab)
+		}},
+		{"analytic", func() error {
 			seeds := []uint64{101, 102, 103, 104, 105, 106, 107, 108}
 			if *quick {
 				seeds = seeds[:4]
@@ -330,15 +266,34 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			experiment.RenderTable(stdout, tab.Title, tab.Headers, tab.Rows)
-			fmt.Fprintf(stdout, "# %s\n", tab.Note)
-			return nil
-		})
+			return renderTable(stdout, tab)
+		}},
+	}
+
+	matched := false
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
+		matched = true
+		fmt.Fprintf(stderr, "\n##### %s (started %s)\n\n", e.name, time.Now().Format(time.TimeOnly))
+		start := time.Now()
+		if err := e.run(); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		fmt.Fprintf(stderr, "\n[%s done in %v]\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	if !matched {
 		fs.Usage()
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
+	return nil
+}
+
+// renderTable writes an experiment table and its note line.
+func renderTable(w io.Writer, tab *experiment.Table) error {
+	experiment.RenderTable(w, tab.Title, tab.Headers, tab.Rows)
+	_, err := fmt.Fprintf(w, "# %s\n", tab.Note)
 	return err
 }
 
