@@ -8,9 +8,9 @@ import (
 )
 
 // warmScratch returns a worker scratch that has already run every class
-// of r's mix once, so pooled policies, sources,
-// simulators, and ring buffers exist at their high-water marks — the
-// steady state a long-lived fleet worker operates in.
+// of r's mix once, so pooled policies, sources, simulators, and ring
+// buffers exist at their high-water marks — the steady state a
+// long-lived fleet worker operates in.
 func warmScratch(t testing.TB, r *runner, sum *Summary) *workerScratch {
 	t.Helper()
 	ws := &workerScratch{}
