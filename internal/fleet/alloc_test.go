@@ -43,24 +43,28 @@ func runInstance(ctx context.Context, r *runner, i int, ws *workerScratch, sum *
 // learner included). Part of the CI allocation-regression step
 // (AllocationFree name match).
 func TestFleetInstanceSetupAllocationFree(t *testing.T) {
-	spec := Spec{Devices: 64, Classes: DefaultMix(), Horizon: 64, Seed: 3}
-	r, err := newRunner(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := newSummary(r, 0)
-	ws := warmScratch(t, r, sum)
-	ctx := context.Background()
-	i := 0
-	allocs := testing.AllocsPerRun(16, func() {
-		if err := runInstance(ctx, r, i%spec.Devices, ws, sum); err != nil {
+	// The subtest is named for the continuous-time (ct) kernel, the
+	// fleet's one kernel.
+	t.Run("ct", func(t *testing.T) {
+		spec := Spec{Devices: 64, Classes: DefaultMix(), Horizon: 64, Seed: 3}
+		r, err := newRunner(spec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		i++
+		sum := newSummary(r, 0)
+		ws := warmScratch(t, r, sum)
+		ctx := context.Background()
+		i := 0
+		allocs := testing.AllocsPerRun(16, func() {
+			if err := runInstance(ctx, r, i%spec.Devices, ws, sum); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("instance lifecycle allocates %.1f times per instance after warm-up", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("instance lifecycle allocates %.1f times per instance after warm-up", allocs)
-	}
 }
 
 // TestFleetCTEventLoopAllocationFree is the fleet acceptance gate for
@@ -126,27 +130,31 @@ func TestFleetCTEventLoopAllocationFree(t *testing.T) {
 // shards run. Part of the CI allocation-regression step (AllocationFree
 // name match).
 func TestFleetShardLoopAllocationFree(t *testing.T) {
-	spec := Spec{Devices: 64, Classes: DefaultMix(), Horizon: 64, ShardSize: 64, Seed: 3}
-	r, err := newRunner(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := newSummary(r, 0)
-	ws := warmScratch(t, r, total)
-	ctx := context.Background()
-	cycle := func() {
-		part, err := r.runShard(ctx, 0, ws)
+	// The subtest is named for the continuous-time (ct) kernel, the
+	// fleet's one kernel.
+	t.Run("ct", func(t *testing.T) {
+		spec := Spec{Devices: 64, Classes: DefaultMix(), Horizon: 64, ShardSize: 64, Seed: 3}
+		r, err := newRunner(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total.Merge(part)
-		r.putSummary(part)
-	}
-	cycle() // warm: results store, pooled part, total's sketch bins
-	allocs := testing.AllocsPerRun(16, cycle)
-	if allocs != 0 {
-		t.Fatalf("shard loop allocates %.1f times per shard after warm-up", allocs)
-	}
+		total := newSummary(r, 0)
+		ws := warmScratch(t, r, total)
+		ctx := context.Background()
+		cycle := func() {
+			part, err := r.runShard(ctx, 0, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total.Merge(part)
+			r.putSummary(part)
+		}
+		cycle() // warm: results store, pooled part, total's sketch bins
+		allocs := testing.AllocsPerRun(16, cycle)
+		if allocs != 0 {
+			t.Fatalf("shard loop allocates %.1f times per shard after warm-up", allocs)
+		}
+	})
 }
 
 // TestFleetFaultedShardAllocationFree extends the shard-loop gate to
