@@ -396,12 +396,31 @@ type Adaptive struct {
 	cur    *LPPolicy
 	pendAt int64 // slot at which the pending re-solve completes (-1 none)
 	slot   int64
+	// memo maps each clamped rate re-solved so far to the policy that
+	// re-solve installed. Re-solves happen at most once a slot and at the
+	// estimate sum/n, which is k/Window once the window has filled, so
+	// the map holds at most 2·Window+1 entries: the initial rate, at most
+	// Window−1 rates from the filling window and Window+1 after.
+	memo map[float64]resolved
 
-	// Stats
-	Resolves    int64
+	// Resolves counts re-solves, the first solve included, whether the
+	// policy was solved for or reused from an earlier re-solve at the
+	// same clamped rate.
+	Resolves int64
+	// LPFallbacks counts the re-solves whose policy came from the RVI
+	// fallback, a reused fallback policy included.
 	LPFallbacks int64
 	AlarmCount  int64
-	SolveTime   time.Duration
+	// SolveTime is the wall time of the solves actually run, formulating
+	// the LP included; a reused policy adds nothing.
+	SolveTime time.Duration
+}
+
+// resolved is a re-solve's outcome: the policy it installed and whether
+// that policy came from the RVI fallback.
+type resolved struct {
+	pol      *LPPolicy
+	fallback bool
 }
 
 var _ slotsim.Learner = (*Adaptive)(nil)
@@ -433,7 +452,7 @@ func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) {
 	if cfg.OptimizeLatencySlots < 0 {
 		return nil, fmt.Errorf("stochpm: negative optimize latency %d", cfg.OptimizeLatencySlots)
 	}
-	a := &Adaptive{cfg: cfg, pendAt: -1}
+	a := &Adaptive{cfg: cfg, pendAt: -1, memo: make(map[float64]resolved)}
 	var err error
 	a.est, err = estimator.NewWindowRate(cfg.Window)
 	if err != nil {
@@ -453,6 +472,12 @@ func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) {
 // builds the model and the LP; later calls refill both in place, which
 // yields exactly what a fresh build would. SolveTime covers formulating
 // (or refilling) and solving the LP, not the model.
+//
+// A re-solve is a pure function of the clamped rate, and the policy
+// reads no rate-dependent part of the model, so a rate solved before
+// reinstalls the policy that solve built instead of solving again. The
+// policy draws from the controller's one stream either way. Failed
+// re-solves are not remembered.
 func (a *Adaptive) resolve(p float64) error {
 	// Clamp to a realistic band: the chain must stay unichain and the
 	// occupancy LP well-conditioned at both endpoints. The band also keeps
@@ -462,6 +487,10 @@ func (a *Adaptive) resolve(p float64) error {
 	}
 	if p > 0.98 {
 		p = 0.98
+	}
+	if r, ok := a.memo[p]; ok {
+		a.install(r)
+		return nil
 	}
 	var start time.Time
 	if a.occ == nil {
@@ -487,7 +516,8 @@ func (a *Adaptive) resolve(p float64) error {
 	}
 	d := a.occ.d
 	sol, err := a.occ.solve(start)
-	if err != nil {
+	fallback := err != nil
+	if fallback {
 		// Numerically cursed instance: fall back to relative value
 		// iteration, which solves the same average-cost problem.
 		res, rerr := d.AverageCostRVI(1e-7, 400000)
@@ -498,16 +528,25 @@ func (a *Adaptive) resolve(p float64) error {
 		if rerr != nil {
 			return rerr
 		}
-		a.LPFallbacks++
 	}
 	pol, err := NewLPPolicy(d, sol, a.cfg.Stream)
 	if err != nil {
 		return err
 	}
-	a.cur = pol
-	a.Resolves++
+	r := resolved{pol: pol, fallback: fallback}
+	a.memo[p] = r
+	a.install(r)
 	a.SolveTime += sol.SolveTime
 	return nil
+}
+
+// install puts a re-solve's policy in force and counts the re-solve.
+func (a *Adaptive) install(r resolved) {
+	a.cur = r.pol
+	a.Resolves++
+	if r.fallback {
+		a.LPFallbacks++
+	}
 }
 
 // Name identifies the controller.
