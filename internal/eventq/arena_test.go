@@ -7,6 +7,7 @@ package eventq
 
 import (
 	"container/heap"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -88,17 +89,40 @@ func (r *refKernel) fire() (float64, int) {
 // to the pre-arena kernel's. The "heap" subtest names the backing.
 func TestArenaMatchesReferenceHeap(t *testing.T) {
 	t.Run("heap", func(t *testing.T) {
-		if err := quick.Check(matchesReferenceOnce, &quick.Config{MaxCount: 150}); err != nil {
+		once := func(seed uint64) bool { return matchesReference(400, rng.New(seed).Float64) == nil }
+		if err := quick.Check(once, &quick.Config{MaxCount: 150}); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
-// matchesReferenceOnce runs one 400-op random interleaving of the
-// production kernel against the reference kernel; false means the fire
-// sequences diverged.
-func matchesReferenceOnce(seed uint64) bool {
-	s := rng.New(seed)
+// FuzzKernelOrder runs matchesReference on interleavings decoded from the
+// input: each byte b is one choice b/256 — an op, a schedule time's
+// offset from now, or the live event to cancel. Inputs are cut to 4 KiB,
+// since the reference's bookkeeping is quadratic in the live events.
+func FuzzKernelOrder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), 4<<10)]
+		next := func() float64 {
+			if len(data) == 0 {
+				return 0
+			}
+			v := float64(data[0]) / 256
+			data = data[1:]
+			return v
+		}
+		if err := matchesReference(len(data)/2, next); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// matchesReference runs ops steps of an interleaving of schedules,
+// cancels and fires on the production kernel and the reference kernel
+// alike, then drains both. next supplies each choice, a value in [0, 1).
+// It returns an error when the fire sequences (time and event identity)
+// or the kernel's fire count diverge.
+func matchesReference(ops int, next func() float64) error {
 	k := New()
 	ref := &refKernel{}
 
@@ -111,11 +135,11 @@ func matchesReferenceOnce(seed uint64) bool {
 	var gotID, wantID []int
 	nextID := 0
 
-	for op := 0; op < 400; op++ {
-		switch v := s.Float64(); {
+	for op := 0; op < ops; op++ {
+		switch v := next(); {
 		case v < 0.55: // schedule
 			// Coarse times force heavy ties; the tie-break must match.
-			tt := k.Now() + float64(int(s.Float64()*8))
+			tt := k.Now() + float64(int(next()*8))
 			id := nextID
 			nextID++
 			r, err := k.Schedule(tt, func(now float64) {
@@ -123,19 +147,18 @@ func matchesReferenceOnce(seed uint64) bool {
 				gotID = append(gotID, id)
 			})
 			if err != nil {
-				return false
+				return err
 			}
 			live = append(live, livePair{r: r, re: ref.schedule(tt, id)})
 		case v < 0.75 && len(live) > 0: // cancel a random live event
-			i := int(s.Float64() * float64(len(live)))
+			i := int(next() * float64(len(live)))
 			k.Cancel(live[i].r)
 			ref.cancel(live[i].re)
 			live = append(live[:i], live[i+1:]...)
 		default: // fire one
 			wt, wid := ref.fire()
-			fired := k.Step()
-			if (wid >= 0) != fired {
-				return false
+			if fired := k.Step(); (wid >= 0) != fired {
+				return fmt.Errorf("op %d: kernel fired %v, reference fired event %d", op, fired, wid)
 			}
 			if wid >= 0 {
 				wantT = append(wantT, wt)
@@ -157,23 +180,23 @@ func matchesReferenceOnce(seed uint64) bool {
 			break
 		}
 		if !k.Step() {
-			return false
+			return fmt.Errorf("kernel drained before the reference's event %d", wid)
 		}
 		wantT = append(wantT, wt)
 		wantID = append(wantID, wid)
 	}
 	if k.Step() {
-		return false
+		return fmt.Errorf("kernel fired after the reference drained")
 	}
-	if len(gotT) != len(wantT) {
-		return false
+	if len(gotT) != len(wantT) || k.Fired() != uint64(len(wantT)) {
+		return fmt.Errorf("kernel fired %d events (Fired %d), reference %d", len(gotT), k.Fired(), len(wantT))
 	}
 	for i := range gotT {
 		if gotT[i] != wantT[i] || gotID[i] != wantID[i] {
-			return false
+			return fmt.Errorf("fire %d: event %d at %v, reference event %d at %v", i, gotID[i], gotT[i], wantID[i], wantT[i])
 		}
 	}
-	return true
+	return nil
 }
 
 // TestFreeListReuse pins the zero-allocation contract structurally: a

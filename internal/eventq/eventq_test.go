@@ -4,9 +4,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/rng"
 )
 
 func TestFiresInTimeOrder(t *testing.T) {
@@ -331,33 +328,6 @@ func TestFiredAndLenCounters(t *testing.T) {
 	}
 	if p := k.Len(); p != 0 {
 		t.Fatalf("Len after run = %d, want 0", p)
-	}
-}
-
-// Property: for any batch of random schedule times, events fire in
-// nondecreasing time order and the clock never moves backward.
-func TestPropertyOrderInvariant(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		s := rng.New(seed)
-		k := New()
-		last := -1.0
-		ok := true
-		for i := 0; i < n; i++ {
-			k.Schedule(s.Float64()*100, func(now float64) {
-				if now < last {
-					ok = false
-				}
-				last = now
-			})
-		}
-		if err := k.Run(101); err != nil {
-			return false
-		}
-		return ok && k.Fired() == uint64(n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
