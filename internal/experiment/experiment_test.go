@@ -3,12 +3,18 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/golden_r1_columns.txt")
 
 // miniFig1 returns a small-but-meaningful Fig. 1 configuration for tests.
 func miniFig1() Fig1Config {
@@ -226,6 +232,39 @@ func TestTableR1OrdersOfMagnitude(t *testing.T) {
 	RenderTable(&buf, tab.Title, tab.Headers, tab.Rows)
 	if !strings.Contains(buf.String(), "Table R1") {
 		t.Error("render missing title")
+	}
+}
+
+// TestTableR1DeterministicColumns pins the columns of Table R1 that no
+// machine load moves — the state count, the Q table and model sizes and
+// the LP's pivot count — at queue caps 3 and 8. The wall-clock columns
+// are left out. -update rewrites testdata/golden_r1_columns.txt.
+func TestTableR1DeterministicColumns(t *testing.T) {
+	_, rows, err := TableR1Ctx(context.Background(), []int{3, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString("# |S| QTableBytes ModelBytes LPPivots\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%d %d %d %d\n", r.States, r.QTableBytes, r.ModelBytes, r.LPPivots)
+	}
+	golden := filepath.Join("testdata", "golden_r1_columns.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("Table R1's deterministic columns differ from %s:\n%s\nwant:\n%s", golden, got, want)
 	}
 }
 
