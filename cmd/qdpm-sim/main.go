@@ -77,6 +77,9 @@ func run() error {
 		traceIn  = flag.String("trace", "", "ct mode: replay arrivals from this trace file instead of -workload")
 	)
 	flag.Parse()
+	if *replicas < 1 {
+		return fmt.Errorf("replicas %d must be >= 1", *replicas)
+	}
 
 	psm, err := device.Lookup(*devName)
 	if err != nil {

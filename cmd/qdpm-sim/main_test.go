@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -124,5 +127,32 @@ func TestBuildCTSourceTraceReplay(t *testing.T) {
 	}
 	if got := src.Next(s); !math.IsInf(got, 1) {
 		t.Fatalf("exhausted trace returned %v, want +Inf", got)
+	}
+}
+
+// TestReplicasBelowOneRejected runs the command with -replicas 0 and -3
+// in both modes and expects a non-zero exit naming the bad count before
+// any simulation runs. run reads the global flag set, so the test binary
+// re-executes itself as the command: with QDPM_SIM_TEST_ARGS set, the
+// test calls main on those arguments instead.
+func TestReplicasBelowOneRejected(t *testing.T) {
+	if args, ok := os.LookupEnv("QDPM_SIM_TEST_ARGS"); ok {
+		os.Args = append([]string{"qdpm-sim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, mode := range []string{"slot", "ct"} {
+		for _, n := range []string{"0", "-3"} {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestReplicasBelowOneRejected$")
+			cmd.Env = append(os.Environ(), "QDPM_SIM_TEST_ARGS=-mode "+mode+" -replicas "+n+" -slots 100")
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) {
+				t.Fatalf("-mode %s -replicas %s: want a non-zero exit, got %v\n%s", mode, n, err, out)
+			}
+			if want := "replicas " + n + " must be >= 1"; !strings.Contains(string(out), want) {
+				t.Errorf("-mode %s -replicas %s: output %q lacks %q", mode, n, out, want)
+			}
+		}
 	}
 }

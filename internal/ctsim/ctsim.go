@@ -579,10 +579,6 @@ func (s *Sim) periodic() bool { return s.cfg.DecisionPeriod > 0 }
 // Now returns the current simulation time.
 func (s *Sim) Now() float64 { return s.k.Now() }
 
-// PendingEvents returns the kernel's live event count (O(1)); useful to
-// detect a drained simulation.
-func (s *Sim) PendingEvents() int { return s.k.Len() }
-
 // FiredEvents returns the number of kernel events executed.
 func (s *Sim) FiredEvents() uint64 { return s.k.Fired() }
 

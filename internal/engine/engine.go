@@ -87,7 +87,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: job %d panicked: %v", e.Index, e.Value)
 }
 
-// JobError records one failed job of a keep-going run.
+// JobError records one failed job of a MapReduceWorkersKeepGoing run.
 type JobError struct {
 	// Index is the failed job's index.
 	Index int
@@ -101,9 +101,9 @@ func (e *JobError) Error() string { return fmt.Sprintf("engine: job %d: %v", e.I
 // Unwrap exposes the job's underlying error to errors.Is/As.
 func (e *JobError) Unwrap() error { return e.Err }
 
-// PartialError reports that a keep-going run finished with some jobs
-// failed: every other job ran and was reduced, and Failed lists the
-// casualties in job-index order.
+// PartialError reports that a MapReduceWorkersKeepGoing run finished
+// with some jobs failed: every other job ran and was reduced, and Failed
+// lists the casualties in job-index order.
 type PartialError struct {
 	// Failed holds one entry per failed job, ascending by index.
 	Failed []JobError
@@ -225,8 +225,15 @@ func MapWorkers[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.
 	return results, ctx.Err()
 }
 
-// MapReduceWorkers runs fn(ctx, worker, i) like MapWorkers but streams
-// the results into reduce in strict job-index order instead of
+// reduceSlot is one buffered MapReduceWorkersKeepGoing result: a value
+// to fold, or a failure to skip past.
+type reduceSlot[T any] struct {
+	v   T
+	err error // non-nil: the job failed; skip the fold for this index
+}
+
+// MapReduceWorkersKeepGoing runs fn(ctx, worker, i) like MapWorkers but
+// streams the results into reduce in strict job-index order instead of
 // collecting them: reduce(0, v0) completes before reduce(1, v1), and so
 // on, so an order-sensitive fold (a merge tree reduced left to right)
 // gets exactly the sequential reduction regardless of worker count.
@@ -241,49 +248,24 @@ func MapWorkers[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.
 // the workers run 2×workers jobs ahead of it.
 //
 // reduce calls are serialized (no locking needed inside) but run on
-// worker goroutines, so a slow reduce backpressures the pool. A reduce
-// error cancels the remaining work like a job error. Error, panic, and
-// cancellation semantics otherwise match MapWorkers; on failure some
-// prefix of the results may already have been reduced. MapWorkers is
-// deliberately not implemented on top of this function: its callers
-// want ungated dispatch (no token window, no head-of-line coupling
-// between a slow job and later dispatch), which is the right discipline
-// when all results are materialized anyway.
-func MapReduceWorkers[T any](ctx context.Context, p *Pool, n int,
-	fn func(ctx context.Context, worker, i int) (T, error),
-	reduce func(i int, v T) error,
-) error {
-	return mapReduceWorkers(ctx, p, n, fn, reduce, false)
-}
-
-// MapReduceWorkersKeepGoing is MapReduceWorkers with failure isolation
-// inverted: a job that errors or panics no longer cancels the run —
+// worker goroutines, so a slow reduce backpressures the pool.
+//
+// Failures are isolated, the graceful-degradation discipline for long
+// fan-outs where one poisoned shard should cost its own results, not
+// the whole run: a job that errors or panics does not cancel the run —
 // its slot is skipped in the fold (reduce is never called for it) and
 // every other job still runs and reduces in strict index order. If any
-// jobs failed, the call returns a *PartialError listing them by index;
-// context cancellation (and job errors caused by it) remains fatal and
-// behaves exactly like MapReduceWorkers.
-//
-// This is the graceful-degradation discipline for long fan-outs where
-// one poisoned shard should cost its own results, not the whole run.
+// jobs failed, the call returns a *PartialError listing them by index.
+// A reduce error, context cancellation, and job errors caused by
+// cancellation are fatal instead: they cancel the remaining work and
+// are returned, and some prefix of the results may already have been
+// reduced. MapWorkers is deliberately not implemented on top of this
+// function: its callers want ungated dispatch (no token window, no
+// head-of-line coupling between a slow job and later dispatch), which
+// is the right discipline when all results are materialized anyway.
 func MapReduceWorkersKeepGoing[T any](ctx context.Context, p *Pool, n int,
 	fn func(ctx context.Context, worker, i int) (T, error),
 	reduce func(i int, v T) error,
-) error {
-	return mapReduceWorkers(ctx, p, n, fn, reduce, true)
-}
-
-// reduceSlot is one buffered mapReduceWorkers result: a value to fold,
-// or (keep-going mode) a failure to skip past.
-type reduceSlot[T any] struct {
-	v   T
-	err error // non-nil: the job failed; skip the fold for this index
-}
-
-func mapReduceWorkers[T any](ctx context.Context, p *Pool, n int,
-	fn func(ctx context.Context, worker, i int) (T, error),
-	reduce func(i int, v T) error,
-	keepGoing bool,
 ) error {
 	if n < 0 {
 		return fmt.Errorf("engine: negative job count %d", n)
@@ -320,12 +302,12 @@ func mapReduceWorkers[T any](ctx context.Context, p *Pool, n int,
 		mu.Unlock()
 		cancel()
 	}
-	// deliver buffers one result (or, keep-going, one failure) and folds
-	// every consecutively available result from `next` on, releasing one
-	// token per advanced index. Calls are serialized under mu, so reduce
-	// needs no locking of its own and the fold order is exactly 0, 1,
-	// 2, ... — failed slots are skipped, never reduced, and recorded in
-	// `failed` in that same order.
+	// deliver buffers one result (or one failure) and folds every
+	// consecutively available result from `next` on, releasing one token
+	// per advanced index. Calls are serialized under mu, so reduce needs
+	// no locking of its own and the fold order is exactly 0, 1, 2, ... —
+	// failed slots are skipped, never reduced, and recorded in `failed`
+	// in that same order.
 	deliver := func(i int, s reduceSlot[T]) error {
 		mu.Lock()
 		defer mu.Unlock()
@@ -354,10 +336,6 @@ func mapReduceWorkers[T any](ctx context.Context, p *Pool, n int,
 		defer func() {
 			if v := recover(); v != nil {
 				perr := &PanicError{Index: i, Value: v, Stack: debug.Stack()}
-				if !keepGoing {
-					fail(perr)
-					return
-				}
 				if err := deliver(i, reduceSlot[T]{err: perr}); err != nil {
 					fail(err)
 				}
@@ -365,10 +343,10 @@ func mapReduceWorkers[T any](ctx context.Context, p *Pool, n int,
 		}()
 		v, err := fn(ctx, worker, i)
 		if err != nil {
-			// Cancellation-shaped errors stay fatal even in keep-going
-			// mode: once the context is done, skipping ahead would just
-			// churn jobs that are all about to fail the same way.
-			if !keepGoing || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			// Cancellation-shaped errors stay fatal: once the context is
+			// done, skipping ahead would just churn jobs that are all
+			// about to fail the same way.
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fail(fmt.Errorf("engine: job %d: %w", i, err))
 				return
 			}

@@ -315,7 +315,7 @@ func TestMapReduceWorkersOrderedFold(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		var got []int
 		var buffered, maxBuffered atomic.Int64
-		err := MapReduceWorkers(context.Background(), &Pool{Workers: workers}, n,
+		err := MapReduceWorkersKeepGoing(context.Background(), &Pool{Workers: workers}, n,
 			func(_ context.Context, _, i int) (int, error) {
 				time.Sleep(time.Duration(i%7) * 100 * time.Microsecond)
 				if b := buffered.Add(1); b > maxBuffered.Load() {
@@ -351,45 +351,7 @@ func TestMapReduceWorkersOrderedFold(t *testing.T) {
 	}
 }
 
-// TestMapReduceWorkersErrors: job errors and reduce errors both cancel
-// the run and surface; a cancelled context aborts promptly.
-func TestMapReduceWorkersErrors(t *testing.T) {
-	boom := errors.New("boom")
-	err := MapReduceWorkers(context.Background(), &Pool{Workers: 4}, 50,
-		func(_ context.Context, _, i int) (int, error) {
-			if i == 13 {
-				return 0, boom
-			}
-			return i, nil
-		},
-		func(int, int) error { return nil })
-	if !errors.Is(err, boom) {
-		t.Fatalf("job error lost: %v", err)
-	}
-
-	err = MapReduceWorkers(context.Background(), &Pool{Workers: 4}, 50,
-		func(_ context.Context, _, i int) (int, error) { return i, nil },
-		func(i, _ int) error {
-			if i == 7 {
-				return boom
-			}
-			return nil
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("reduce error lost: %v", err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err = MapReduceWorkers(ctx, nil, 50,
-		func(ctx context.Context, _, i int) (int, error) { return i, ctx.Err() },
-		func(int, int) error { return nil })
-	if err == nil {
-		t.Fatal("cancelled context returned nil")
-	}
-}
-
-// TestMapReduceKeepGoingSkipsFailures: in keep-going mode a job error
+// TestMapReduceKeepGoingSkipsFailures: a job error
 // or panic drops only its own slot — every other job still reduces, in
 // strict index order — and the run reports the casualties as a
 // *PartialError listing them ascending by index.
@@ -451,8 +413,8 @@ func TestMapReduceKeepGoingSkipsFailures(t *testing.T) {
 	}
 }
 
-// TestMapReduceKeepGoingCleanRun: with no failures, keep-going mode is
-// indistinguishable from MapReduceWorkers (nil error, full fold).
+// TestMapReduceKeepGoingCleanRun: with no failures the run returns a nil
+// error after a full fold.
 func TestMapReduceKeepGoingCleanRun(t *testing.T) {
 	var got []int
 	err := MapReduceWorkersKeepGoing(context.Background(), &Pool{Workers: 3}, 40,
@@ -467,9 +429,9 @@ func TestMapReduceKeepGoingCleanRun(t *testing.T) {
 }
 
 // TestMapReduceKeepGoingCancellationStillFatal: context cancellation —
-// and job errors shaped like it — aborts a keep-going run exactly like
-// the fail-fast variant; it must not be recorded as a skippable
-// failure.
+// and job errors shaped like it — aborts the run and surfaces its error;
+// it must not be recorded as a skippable failure. A reduce error is
+// fatal too.
 func TestMapReduceKeepGoingCancellationStillFatal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	reduced := 0

@@ -1,9 +1,8 @@
 // Package estimator implements the online parameter-estimation and change-
 // detection machinery that model-based adaptive DPM needs and Q-DPM
-// dispenses with: sliding-window and exponentially-weighted rate
-// estimators for the arrival process, and CUSUM / Page–Hinkley detectors
-// for the "mode-switch controller" that decides when the model has drifted
-// enough to warrant re-running policy optimization.
+// dispenses with: a sliding-window rate estimator for the arrival process,
+// and a CUSUM detector for the "mode-switch controller" that decides when
+// the model has drifted enough to warrant re-running policy optimization.
 //
 // The paper's core claim is that this whole pipeline costs time and delays
 // adaptation; this package exists so the claim can be measured (Fig. 2 and
@@ -65,40 +64,6 @@ func (e *WindowRate) N() int { return e.n }
 
 // ---------------------------------------------------------------------------
 
-// EWMARate is an exponentially weighted rate estimator; cheaper than a
-// window but with a bias/variance trade-off set by alpha.
-type EWMARate struct {
-	alpha float64
-	rate  float64
-	init  bool
-}
-
-// NewEWMARate validates alpha ∈ (0,1].
-func NewEWMARate(alpha float64) (*EWMARate, error) {
-	if !(alpha > 0) || alpha > 1 {
-		return nil, fmt.Errorf("estimator: EWMA alpha %v out of (0,1]", alpha)
-	}
-	return &EWMARate{alpha: alpha}, nil
-}
-
-// Add records one slot's arrival indicator.
-func (e *EWMARate) Add(arrivals int) {
-	v := 0.0
-	if arrivals > 0 {
-		v = 1
-	}
-	if !e.init {
-		e.rate, e.init = v, true
-		return
-	}
-	e.rate = e.alpha*v + (1-e.alpha)*e.rate
-}
-
-// Rate returns the current estimate.
-func (e *EWMARate) Rate() float64 { return e.rate }
-
-// ---------------------------------------------------------------------------
-
 // CUSUM is a two-sided cumulative-sum change detector on a Bernoulli
 // stream. It tracks deviations of the observed indicator from a reference
 // rate; when either one-sided statistic exceeds the threshold h, a change
@@ -154,63 +119,3 @@ func (c *CUSUM) Add(arrivals int) bool {
 
 // Alarms returns the number of changes declared so far.
 func (c *CUSUM) Alarms() int64 { return c.alarms }
-
-// ---------------------------------------------------------------------------
-
-// PageHinkley is the Page–Hinkley test for mean shift in a bounded stream:
-// it accumulates deviations from the running mean and alarms when the
-// accumulated drift leaves its running extremum by more than lambda.
-type PageHinkley struct {
-	delta  float64 // tolerated drift per step
-	lambda float64 // alarm threshold
-	n      int64
-	mean   float64
-	mPos   float64 // cumulative positive statistic
-	mPosMn float64
-	mNeg   float64
-	mNegMx float64
-	alarms int64
-}
-
-// NewPageHinkley returns a detector with drift tolerance delta and
-// threshold lambda.
-func NewPageHinkley(delta, lambda float64) (*PageHinkley, error) {
-	if !(delta >= 0) {
-		return nil, fmt.Errorf("estimator: Page-Hinkley delta %v must be >= 0", delta)
-	}
-	if !(lambda > 0) {
-		return nil, fmt.Errorf("estimator: Page-Hinkley lambda %v must be positive", lambda)
-	}
-	return &PageHinkley{delta: delta, lambda: lambda}, nil
-}
-
-// Add consumes one observation and reports whether a change fired. After
-// an alarm the statistics reset.
-func (p *PageHinkley) Add(x float64) bool {
-	p.n++
-	p.mean += (x - p.mean) / float64(p.n)
-	p.mPos += x - p.mean - p.delta
-	if p.mPos < p.mPosMn {
-		p.mPosMn = p.mPos
-	}
-	p.mNeg += x - p.mean + p.delta
-	if p.mNeg > p.mNegMx {
-		p.mNegMx = p.mNeg
-	}
-	if p.mPos-p.mPosMn > p.lambda || p.mNegMx-p.mNeg > p.lambda {
-		p.reset()
-		p.alarms++
-		return true
-	}
-	return false
-}
-
-func (p *PageHinkley) reset() {
-	p.n = 0
-	p.mean = 0
-	p.mPos, p.mPosMn = 0, 0
-	p.mNeg, p.mNegMx = 0, 0
-}
-
-// Alarms returns the number of changes declared so far.
-func (p *PageHinkley) Alarms() int64 { return p.alarms }

@@ -61,53 +61,6 @@ func TestWindowRateConvergence(t *testing.T) {
 	}
 }
 
-func TestEWMARate(t *testing.T) {
-	e, err := NewEWMARate(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Add(1)
-	if e.Rate() != 1 {
-		t.Errorf("first rate %v, want 1", e.Rate())
-	}
-	e.Add(0)
-	if e.Rate() != 0.5 {
-		t.Errorf("rate %v, want 0.5", e.Rate())
-	}
-}
-
-func TestEWMARateValidation(t *testing.T) {
-	for _, a := range []float64{0, -1, 1.5} {
-		if _, err := NewEWMARate(a); err == nil {
-			t.Errorf("alpha %v accepted", a)
-		}
-	}
-}
-
-func TestEWMATracksShift(t *testing.T) {
-	e, _ := NewEWMARate(0.05)
-	s := rng.New(2)
-	for i := 0; i < 2000; i++ {
-		a := 0
-		if s.Bool(0.1) {
-			a = 1
-		}
-		e.Add(a)
-	}
-	low := e.Rate()
-	for i := 0; i < 2000; i++ {
-		a := 0
-		if s.Bool(0.8) {
-			a = 1
-		}
-		e.Add(a)
-	}
-	high := e.Rate()
-	if math.Abs(low-0.1) > 0.1 || math.Abs(high-0.8) > 0.1 {
-		t.Errorf("EWMA did not track shift: low %v high %v", low, high)
-	}
-}
-
 func TestCUSUMDetectsUpShift(t *testing.T) {
 	c, err := NewCUSUM(0.1, 0.05, 4)
 	if err != nil {
@@ -203,53 +156,6 @@ func TestCUSUMValidation(t *testing.T) {
 	}
 	if _, err := NewCUSUM(0.5, 0.05, 0); err == nil {
 		t.Error("zero threshold accepted")
-	}
-}
-
-func TestPageHinkleyDetectsShift(t *testing.T) {
-	// Bernoulli indicators are high-variance (per-step std ~0.4), so the
-	// drift tolerance must eat the noise: delta = 0.1, lambda = 15.
-	p, err := NewPageHinkley(0.1, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rng.New(6)
-	for i := 0; i < 3000; i++ {
-		v := 0.0
-		if s.Bool(0.2) {
-			v = 1
-		}
-		p.Add(v)
-	}
-	inControl := p.Alarms()
-	fired := -1
-	for i := 0; i < 1000; i++ {
-		v := 0.0
-		if s.Bool(0.9) {
-			v = 1
-		}
-		if p.Add(v) {
-			fired = i
-			break
-		}
-	}
-	if fired < 0 {
-		t.Fatal("Page-Hinkley never fired on a 0.2->0.9 shift")
-	}
-	if fired > 200 {
-		t.Errorf("Page-Hinkley delay %d, want <= 200", fired)
-	}
-	if inControl > 3 {
-		t.Errorf("Page-Hinkley false alarms in control: %d", inControl)
-	}
-}
-
-func TestPageHinkleyValidation(t *testing.T) {
-	if _, err := NewPageHinkley(-1, 5); err == nil {
-		t.Error("negative delta accepted")
-	}
-	if _, err := NewPageHinkley(0.01, 0); err == nil {
-		t.Error("zero lambda accepted")
 	}
 }
 

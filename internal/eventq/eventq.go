@@ -152,13 +152,12 @@ func minChild4(h []heapNode, c int) int {
 // concurrent use; simulations that need parallelism run one Kernel per
 // goroutine with split rng streams.
 type Kernel struct {
-	now     float64
-	arena   []event
-	heap    []heapNode // (time, seq, arena index) ordered as a 4-ary min-heap
-	free    int32      // free-list head (slot+1 form), 0 = empty
-	seq     uint64
-	fired   uint64
-	stopped bool
+	now   float64
+	arena []event
+	heap  []heapNode // (time, seq, arena index) ordered as a 4-ary min-heap
+	free  int32      // free-list head (slot+1 form), 0 = empty
+	seq   uint64
+	fired uint64
 }
 
 // New returns a kernel with the clock at 0.
@@ -177,7 +176,6 @@ func (k *Kernel) Reset() {
 	k.now = 0
 	k.seq = 0
 	k.fired = 0
-	k.stopped = false
 }
 
 // Now returns the current simulation time.
@@ -285,10 +283,6 @@ func (k *Kernel) Cancel(r Ref) {
 	k.release(idx)
 }
 
-// Stop makes Run return after the current event completes, leaving the
-// clock at that event's time.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // Step fires the earliest pending event. It returns false when the queue
 // is empty.
 func (k *Kernel) Step() bool {
@@ -308,22 +302,18 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty, Stop is called, or the
-// clock would exceed horizon (events after the horizon remain queued). On
-// a natural exit — queue drained or next event past the horizon — the
-// clock advances to exactly horizon. A Stop exit leaves the clock at the
-// last fired event, so the caller can observe exactly how far the
-// simulation got and resume from there.
+// Run executes events until the queue is empty or the clock would exceed
+// horizon (events after the horizon remain queued), then advances the
+// clock to exactly horizon.
 func (k *Kernel) Run(horizon float64) error {
 	if horizon < k.now {
 		return fmt.Errorf("eventq: horizon %v precedes current time %v", horizon, k.now)
 	}
-	k.stopped = false
 	hkey := timeKey(horizon)
-	for !k.stopped && len(k.heap) > 0 && k.heap[0].key <= hkey {
+	for len(k.heap) > 0 && k.heap[0].key <= hkey {
 		k.Step()
 	}
-	if !k.stopped && k.now < horizon {
+	if k.now < horizon {
 		k.now = horizon
 	}
 	return nil

@@ -191,43 +191,6 @@ func TestRunRejectsPastHorizon(t *testing.T) {
 	}
 }
 
-func TestStopInsideHandler(t *testing.T) {
-	k := New()
-	fired := 0
-	k.Schedule(1, func(float64) { fired++; k.Stop() })
-	k.Schedule(2, func(float64) { fired++ })
-	k.Run(10)
-	if fired != 1 {
-		t.Fatalf("Stop did not halt execution, fired %d", fired)
-	}
-}
-
-// Regression: Run used to fast-forward the clock to the horizon even when
-// it exited via Stop, contradicting "Run returns after the current event
-// completes". A stopped run must leave the clock at the last fired event.
-func TestStopLeavesClockAtCurrentEvent(t *testing.T) {
-	k := New()
-	k.Schedule(1, func(float64) { k.Stop() })
-	k.Schedule(7, func(float64) {})
-	if err := k.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if k.Now() != 1 {
-		t.Fatalf("clock after Stop at %v, want 1 (the stopping event's time)", k.Now())
-	}
-	// The run resumes cleanly: the remaining event fires and a natural
-	// exit advances the clock to the horizon.
-	if err := k.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if k.Fired() != 2 {
-		t.Fatalf("fired %d after resume, want 2", k.Fired())
-	}
-	if k.Now() != 10 {
-		t.Fatalf("clock after natural exit at %v, want 10", k.Now())
-	}
-}
-
 // Len must stay exact through schedule/cancel/fire interleavings,
 // including cancels of already-fired and already-canceled events — on the
 // indexed heap, Cancel removes immediately, so Len is the heap length.

@@ -36,7 +36,7 @@
 //     is allocation-free in steady state
 //     (TestFleetCTEventLoopAllocationFree).
 //   - Shard summaries stream through an index-ordered fold
-//     (engine.MapReduceWorkers) and wait percentiles default to a
+//     (engine.MapReduceWorkersKeepGoing) and wait percentiles default to a
 //     mergeable log-binned sketch (Spec.Quantiles), so fleet memory is
 //     O(workers + classes), independent of the device count.
 //
@@ -389,7 +389,7 @@ type runner struct {
 	// sumFree recycles shard summaries between runShard (producer) and
 	// the serialized reducer in Run (consumer, which returns each part
 	// after merging it). A free list — rather than one summary per worker
-	// — is required because MapReduceWorkers buffers a window of
+	// — is required because MapReduceWorkersKeepGoing buffers a window of
 	// completed summaries per worker for the in-order fold, so a worker
 	// may start its next shard while earlier summaries are still queued.
 	// With recycling, summary construction cost scales with the in-flight
@@ -720,12 +720,12 @@ func (e *PartialError) Error() string {
 // and returns the merged fleet summary. Output is bit-identical for
 // every pool size: shards are a pure function of the spec and their
 // summaries stream through the fold in shard-index order
-// (engine.MapReduceWorkers), so resident memory is O(workers + classes)
-// — per-worker pooled simulators plus a bounded window of in-flight
-// shard summaries — never O(devices), which is what makes a
-// million-device fleet a time budget rather than a memory budget. (The
-// exact-quantile opt-in is the one exception: it accumulates one float
-// per instance; see Spec.Quantiles.)
+// (engine.MapReduceWorkersKeepGoing), so resident memory is
+// O(workers + classes) — per-worker pooled simulators plus a bounded
+// window of in-flight shard summaries — never O(devices), which is what
+// makes a million-device fleet a time budget rather than a memory
+// budget. (The exact-quantile opt-in is the one exception: it
+// accumulates one float per instance; see Spec.Quantiles.)
 //
 // Shard failures degrade gracefully: a shard that errors or panics is
 // dropped from the fold, the remaining shards still run, and Run

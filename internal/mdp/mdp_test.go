@@ -100,50 +100,6 @@ func TestValueIterationValidation(t *testing.T) {
 	}
 }
 
-func TestPolicyIterationMatchesValueIteration(t *testing.T) {
-	m := twoStateChain()
-	for _, gamma := range []float64{0.3, 0.5, 0.9, 0.99} {
-		vi, err := m.ValueIteration(gamma, 1e-10, 1000000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pi, err := m.PolicyIteration(gamma, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < m.N; s++ {
-			if math.Abs(vi.Value[s]-pi.Value[s]) > 1e-5 {
-				t.Errorf("gamma=%v state %d: VI %v PI %v", gamma, s, vi.Value[s], pi.Value[s])
-			}
-		}
-	}
-}
-
-func TestEvaluateDiscountedClosedForm(t *testing.T) {
-	m := twoStateChain()
-	// Policy: stay in s0. V(s0) = 1/(1-γ).
-	v, err := m.EvaluateDiscounted(Policy{0, 0}, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v[0]-5) > 1e-9 {
-		t.Errorf("V(s0) = %v, want 5", v[0])
-	}
-	if math.Abs(v[1]) > 1e-12 {
-		t.Errorf("V(s1) = %v, want 0", v[1])
-	}
-}
-
-func TestEvaluateDiscountedRejectsBadPolicy(t *testing.T) {
-	m := twoStateChain()
-	if _, err := m.EvaluateDiscounted(Policy{0}, 0.9); err == nil {
-		t.Error("short policy accepted")
-	}
-	if _, err := m.EvaluateDiscounted(Policy{7, 0}, 0.9); err == nil {
-		t.Error("out-of-range action accepted")
-	}
-}
-
 func TestAverageCostRVIHandComputable(t *testing.T) {
 	// Cycle MDP: two states, each with a single action moving to the
 	// other. Costs 2 and 4: average cost must be 3 regardless of policy.
@@ -355,31 +311,6 @@ func TestActionTargetErrors(t *testing.T) {
 	pol2[s] = 99
 	if _, err := d.ActionTarget(pol2, 0, 0); err == nil {
 		t.Error("out-of-range action index accepted")
-	}
-}
-
-func TestGreedyFromValues(t *testing.T) {
-	m := twoStateChain()
-	res, _ := m.ValueIteration(0.9, 1e-9, 100000)
-	pol, err := m.GreedyFromValues(res.Value, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range pol {
-		if pol[s] != res.Policy[s] {
-			t.Errorf("greedy policy differs from VI policy at state %d", s)
-		}
-	}
-	if _, err := m.GreedyFromValues([]float64{0}, 0.9); err == nil {
-		t.Error("short value vector accepted")
-	}
-}
-
-func TestSolveDenseSingularRejected(t *testing.T) {
-	a := [][]float64{{1, 1}, {1, 1}}
-	b := []float64{1, 2}
-	if _, err := solveDense(a, b); err == nil {
-		t.Error("singular system accepted")
 	}
 }
 

@@ -69,113 +69,6 @@ func (m *Model) ValueIteration(gamma, eps float64, maxIter int) (*SolveResult, e
 	return nil, fmt.Errorf("mdp: value iteration did not converge in %d iterations", maxIter)
 }
 
-// PolicyIteration solves the discounted problem by alternating exact policy
-// evaluation (dense linear solve) and greedy improvement. It terminates
-// when the policy is stable, which for finite MDPs is guaranteed within a
-// finite number of improvements.
-func (m *Model) PolicyIteration(gamma float64, maxIter int) (*SolveResult, error) {
-	if !(gamma > 0) || gamma >= 1 {
-		return nil, fmt.Errorf("mdp: discount %v out of (0,1)", gamma)
-	}
-	if maxIter <= 0 {
-		return nil, fmt.Errorf("mdp: max iterations %d must be positive", maxIter)
-	}
-	pol := make(Policy, m.N) // start with first action everywhere
-	for it := 1; it <= maxIter; it++ {
-		v, err := m.EvaluateDiscounted(pol, gamma)
-		if err != nil {
-			return nil, err
-		}
-		stable := true
-		for s := 0; s < m.N; s++ {
-			_, bestA := m.backup(s, v, gamma)
-			// Keep the incumbent unless strictly better, for stability.
-			cur := m.qValue(s, pol[s], v, gamma)
-			best := m.qValue(s, bestA, v, gamma)
-			if best < cur-1e-10 {
-				pol[s] = bestA
-				stable = false
-			}
-		}
-		if stable {
-			return &SolveResult{Policy: pol, Value: v, Iterations: it}, nil
-		}
-	}
-	return nil, fmt.Errorf("mdp: policy iteration did not converge in %d iterations", maxIter)
-}
-
-func (m *Model) qValue(s, ai int, v []float64, gamma float64) float64 {
-	x := m.Costs[s][ai]
-	for _, o := range m.Trans[s][ai] {
-		x += gamma * o.P * v[o.Next]
-	}
-	return x
-}
-
-// EvaluateDiscounted computes V^π for a fixed policy by solving
-// (I − γ P_π) V = c_π with Gaussian elimination (partial pivoting).
-func (m *Model) EvaluateDiscounted(pol Policy, gamma float64) ([]float64, error) {
-	if len(pol) != m.N {
-		return nil, fmt.Errorf("mdp: policy length %d != %d states", len(pol), m.N)
-	}
-	n := m.N
-	// Build dense A = I - γP, b = c.
-	a := make([][]float64, n)
-	b := make([]float64, n)
-	for s := 0; s < n; s++ {
-		ai := pol[s]
-		if ai < 0 || ai >= len(m.Actions[s]) {
-			return nil, fmt.Errorf("mdp: policy action %d out of range in state %d", ai, s)
-		}
-		a[s] = make([]float64, n)
-		a[s][s] = 1
-		for _, o := range m.Trans[s][ai] {
-			a[s][o.Next] -= gamma * o.P
-		}
-		b[s] = m.Costs[s][ai]
-	}
-	return solveDense(a, b)
-}
-
-// solveDense solves Ax = b in place with partial pivoting.
-func solveDense(a [][]float64, b []float64) ([]float64, error) {
-	n := len(b)
-	for col := 0; col < n; col++ {
-		// Pivot.
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(a[piv][col]) < 1e-12 {
-			return nil, fmt.Errorf("mdp: singular system at column %d", col)
-		}
-		a[col], a[piv] = a[piv], a[col]
-		b[col], b[piv] = b[piv], b[col]
-		// Eliminate below.
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		sum := b[r]
-		for c := r + 1; c < n; c++ {
-			sum -= a[r][c] * x[c]
-		}
-		x[r] = sum / a[r][r]
-	}
-	return x, nil
-}
-
 // AverageCostRVI solves the long-run average-cost problem with relative
 // value iteration under the standard aperiodicity transformation (mix the
 // transition kernel with the identity at τ = 1/2; the optimal policy is
@@ -286,17 +179,4 @@ func (m *Model) EvaluateAverageOf(pol Policy, values [][]float64, iters int) (fl
 		g += pi[s] * values[s][pol[s]]
 	}
 	return g, nil
-}
-
-// GreedyFromValues extracts the greedy policy for a value function under
-// discount gamma; exported for Q-table diagnostics.
-func (m *Model) GreedyFromValues(v []float64, gamma float64) (Policy, error) {
-	if len(v) != m.N {
-		return nil, fmt.Errorf("mdp: value length %d != %d states", len(v), m.N)
-	}
-	pol := make(Policy, m.N)
-	for s := 0; s < m.N; s++ {
-		_, pol[s] = m.backup(s, v, gamma)
-	}
-	return pol, nil
 }

@@ -23,19 +23,9 @@ import (
 	"repro/internal/slotsim"
 )
 
-// roles identifies the wake/shallow/deep states of a device by power
-// ordering: wake = first servicing state, deep = thriftiest state
-// reachable from wake (directly or via shallow), shallow = thriftiest
-// non-servicing state directly reachable from wake that can reach wake.
-type roles struct {
-	wake    device.StateID
-	shallow device.StateID
-	deep    device.StateID
-}
-
-// Roles is the exported form of the wake/shallow/deep role derivation,
-// shared with the continuous-time policies in internal/ctsim (which manage
-// the physical PSM directly rather than a slotted form).
+// Roles identifies the wake/shallow/deep states of a device by power
+// ordering. The slotted policies here and the continuous-time policies in
+// internal/ctsim (which manage the physical PSM directly) share it.
 type Roles struct {
 	// Wake is the first servicing state.
 	Wake device.StateID
@@ -50,20 +40,11 @@ type Roles struct {
 // state; candidates are non-servicing states with an allowed round trip to
 // wake; deep is the thriftiest candidate and shallow the hungriest.
 func DeriveRoles(psm *device.PSM) (Roles, error) {
-	r, err := deriveRoles(psm)
-	if err != nil {
-		return Roles{}, err
-	}
-	return Roles{Wake: r.wake, Shallow: r.shallow, Deep: r.deep}, nil
-}
-
-// deriveRoles computes the role states for a PSM.
-func deriveRoles(psm *device.PSM) (roles, error) {
-	var r roles
+	var r Roles
 	found := false
 	for i, st := range psm.States {
 		if st.CanService {
-			r.wake = device.StateID(i)
+			r.Wake = device.StateID(i)
 			found = true
 			break
 		}
@@ -79,10 +60,10 @@ func deriveRoles(psm *device.PSM) (roles, error) {
 	var cands []cand
 	for j := range psm.States {
 		id := device.StateID(j)
-		if id == r.wake || psm.States[j].CanService {
+		if id == r.Wake || psm.States[j].CanService {
 			continue
 		}
-		if psm.Allowed(r.wake, id) && psm.Allowed(id, r.wake) {
+		if psm.Allowed(r.Wake, id) && psm.Allowed(id, r.Wake) {
 			cands = append(cands, cand{id: id, power: psm.States[j].Power})
 		}
 	}
@@ -90,8 +71,8 @@ func deriveRoles(psm *device.PSM) (roles, error) {
 		return r, fmt.Errorf("policy: device %s has no parking state reachable from wake", psm.Name)
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].power < cands[b].power })
-	r.deep = cands[0].id
-	r.shallow = cands[len(cands)-1].id // hungriest parking state
+	r.Deep = cands[0].id
+	r.Shallow = cands[len(cands)-1].id // hungriest parking state
 	return r, nil
 }
 
@@ -104,11 +85,11 @@ var _ slotsim.Policy = (*AlwaysOn)(nil)
 
 // NewAlwaysOn derives the service state from the device.
 func NewAlwaysOn(dev *device.Slotted) (*AlwaysOn, error) {
-	r, err := deriveRoles(dev.PSM)
+	r, err := DeriveRoles(dev.PSM)
 	if err != nil {
 		return nil, err
 	}
-	return &AlwaysOn{wake: r.wake}, nil
+	return &AlwaysOn{wake: r.Wake}, nil
 }
 
 // Name identifies the policy.
@@ -127,13 +108,13 @@ func (p *AlwaysOn) Reset() {}
 // GreedyOff sleeps the moment the queue is empty and wakes the moment it
 // is not — optimal when transitions are free, pathological when they are
 // not.
-type GreedyOff struct{ r roles }
+type GreedyOff struct{ r Roles }
 
 var _ slotsim.Policy = (*GreedyOff)(nil)
 
 // NewGreedyOff derives role states from the device.
 func NewGreedyOff(dev *device.Slotted) (*GreedyOff, error) {
-	r, err := deriveRoles(dev.PSM)
+	r, err := DeriveRoles(dev.PSM)
 	if err != nil {
 		return nil, err
 	}
@@ -146,9 +127,9 @@ func (p *GreedyOff) Name() string { return "greedy-off" }
 // Decide wakes on backlog, sleeps otherwise.
 func (p *GreedyOff) Decide(obs slotsim.Observation) device.StateID {
 	if obs.Queue > 0 {
-		return p.r.wake
+		return p.r.Wake
 	}
-	return p.r.deep
+	return p.r.Deep
 }
 
 // Reset restores the freshly-constructed state (a no-op: GreedyOff is
@@ -160,7 +141,7 @@ func (p *GreedyOff) Reset() {}
 // FixedTimeout parks in the shallow state when idle and drops to the deep
 // state once the idle period exceeds TimeoutSlots.
 type FixedTimeout struct {
-	r            roles
+	r            Roles
 	TimeoutSlots int64
 }
 
@@ -171,7 +152,7 @@ func NewFixedTimeout(dev *device.Slotted, timeoutSlots int64) (*FixedTimeout, er
 	if timeoutSlots < 0 {
 		return nil, fmt.Errorf("policy: negative timeout %d", timeoutSlots)
 	}
-	r, err := deriveRoles(dev.PSM)
+	r, err := DeriveRoles(dev.PSM)
 	if err != nil {
 		return nil, err
 	}
@@ -185,13 +166,13 @@ func (p *FixedTimeout) Name() string { return fmt.Sprintf("timeout-%d", p.Timeou
 // expires, then deep.
 func (p *FixedTimeout) Decide(obs slotsim.Observation) device.StateID {
 	if obs.Queue > 0 {
-		return p.r.wake
+		return p.r.Wake
 	}
 	if obs.IdleSlots >= p.TimeoutSlots {
-		return p.r.deep
+		return p.r.Deep
 	}
-	if obs.Phase == p.r.wake {
-		return p.r.shallow
+	if obs.Phase == p.r.Wake {
+		return p.r.Shallow
 	}
 	return obs.Phase
 }
@@ -206,7 +187,7 @@ func (p *FixedTimeout) Reset() {}
 // (sleep shorter than the device break-even) doubles the timeout; a
 // well-amortized sleep shortens it by one slot.
 type AdaptiveTimeout struct {
-	r        roles
+	r        Roles
 	timeout  int64
 	initial  int64
 	min, max int64
@@ -222,11 +203,11 @@ func NewAdaptiveTimeout(dev *device.Slotted, initial, min, max int64) (*Adaptive
 	if min < 0 || max < min || initial < min || initial > max {
 		return nil, fmt.Errorf("policy: adaptive timeout bounds invalid: initial=%d min=%d max=%d", initial, min, max)
 	}
-	r, err := deriveRoles(dev.PSM)
+	r, err := DeriveRoles(dev.PSM)
 	if err != nil {
 		return nil, err
 	}
-	tbe, err := dev.PSM.BreakEven(r.shallow, r.deep)
+	tbe, err := dev.PSM.BreakEven(r.Shallow, r.Deep)
 	if err != nil {
 		return nil, err
 	}
@@ -256,13 +237,13 @@ func (p *AdaptiveTimeout) Timeout() int64 { return p.timeout }
 // Decide behaves like FixedTimeout with the current timeout.
 func (p *AdaptiveTimeout) Decide(obs slotsim.Observation) device.StateID {
 	if obs.Queue > 0 {
-		return p.r.wake
+		return p.r.Wake
 	}
 	if obs.IdleSlots >= p.timeout {
-		return p.r.deep
+		return p.r.Deep
 	}
-	if obs.Phase == p.r.wake {
-		return p.r.shallow
+	if obs.Phase == p.r.Wake {
+		return p.r.Shallow
 	}
 	return obs.Phase
 }
@@ -270,7 +251,7 @@ func (p *AdaptiveTimeout) Decide(obs slotsim.Observation) device.StateID {
 // Observe adapts the timeout on sleep outcomes.
 func (p *AdaptiveTimeout) Observe(fb *slotsim.Feedback) {
 	// Entering deep sleep.
-	if p.sleepStart < 0 && fb.Action == p.r.deep && fb.Prev.Phase != p.r.deep {
+	if p.sleepStart < 0 && fb.Action == p.r.Deep && fb.Prev.Phase != p.r.Deep {
 		p.sleepStart = fb.Prev.Slot
 		return
 	}
@@ -296,7 +277,7 @@ func (p *AdaptiveTimeout) Observe(fb *slotsim.Feedback) {
 // exponential average of past idle periods and sleeps immediately when the
 // prediction exceeds the device break-even.
 type Predictive struct {
-	r              roles
+	r              Roles
 	alpha          float64
 	predicted      float64
 	breakEvenSlots float64
@@ -311,11 +292,11 @@ func NewPredictive(dev *device.Slotted, alpha float64) (*Predictive, error) {
 	if !(alpha > 0) || alpha > 1 {
 		return nil, fmt.Errorf("policy: predictive alpha %v out of (0,1]", alpha)
 	}
-	r, err := deriveRoles(dev.PSM)
+	r, err := DeriveRoles(dev.PSM)
 	if err != nil {
 		return nil, err
 	}
-	tbe, err := dev.PSM.BreakEven(r.shallow, r.deep)
+	tbe, err := dev.PSM.BreakEven(r.Shallow, r.Deep)
 	if err != nil {
 		return nil, err
 	}
@@ -340,13 +321,13 @@ func (p *Predictive) Name() string { return "predictive" }
 // break-even, else parks shallow.
 func (p *Predictive) Decide(obs slotsim.Observation) device.StateID {
 	if obs.Queue > 0 {
-		return p.r.wake
+		return p.r.Wake
 	}
 	if p.predicted >= p.breakEvenSlots {
-		return p.r.deep
+		return p.r.Deep
 	}
-	if obs.Phase == p.r.wake {
-		return p.r.shallow
+	if obs.Phase == p.r.Wake {
+		return p.r.Shallow
 	}
 	return obs.Phase
 }

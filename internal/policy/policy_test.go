@@ -41,11 +41,11 @@ func runPolicy(t *testing.T, dev *device.Slotted, pol slotsim.Policy, p float64,
 
 func TestDeriveRolesSynthetic(t *testing.T) {
 	dev := synthDev(t)
-	r, err := deriveRoles(dev.PSM)
+	r, err := DeriveRoles(dev.PSM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.wake != 0 || r.shallow != 1 || r.deep != 2 {
+	if r.Wake != 0 || r.Shallow != 1 || r.Deep != 2 {
 		t.Errorf("roles = %+v, want wake=0 shallow=1 deep=2", r)
 	}
 }
@@ -55,24 +55,24 @@ func TestDeriveRolesHDD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := deriveRoles(dev.PSM)
+	r, err := DeriveRoles(dev.PSM)
 	if err != nil {
 		t.Fatal(err)
 	}
 	active, _ := dev.PSM.StateByName("active")
 	idle, _ := dev.PSM.StateByName("idle")
 	standby, _ := dev.PSM.StateByName("standby")
-	if r.wake != active {
-		t.Errorf("wake = %d, want active", r.wake)
+	if r.Wake != active {
+		t.Errorf("wake = %d, want active", r.Wake)
 	}
 	// Sleep is thriftier than standby but cannot reach active? It can
 	// (1.9s). Sleep reachable from active and back -> deep = sleep.
 	sleep, _ := dev.PSM.StateByName("sleep")
-	if r.deep != sleep {
-		t.Errorf("deep = %d, want sleep (%d)", r.deep, sleep)
+	if r.Deep != sleep {
+		t.Errorf("deep = %d, want sleep (%d)", r.Deep, sleep)
 	}
-	if r.shallow != idle && r.shallow != standby {
-		t.Errorf("shallow = %d, want idle or standby", r.shallow)
+	if r.Shallow != idle && r.Shallow != standby {
+		t.Errorf("shallow = %d, want idle or standby", r.Shallow)
 	}
 }
 

@@ -36,9 +36,6 @@ func New(capacity int) (*Queue, error) {
 // Len returns the number of queued requests.
 func (q *Queue) Len() int { return q.n }
 
-// Cap returns the configured capacity (0 = unbounded).
-func (q *Queue) Cap() int { return q.cap }
-
 // Push enqueues one request that arrived in slot `slot`. It returns false
 // (and counts a loss) when the queue is full.
 func (q *Queue) Push(slot int64) bool {
@@ -85,15 +82,6 @@ func (q *Queue) Serve(k int, slot int64) int {
 		served++
 	}
 	return served
-}
-
-// OldestWait returns the waiting time (in slots, as of slot `slot`) of the
-// request at the head, or 0 when empty.
-func (q *Queue) OldestWait(slot int64) int64 {
-	if q.n == 0 {
-		return 0
-	}
-	return slot - q.buf[q.head]
 }
 
 // Arrived returns the number of Push calls (including lost requests).

@@ -105,18 +105,6 @@ func TestServeBeforeEnqueuePanics(t *testing.T) {
 	q.Serve(1, 3)
 }
 
-func TestOldestWait(t *testing.T) {
-	q, _ := New(4)
-	if q.OldestWait(7) != 0 {
-		t.Fatal("empty queue reports nonzero oldest wait")
-	}
-	q.Push(3)
-	q.Push(5)
-	if got := q.OldestWait(9); got != 6 {
-		t.Fatalf("oldest wait %d, want 6", got)
-	}
-}
-
 // Property: conservation — arrived = served + lost + backlog, and ring
 // buffer behaves identically to a reference slice queue.
 func TestConservationProperty(t *testing.T) {

@@ -15,7 +15,6 @@
 package rng
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -219,27 +218,6 @@ func (s *Stream) ExpFloat64() float64 {
 	return -math.Log(s.Float64Open())
 }
 
-// Perm returns a uniform random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the n elements addressed by swap using Fisher–Yates.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("rng: Shuffle called with n < 0")
-	}
-	for i := n - 1; i > 0; i-- {
-		swap(i, s.Intn(i+1))
-	}
-}
-
 // Bool returns true with probability p. It panics if p is outside [0, 1].
 func (s *Stream) Bool(p float64) bool {
 	if p < 0 || p > 1 || math.IsNaN(p) {
@@ -253,30 +231,8 @@ func (s *Stream) State() State {
 	return State{Hi: s.hi, Lo: s.lo, IncHi: s.incHi, IncLo: s.incLo}
 }
 
-// State is a snapshot of a Stream, suitable for checkpointing.
+// State is a snapshot of a Stream's position: two streams with equal
+// States produce the same sequence from there on.
 type State struct {
 	Hi, Lo, IncHi, IncLo uint64
 }
-
-// Restore returns a Stream positioned exactly at st. It returns an error if
-// the state is invalid (the increment low word must be odd).
-func Restore(st State) (*Stream, error) {
-	if st.IncLo&1 == 0 {
-		return nil, errors.New("rng: invalid state: increment must be odd")
-	}
-	return &Stream{hi: st.Hi, lo: st.Lo, incHi: st.IncHi, incLo: st.IncLo}, nil
-}
-
-// Source64 adapts a Stream to math/rand.Source64. The adapter lets code
-// that wants a *rand.Rand (e.g. testing/quick) share determinism with the
-// simulator.
-type Source64 struct{ S *Stream }
-
-// Uint64 implements rand.Source64.
-func (a Source64) Uint64() uint64 { return a.S.Uint64() }
-
-// Int63 implements rand.Source.
-func (a Source64) Int63() int64 { return int64(a.S.Uint64() >> 1) }
-
-// Seed implements rand.Source; reseeding resets the stream in place.
-func (a Source64) Seed(seed int64) { *a.S = *New(uint64(seed)) }

@@ -178,40 +178,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(11)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	s := New(12)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed element multiset: sum %d != %d", got, sum)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	s := New(13)
 	const n = 100000
@@ -239,39 +205,6 @@ func TestBoolPanicsOutOfRange(t *testing.T) {
 	New(1).Bool(1.5)
 }
 
-func TestStateRoundTrip(t *testing.T) {
-	s := New(77)
-	for i := 0; i < 17; i++ {
-		s.Uint64()
-	}
-	st := s.State()
-	r, err := Restore(st)
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	for i := 0; i < 100; i++ {
-		if a, b := s.Uint64(), r.Uint64(); a != b {
-			t.Fatalf("restored stream diverged at %d: %d != %d", i, a, b)
-		}
-	}
-}
-
-func TestRestoreRejectsEvenIncrement(t *testing.T) {
-	if _, err := Restore(State{IncLo: 2}); err == nil {
-		t.Fatal("Restore accepted an even increment")
-	}
-}
-
-func TestSource64Adapter(t *testing.T) {
-	s := New(21)
-	src := Source64{S: s}
-	for i := 0; i < 1000; i++ {
-		if v := src.Int63(); v < 0 {
-			t.Fatalf("Int63 returned negative %d", v)
-		}
-	}
-}
-
 // Property: Uint64n(n) < n for all n > 0.
 func TestUint64nPropertyBound(t *testing.T) {
 	s := New(31)
@@ -282,31 +215,6 @@ func TestUint64nPropertyBound(t *testing.T) {
 		return s.Uint64n(n) < n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: two streams restored from the same state produce equal prefixes.
-func TestRestorePropertyEqualPrefix(t *testing.T) {
-	f := func(seed uint64, skip uint8) bool {
-		s := New(seed)
-		for i := 0; i < int(skip); i++ {
-			s.Uint64()
-		}
-		st := s.State()
-		a, err1 := Restore(st)
-		b, err2 := Restore(st)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for i := 0; i < 16; i++ {
-			if a.Uint64() != b.Uint64() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -267,9 +267,8 @@ func (s *QuantileSketch) Quantile(q float64) (float64, error) {
 }
 
 // mergeCounts adds src into dst element-wise (len(dst) >= len(src)) —
-// the shared integer-accumulation kernel of Histogram.Merge and
-// QuantileSketch.Merge; integer addition is what makes both merges
-// bit-exact under any merge-tree shape.
+// the integer-accumulation kernel of QuantileSketch.Merge; integer
+// addition is what makes the merge bit-exact under any merge-tree shape.
 func mergeCounts(dst, src []int64) {
 	for i, c := range src {
 		dst[i] += c

@@ -293,58 +293,5 @@ func TestSketchCloneIndependent(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge: matching binning adds counts exactly and matches a
-// serially filled histogram; mismatched binning errors.
-func TestHistogramMerge(t *testing.T) {
-	mk := func() *Histogram {
-		h, err := NewHistogram(0, 10, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	a, b, serial := mk(), mk(), mk()
-	stream := rng.New(3)
-	for i := 0; i < 500; i++ {
-		x := stream.Float64()*14 - 2 // spans under/in/over
-		serial.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Counts(), serial.Counts()) {
-		t.Fatalf("merged counts %v != serial %v", a.Counts(), serial.Counts())
-	}
-	au, ao := a.OutOfRange()
-	su, so := serial.OutOfRange()
-	if au != su || ao != so || a.Total() != serial.Total() {
-		t.Fatalf("merged out-of-range/total differ: %d/%d/%d vs %d/%d/%d",
-			au, ao, a.Total(), su, so, serial.Total())
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatal("nil merge errored")
-	}
-
-	narrow, err := NewHistogram(0, 5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Merge(narrow); err == nil {
-		t.Fatal("mismatched binning accepted")
-	}
-	coarse, err := NewHistogram(0, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Merge(coarse); err == nil {
-		t.Fatal("mismatched bin count accepted")
-	}
-}
-
 // sortFloats sorts test inputs ascending.
 func sortFloats(xs []float64) { sort.Float64s(xs) }

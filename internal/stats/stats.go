@@ -1,7 +1,7 @@
 // Package stats provides the summary statistics used by the simulator's
 // metric accounting and the experiment harness: numerically stable running
-// moments, exponentially weighted and sliding-window means, histograms,
-// quantiles, and normal-approximation confidence intervals.
+// moments, sliding-window means, quantiles (exact and a mergeable sketch),
+// and normal-approximation confidence intervals.
 package stats
 
 import (
@@ -104,39 +104,6 @@ func (r *Running) CI95() float64 {
 
 // ---------------------------------------------------------------------------
 
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0, 1]; higher alpha weights recent observations more.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA validates alpha and returns an EWMA.
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if !(alpha > 0) || alpha > 1 {
-		return nil, fmt.Errorf("stats: EWMA alpha %v out of (0,1]", alpha)
-	}
-	return &EWMA{alpha: alpha}, nil
-}
-
-// Add incorporates one observation.
-func (e *EWMA) Add(x float64) {
-	if !e.init {
-		e.value, e.init = x, true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one observation was added.
-func (e *EWMA) Initialized() bool { return e.init }
-
-// ---------------------------------------------------------------------------
-
 // Window is a fixed-size sliding-window mean over the last Cap observations,
 // used for the windowed power/energy-reduction series in Figs. 1 and 2.
 type Window struct {
@@ -179,81 +146,6 @@ func (w *Window) Full() bool { return w.n == len(w.buf) }
 
 // N returns the number of retained observations.
 func (w *Window) N() int { return w.n }
-
-// ---------------------------------------------------------------------------
-
-// Histogram is a fixed-bin histogram over [Low, High) with overflow and
-// underflow counters.
-type Histogram struct {
-	low, high float64
-	width     float64
-	bins      []int64
-	under     int64
-	over      int64
-	total     int64
-}
-
-// NewHistogram returns a histogram with nbins equal bins on [low, high).
-func NewHistogram(low, high float64, nbins int) (*Histogram, error) {
-	if !(low < high) {
-		return nil, fmt.Errorf("stats: histogram requires low < high, got [%v,%v)", low, high)
-	}
-	if nbins <= 0 {
-		return nil, fmt.Errorf("stats: histogram bin count %d must be positive", nbins)
-	}
-	return &Histogram{low: low, high: high, width: (high - low) / float64(nbins), bins: make([]int64, nbins)}, nil
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.low:
-		h.under++
-	case x >= h.high:
-		h.over++
-	default:
-		i := int((x - h.low) / h.width)
-		if i >= len(h.bins) { // float edge case at the upper boundary
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// Merge folds another histogram with the identical binning (same range,
-// same bin count) into h; bin, underflow, and overflow counters add.
-// Integer addition makes the merge exact: any merge-tree shape over the
-// same observations yields bit-identical counts (the same property the
-// fleet quantile sketch's Merge builds on). o is not modified.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil {
-		return nil
-	}
-	if h.low != o.low || h.high != o.high || len(h.bins) != len(o.bins) {
-		return fmt.Errorf("stats: merging histograms with different binning: [%v,%v)/%d vs [%v,%v)/%d",
-			h.low, h.high, len(h.bins), o.low, o.high, len(o.bins))
-	}
-	mergeCounts(h.bins, o.bins)
-	h.under += o.under
-	h.over += o.over
-	h.total += o.total
-	return nil
-}
-
-// Counts returns a copy of the in-range bin counts.
-func (h *Histogram) Counts() []int64 { return append([]int64(nil), h.bins...) }
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int64 { return h.total }
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over int64) { return h.under, h.over }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.low + (float64(i)+0.5)*h.width
-}
 
 // ---------------------------------------------------------------------------
 

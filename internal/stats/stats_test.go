@@ -120,36 +120,6 @@ func TestRunningNumericalStability(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e, err := NewEWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Initialized() {
-		t.Error("fresh EWMA claims initialized")
-	}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Errorf("first value %v, want 10", e.Value())
-	}
-	e.Add(0)
-	if e.Value() != 5 {
-		t.Errorf("value %v, want 5", e.Value())
-	}
-	e.Add(5)
-	if e.Value() != 5 {
-		t.Errorf("value %v, want 5", e.Value())
-	}
-}
-
-func TestEWMARejectsBadAlpha(t *testing.T) {
-	for _, a := range []float64{0, -0.1, 1.5, math.NaN()} {
-		if _, err := NewEWMA(a); err == nil {
-			t.Errorf("NewEWMA(%v) accepted", a)
-		}
-	}
-}
-
 func TestWindowSlides(t *testing.T) {
 	w, err := NewWindow(3)
 	if err != nil {
@@ -210,42 +180,6 @@ func TestWindowPropertyMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	counts := h.Counts()
-	want := []int64{2, 1, 1, 0, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d (all: %v)", i, counts[i], want[i], counts)
-		}
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", under, over)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total %d, want 8", h.Total())
-	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Errorf("bin 0 center %v, want 1", c)
-	}
-}
-
-func TestHistogramRejectsBadParams(t *testing.T) {
-	if _, err := NewHistogram(1, 1, 5); err == nil {
-		t.Error("degenerate range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins accepted")
 	}
 }
 

@@ -72,27 +72,6 @@ func (tr *Trace) Interarrivals() []float64 {
 	return out
 }
 
-// Bin counts arrivals per slot of slotDuration seconds over nSlots slots.
-// Requests beyond the horizon are dropped. It returns an error for a non-
-// positive slot duration or slot count.
-func (tr *Trace) Bin(slotDuration float64, nSlots int) ([]int, error) {
-	if !(slotDuration > 0) {
-		return nil, fmt.Errorf("trace: slot duration %v must be positive", slotDuration)
-	}
-	if nSlots <= 0 {
-		return nil, fmt.Errorf("trace: slot count %d must be positive", nSlots)
-	}
-	counts := make([]int, nSlots)
-	for _, t := range tr.Times {
-		i := int(t / slotDuration)
-		if i >= nSlots {
-			break // times are sorted
-		}
-		counts[i]++
-	}
-	return counts, nil
-}
-
 // Stats summarizes a trace.
 type Stats struct {
 	Count            int

@@ -47,30 +47,6 @@ func TestInterarrivals(t *testing.T) {
 	}
 }
 
-func TestBin(t *testing.T) {
-	tr := sampleTrace()
-	counts, err := tr.Bin(1.0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 2, 1, 0} // 0.5 | 1.0, 1.0 | 2.75 | — ; 10 dropped
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("bins %v, want %v", counts, want)
-		}
-	}
-}
-
-func TestBinErrors(t *testing.T) {
-	tr := sampleTrace()
-	if _, err := tr.Bin(0, 4); err == nil {
-		t.Error("zero slot duration accepted")
-	}
-	if _, err := tr.Bin(1, 0); err == nil {
-		t.Error("zero slot count accepted")
-	}
-}
-
 func TestSummary(t *testing.T) {
 	tr := &Trace{Times: []float64{1, 2, 3, 4}}
 	st := tr.Summary()

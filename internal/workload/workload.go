@@ -1,7 +1,7 @@
 // Package workload provides the slot-based arrival processes that drive
 // the Q-DPM experiments: stationary processes for Fig. 1, the piecewise-
 // stationary process for Fig. 2, Markov-modulated and on/off bursty
-// processes for the derived tables, and trace playback.
+// processes for the derived tables, and playback of recorded counts.
 //
 // An arrival process emits the number of requests arriving in each
 // successive slot. Processes carry internal phase (slot counters, Markov
@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // Arrivals produces per-slot request counts.
@@ -372,7 +371,7 @@ func (r *Renewal) String() string { return fmt.Sprintf("Renewal(%s)", r.D) }
 // Playback
 
 // Playback replays a fixed sequence of per-slot counts; after the sequence
-// is exhausted it returns 0 forever. Build from a trace with FromTrace.
+// is exhausted it returns 0 forever.
 type Playback struct {
 	Counts []int
 	pos    int
@@ -386,16 +385,6 @@ func NewPlayback(counts []int) (*Playback, error) {
 		}
 	}
 	return &Playback{Counts: counts}, nil
-}
-
-// FromTrace bins tr into nSlots slots of slotDuration seconds and wraps
-// the result in a Playback process.
-func FromTrace(tr *trace.Trace, slotDuration float64, nSlots int) (*Playback, error) {
-	counts, err := tr.Bin(slotDuration, nSlots)
-	if err != nil {
-		return nil, err
-	}
-	return NewPlayback(counts)
 }
 
 // Next returns the next recorded count.

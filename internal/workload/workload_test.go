@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 func empiricalRate(t *testing.T, a Arrivals, seed uint64, n int) float64 {
@@ -263,21 +262,6 @@ func TestPlayback(t *testing.T) {
 func TestPlaybackValidation(t *testing.T) {
 	if _, err := NewPlayback([]int{1, -1}); err == nil {
 		t.Error("negative count accepted")
-	}
-}
-
-func TestFromTrace(t *testing.T) {
-	tr := &trace.Trace{Times: []float64{0.1, 0.9, 1.5, 3.2}}
-	p, err := FromTrace(tr, 1.0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rng.New(10)
-	want := []int{2, 1, 0, 1}
-	for i, w := range want {
-		if got := p.Next(s); got != w {
-			t.Fatalf("slot %d: %d, want %d", i, got, w)
-		}
 	}
 }
 
