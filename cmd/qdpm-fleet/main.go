@@ -409,25 +409,13 @@ func writeJSON(w io.Writer, sum *experiment.FleetSummary, quant fleet.QuantileMo
 	if coupled {
 		rep.Couple = string(sum.Fleet.Couple)
 		rep.CoupleSize = sum.Fleet.CoupleSize
-		rep.Interference = &jsonInterference{
-			ResourceWaitMeanSec: sum.Fleet.ResourceWaitSec.Mean(),
-			ResourceDrops:       sum.Fleet.ResourceDrops,
-			BudgetDenied:        sum.Fleet.BudgetDenied,
-		}
 	}
 	groupHorizon := 0.0 // zero disables the per-group resilience block
 	if sum.Fleet.Faulted {
 		groupHorizon = sum.Fleet.HorizonSec
-		rep.Resilience = &jsonResilience{
-			Availability:    sum.Fleet.Availability(),
-			DowntimeMeanSec: sum.Fleet.DowntimeSec.Mean(),
-			EnergyOutageJ:   sum.Fleet.EnergyOutageJ,
-			Crashes:         sum.Fleet.Crashes,
-			Retries:         sum.Fleet.Retries,
-			RetryExhausted:  sum.Fleet.RetryExhausted,
-			LostToOutage:    sum.Fleet.LostToOutage,
-		}
 	}
+	fl := group(&sum.Fleet.ClassStats, coupled, groupHorizon)
+	rep.Interference, rep.Resilience = fl.Interference, fl.Resilience
 	for i := range sum.Fleet.Classes {
 		rep.Classes = append(rep.Classes, group(&sum.Fleet.Classes[i], coupled, groupHorizon))
 	}

@@ -82,6 +82,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-devices", "0"},
 		{"-replicas", "0"},
 		{"-horizon", "-1"},
+		{"-qcap", "1000000000"},
 	} {
 		var out bytes.Buffer
 		if err := run(context.Background(), &out, args); err == nil {

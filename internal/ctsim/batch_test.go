@@ -8,6 +8,7 @@ package ctsim_test
 // the full event loop; these tests isolate the source itself.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ctsim"
@@ -17,26 +18,32 @@ import (
 
 // TestBatchedSourceMatchesUnbatched: for every stock law, a buffered
 // source and a literal-constructed (bufferless) source emit bit-equal
-// arrival times from equal streams.
+// arrival times from equal streams — with no limit, with a limit the
+// run crosses (100 s, about 200 arrivals in), and with a limit so far
+// out that the block-size estimate exceeds every int (1e30 s).
 func TestBatchedSourceMatchesUnbatched(t *testing.T) {
 	for _, name := range dist.Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			d, err := dist.ByName(name, 2.0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batched, err := ctsim.NewRenewalSource(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain := &ctsim.RenewalSource{D: d} // no buffer armed
-			sa, sb := rng.New(31), rng.New(31)
-			for i := 0; i < 500; i++ {
-				got, want := batched.Next(sa), plain.Next(sb)
-				if got != want {
-					t.Fatalf("arrival %d: batched %v, unbatched %v", i, got, want)
-				}
+			for _, limit := range []float64{0, 100, 1e30} {
+				t.Run(fmt.Sprintf("limit=%g", limit), func(t *testing.T) {
+					d, err := dist.ByName(name, 2.0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					batched, err := ctsim.NewRenewalSource(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					batched.SetLimit(limit)
+					plain := &ctsim.RenewalSource{D: d} // no buffer armed
+					sa, sb := rng.New(31), rng.New(31)
+					for i := 0; i < 500; i++ {
+						got, want := batched.Next(sa), plain.Next(sb)
+						if got != want {
+							t.Fatalf("arrival %d: batched %v, unbatched %v", i, got, want)
+						}
+					}
+				})
 			}
 		})
 	}

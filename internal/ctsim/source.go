@@ -119,11 +119,12 @@ func (r *RenewalSource) refillSize() int {
 	default:
 		return r.blk
 	}
-	n := int(est) + 1
-	if n > renewalMaxBlock {
-		n = renewalMaxBlock
+	// Cap before converting: int(est) wraps once est reaches 2^63
+	// (a huge limit), and a negative size would panic the refill.
+	if !(est < renewalMaxBlock) {
+		return renewalMaxBlock
 	}
-	return n
+	return int(est) + 1
 }
 
 // Next advances by one sampled gap. Literal-constructed sources (no

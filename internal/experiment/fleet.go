@@ -54,20 +54,6 @@ func (s *FleetSummary) addReplica(f *fleet.Summary) {
 	s.Fleet.Merge(f)
 }
 
-// Merge combines another summary (same scenario) into s, with the same
-// bit-identical singleton-merge property as Summary.Merge.
-func (s *FleetSummary) Merge(o *FleetSummary) {
-	if s.Scenario == "" {
-		s.Scenario = o.Scenario
-	}
-	s.Replicas += o.Replicas
-	s.AvgPowerW.Merge(&o.AvgPowerW)
-	s.EnergyReduction.Merge(&o.EnergyReduction)
-	s.MeanWaitSec.Merge(&o.MeanWaitSec)
-	s.LossRate.Merge(&o.LossRate)
-	s.Fleet.Merge(&o.Fleet)
-}
-
 // RunFleetReplicatedCtx executes one fleet run per seed and pools the
 // results. Replicas run back to back in seed order — the parallelism
 // lives inside each fleet run, which fans its shards across the pool —
@@ -196,25 +182,9 @@ func FleetTable(sum *FleetSummary) (*Table, error) {
 	for i := range perPol {
 		row("policy="+perPol[i].Policy, &perPol[i])
 	}
-	fl := &fleet.ClassStats{
-		Name:            "fleet",
-		Policy:          "-",
-		Instances:       sum.Fleet.Devices,
-		AvgPowerW:       sum.Fleet.AvgPowerW,
-		EnergyReduction: sum.Fleet.EnergyReduction,
-		MeanWaitSec:     sum.Fleet.MeanWaitSec,
-		LossRate:        sum.Fleet.LossRate,
-		ResourceWaitSec: sum.Fleet.ResourceWaitSec,
-		ResourceDrops:   sum.Fleet.ResourceDrops,
-		BudgetDenied:    sum.Fleet.BudgetDenied,
-		DowntimeSec:     sum.Fleet.DowntimeSec,
-		EnergyOutageJ:   sum.Fleet.EnergyOutageJ,
-		Crashes:         sum.Fleet.Crashes,
-		Retries:         sum.Fleet.Retries,
-		RetryExhausted:  sum.Fleet.RetryExhausted,
-		LostToOutage:    sum.Fleet.LostToOutage,
-	}
-	row("fleet", fl)
+	fl := sum.Fleet.ClassStats
+	fl.Policy = "-"
+	row("fleet", &fl)
 	p50, err := sum.Fleet.WaitQuantile(0.50)
 	if err != nil {
 		return nil, err
@@ -294,14 +264,7 @@ func TableCoupledFleetCtx(ctx context.Context, devices int, horizon float64, cou
 		for i := range perPol {
 			row(perPol[i].Policy, &perPol[i])
 		}
-		row("fleet", &fleet.ClassStats{
-			AvgPowerW:       sum.Fleet.AvgPowerW,
-			EnergyReduction: sum.Fleet.EnergyReduction,
-			MeanWaitSec:     sum.Fleet.MeanWaitSec,
-			ResourceWaitSec: sum.Fleet.ResourceWaitSec,
-			ResourceDrops:   sum.Fleet.ResourceDrops,
-			BudgetDenied:    sum.Fleet.BudgetDenied,
-		})
+		row("fleet", &sum.Fleet.ClassStats)
 		p99, err := sum.Fleet.WaitQuantile(0.99)
 		if err != nil {
 			return nil, err
@@ -381,15 +344,7 @@ func TableFaultedFleetCtx(ctx context.Context, devices int, horizon float64, lev
 		for i := range perPol {
 			row(perPol[i].Policy, &perPol[i])
 		}
-		row("fleet", &fleet.ClassStats{
-			AvgPowerW:       sum.Fleet.AvgPowerW,
-			EnergyReduction: sum.Fleet.EnergyReduction,
-			MeanWaitSec:     sum.Fleet.MeanWaitSec,
-			LossRate:        sum.Fleet.LossRate,
-			DowntimeSec:     sum.Fleet.DowntimeSec,
-			Crashes:         sum.Fleet.Crashes,
-			Retries:         sum.Fleet.Retries,
-		})
+		row("fleet", &sum.Fleet.ClassStats)
 		note += fmt.Sprintf(" %s→%.4f", lv.Name, sum.Fleet.Availability())
 	}
 	t.Note = note

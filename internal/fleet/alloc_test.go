@@ -24,15 +24,10 @@ func warmScratch(t testing.TB, r *runner, sum *Summary) *workerScratch {
 }
 
 // runInstance runs instance i on the worker's pooled objects through the
-// production per-instance path (a one-lane runGroupCT) and folds its
-// result row into sum, as runShard does.
+// production per-instance path — a one-lane runGroupCT, which folds the
+// instance into sum as runShard does.
 func runInstance(ctx context.Context, r *runner, i int, ws *workerScratch, sum *Summary) error {
-	var res [1]instanceResult
-	if err := r.runGroupCT(ctx, i, i+1, ws, res[:]); err != nil {
-		return err
-	}
-	sum.addInstance(r.classOf(i), res[0])
-	return nil
+	return r.runGroupCT(ctx, i, i+1, ws, sum)
 }
 
 // TestFleetInstanceSetupAllocationFree is the acceptance gate for the
@@ -149,7 +144,7 @@ func TestFleetShardLoopAllocationFree(t *testing.T) {
 			total.Merge(part)
 			r.putSummary(part)
 		}
-		cycle() // warm: results store, pooled part, total's sketch bins
+		cycle() // warm: pooled part, total's sketch bins
 		allocs := testing.AllocsPerRun(16, cycle)
 		if allocs != 0 {
 			t.Fatalf("shard loop allocates %.1f times per shard after warm-up", allocs)
@@ -197,7 +192,7 @@ func TestFleetFaultedShardAllocationFree(t *testing.T) {
 				total.Merge(part)
 				r.putSummary(part)
 			}
-			cycle() // warm: lanes/pools/results store at high-water marks
+			cycle() // warm: lanes/pools at high-water marks
 			allocs := testing.AllocsPerRun(16, cycle)
 			if allocs != 0 {
 				t.Fatalf("%s faulted shard loop allocates %.1f times per shard after warm-up", name, allocs)

@@ -122,12 +122,13 @@ func (ws *workerScratch) resource(r *runner, lo, hi int) ctsim.Resource {
 }
 
 // runGroupCT runs one group — instances [lo, hi) on the worker's kernel
-// and shared resource, if any — and writes one result row per instance.
-// The group's kernel event total is attributed to the first lane's row
-// (per-lane event counts do not exist on a shared kernel), so fleet
-// and class Events totals stay exact while per-instance attribution is
-// only group-resolution.
-func (r *runner) runGroupCT(ctx context.Context, lo, hi int, ws *workerScratch, out []instanceResult) error {
+// and shared resource, if any — and folds each lane's metrics into sum
+// in lane order, which is instance order. The fold reads each lane's
+// MetricsView before the lane is reset for the next group, as the view's
+// aliasing contract requires. Per-lane event counts do not exist on a
+// shared kernel, so the group's kernel event total is added to
+// sum.Events once.
+func (r *runner) runGroupCT(ctx context.Context, lo, hi int, ws *workerScratch, sum *Summary) error {
 	if ws.kernel == nil {
 		ws.kernel = eventq.New()
 	} else {
@@ -183,31 +184,9 @@ func (r *runner) runGroupCT(ctx context.Context, lo, hi int, ws *workerScratch, 
 		}
 	}
 	for j := range lanes {
-		cc := &r.classes[r.classOf(lo+j)]
-		m := lanes[j].sim.MetricsView()
-		o := &out[j]
-		avgPower := m.AvgPowerW()
-		o.avgPowerW = avgPower
-		o.energyRed = 1 - avgPower/cc.maxPower
-		o.meanWaitSec = m.MeanWaitSeconds()
-		o.lossRate = m.LossRate()
-		o.energyJ = m.EnergyJ
-		o.arrived = m.Arrived
-		o.served = m.Served
-		o.lost = m.Lost
-		o.resourceWaitSec = m.ResourceWaitSec
-		o.resourceDrops = m.ResourceDrops
-		o.budgetDenied = m.BudgetDenied
-		o.downtimeSec = m.DowntimeSec
-		o.energyOutageJ = m.EnergyOutageJ
-		o.crashes = m.Crashes
-		o.retries = m.Retries
-		o.retryExhausted = m.RetryExhausted
-		o.lostToOutage = m.LostToOutage
-		o.events = 0
-		if j == 0 {
-			o.events = ws.kernel.Fired()
-		}
+		ci := r.classOf(lo + j)
+		sum.add(ci, lanes[j].sim.MetricsView(), r.classes[ci].maxPower)
 	}
+	sum.Events += ws.kernel.Fired()
 	return nil
 }

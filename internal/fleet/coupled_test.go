@@ -261,9 +261,9 @@ func TestFleetCoupledShardAllocationFreeParity(t *testing.T) {
 // ctsim.MetricsView aliasing contract as the fleet shard fold relies on
 // it: (1) a view captured for one pooled instance IS clobbered in place
 // by the next instance's run — retaining it across instances reads the
-// wrong numbers — and (2) the shard fold is immune, because it copies
-// every scalar into the instance's result row before the simulator is
-// reset for the next instance.
+// wrong numbers — and (2) the shard fold is immune, because runGroupCT
+// folds each lane's view into the summary before the lane is reset for
+// the next instance.
 func TestMetricsViewClobberedByNextPooledInstance(t *testing.T) {
 	spec := Spec{Devices: 8, Classes: DefaultMix(), Horizon: 60, Seed: 11}
 	r, err := newRunner(spec)
@@ -289,7 +289,7 @@ func TestMetricsViewClobberedByNextPooledInstance(t *testing.T) {
 	if view.EnergyJ == firstEnergy && view.Arrived == firstArrived {
 		t.Fatal("expected the second instance to clobber the retained view (did instances 0 and 1 coincide?)")
 	}
-	// Half 2: the fold copied instance 0's scalars out before the reset,
+	// Half 2: the fold read instance 0's view before the reset,
 	// so the total is exactly instance 0 + instance 1 (same-order float
 	// addition, so the comparison is exact).
 	if sum.EnergyJ != foldedEnergy+view.EnergyJ {

@@ -262,6 +262,9 @@ func (sp *Spec) Validate() error {
 	if sp.QueueCap < 0 {
 		return fmt.Errorf("fleet: negative queue capacity %d", sp.QueueCap)
 	}
+	if sp.QueueCap > maxQueueCap {
+		return fmt.Errorf("fleet: queue capacity %d above %d", sp.QueueCap, maxQueueCap)
+	}
 	if sp.LatencyWeight == 0 {
 		sp.LatencyWeight = defaultLatencyWeight
 	}
@@ -329,6 +332,12 @@ func (sp *Spec) Validate() error {
 	}
 	return checkTotalWeight(sp.Classes)
 }
+
+// maxQueueCap bounds Spec.QueueCap: every lane's policies size their
+// tables by the queue capacity, so an unbounded cap can exhaust memory
+// before the first instance runs. 4096 is far above any cap in use (the
+// experiments use at most 40).
+const maxQueueCap = 4096
 
 // maxTotalWeight bounds the summed class weights: the runner
 // materializes one round-robin pattern entry per unit of weight.
@@ -428,20 +437,14 @@ func (r *runner) putSummary(s *Summary) {
 
 // workerScratch is one worker's reusable simulation state: the event
 // kernel every group runs on, one lane per slot of the largest group
-// run so far, the shard's result rows, and the shared resource of
-// coupled runs. Every piece survives across all the shards the worker
-// runs — an instance lifecycle is Reseed + Reset + Run with zero heap
-// traffic (TestFleetInstanceSetupAllocationFree) — without influencing
-// results: a reset object is bit-identical to a freshly built one.
+// run so far, and the shared resource of coupled runs. Every piece
+// survives across all the shards the worker runs — an instance
+// lifecycle is Reseed + Reset + Run with zero heap traffic
+// (TestFleetInstanceSetupAllocationFree) — without influencing results:
+// a reset object is bit-identical to a freshly built one.
 type workerScratch struct {
 	kernel *eventq.Kernel
 	lanes  []lane
-
-	// results is the shard's struct-of-arrays result store: one flat
-	// instanceResult row per instance, folded into the summary in
-	// instance order (the fold order is the bit-exactness contract).
-	// Reused across all the shards the worker runs.
-	results []instanceResult
 
 	// At most one of the three is non-nil, per Spec.Couple.
 	channel *shared.Channel
@@ -628,18 +631,14 @@ const cancelChunkTicks = 8192
 // runShard executes one contiguous block of instances and returns its
 // streaming summary. Instances run in index order, as groups of
 // max(CoupleSize, 1) on the worker's one kernel (see runGroupCT; an
-// uncoupled instance is a group of one with no shared resource).
-// Groups are aligned to
-// absolute instance index — Validate makes ShardSize a multiple of
-// CoupleSize — so only the fleet's trailing group can be partial.
-// Result rows fold into the summary in ascending instance order.
+// uncoupled instance is a group of one with no shared resource), and
+// fold into the summary as each group finishes — so in ascending
+// instance order. Groups are aligned to absolute instance index —
+// Validate makes ShardSize a multiple of CoupleSize — so only the
+// fleet's trailing group can be partial.
 func (r *runner) runShard(ctx context.Context, shard int, ws *workerScratch) (*Summary, error) {
 	lo, hi := r.spec.shardRange(shard)
-	n := hi - lo
-	if cap(ws.results) < n {
-		ws.results = make([]instanceResult, n)
-	}
-	res := ws.results[:n]
+	sum := r.takeSummary(hi - lo)
 	size := max(r.spec.CoupleSize, 1)
 	// The context is polled here about once per pollEvery instances
 	// (instances shorter than a cancellation chunk never poll it
@@ -657,14 +656,10 @@ func (r *runner) runShard(ctx context.Context, shard int, ws *workerScratch) (*S
 			}
 			nextPoll = glo + pollEvery
 		}
-		if err := r.runGroupCT(ctx, glo, ghi, ws, res[glo-lo:ghi-lo]); err != nil {
+		if err := r.runGroupCT(ctx, glo, ghi, ws, sum); err != nil {
 			return nil, err
 		}
 		glo = ghi
-	}
-	sum := r.takeSummary(n)
-	for i := lo; i < hi; i++ {
-		sum.addInstance(r.classOf(i), res[i-lo])
 	}
 	return sum, nil
 }

@@ -241,37 +241,78 @@ func TestWeightedClassAssignment(t *testing.T) {
 }
 
 // TestSummaryDerivedMetrics: quantiles, per-policy rollups, and the
-// fleet-total power are well-formed and internally consistent.
+// fleet-total power are well-formed and internally consistent, and the
+// embedded fleet-wide ClassStats agrees with the per-class breakdown —
+// uncoupled, and coupled with faults (gateway drops, budget denials,
+// crashes, retries, outage losses).
 func TestSummaryDerivedMetrics(t *testing.T) {
-	sum, err := fleet.Run(context.Background(), testSpec(), nil)
-	if err != nil {
-		t.Fatal(err)
+	faults := func() *fleet.FaultSpec {
+		return &fleet.FaultSpec{CrashMTBF: 30, RepairMean: 4, FailProb: 0.1, OutagePeriod: 20, OutageDuration: 3}
 	}
-	p50, err := sum.WaitQuantile(0.5)
-	if err != nil {
-		t.Fatal(err)
+	specs := map[string]fleet.Spec{"uncoupled": testSpec()}
+	for _, couple := range []fleet.CoupleMode{fleet.CoupleGateway, fleet.CouplePower} {
+		spec := testSpec()
+		spec.Couple, spec.ShardSize, spec.CoupleSize, spec.Faults = couple, 20, 20, faults()
+		specs[string(couple)+"+faults"] = spec
 	}
-	p99, err := sum.WaitQuantile(0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p50 < 0 || p99 < p50 {
-		t.Fatalf("wait quantiles disordered: p50=%v p99=%v", p50, p99)
-	}
-	perPol := sum.PerPolicy()
-	var n int64
-	for _, g := range perPol {
-		n += g.Instances
-	}
-	if n != sum.Devices {
-		t.Fatalf("per-policy rollup covers %d instances, want %d", n, sum.Devices)
-	}
-	// DefaultMix uses 3 distinct policies.
-	if len(perPol) != 3 {
-		t.Fatalf("per-policy rollup has %d groups, want 3", len(perPol))
-	}
-	if got, want := sum.AvgFleetPowerW(), sum.EnergyJ/(float64(sum.Devices)*sum.HorizonSec); got != want {
-		t.Fatalf("AvgFleetPowerW %v inconsistent with totals %v", got, want)
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			sum, err := fleet.Run(context.Background(), spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p50, err := sum.WaitQuantile(0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p99, err := sum.WaitQuantile(0.99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p50 < 0 || p99 < p50 {
+				t.Fatalf("wait quantiles disordered: p50=%v p99=%v", p50, p99)
+			}
+			perPol := sum.PerPolicy()
+			var n int64
+			for _, g := range perPol {
+				n += g.Instances
+			}
+			if n != sum.Devices {
+				t.Fatalf("per-policy rollup covers %d instances, want %d", n, sum.Devices)
+			}
+			// DefaultMix uses 3 distinct policies.
+			if len(perPol) != 3 {
+				t.Fatalf("per-policy rollup has %d groups, want 3", len(perPol))
+			}
+			if got, want := sum.AvgFleetPowerW(), sum.EnergyJ/(float64(sum.Devices)*sum.HorizonSec); got != want {
+				t.Fatalf("AvgFleetPowerW %v inconsistent with totals %v", got, want)
+			}
+			if sum.Devices != sum.Instances || sum.Devices != int64(spec.Devices) {
+				t.Fatalf("Devices %d, Instances %d, spec %d", sum.Devices, sum.Instances, spec.Devices)
+			}
+			counters := func(c *fleet.ClassStats) [6]int64 {
+				return [6]int64{c.ResourceDrops, c.BudgetDenied, c.Crashes, c.Retries, c.RetryExhausted, c.LostToOutage}
+			}
+			var perClass [6]int64
+			for i := range sum.Classes {
+				for k, v := range counters(&sum.Classes[i]) {
+					perClass[k] += v
+				}
+			}
+			if fleetWide := counters(&sum.ClassStats); fleetWide != perClass {
+				t.Fatalf("fleet-wide counters %v, per-class sums %v", fleetWide, perClass)
+			}
+			for _, r := range []*stats.Running{&sum.AvgPowerW, &sum.EnergyReduction, &sum.MeanWaitSec,
+				&sum.LossRate, &sum.ResourceWaitSec, &sum.DowntimeSec} {
+				if r.N() != sum.Devices {
+					t.Fatalf("a fleet-wide accumulator pools %d samples, want %d", r.N(), sum.Devices)
+				}
+			}
+			if spec.Faults != nil && (sum.Crashes == 0 || sum.Retries == 0 || sum.LostToOutage == 0 ||
+				sum.ResourceDrops+sum.BudgetDenied == 0) {
+				t.Fatalf("coupled faulted spec exercised too little: counters %v", counters(&sum.ClassStats))
+			}
+		})
 	}
 }
 
@@ -393,6 +434,7 @@ func TestSpecValidate(t *testing.T) {
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 0},
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, Period: -1},
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, QueueCap: -1},
+		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, QueueCap: 1e9},
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, ShardSize: -1},
 		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: -1, Policy: "timeout"}}, Horizon: 100},
 		{Devices: 1, Classes: []fleet.Class{{Device: device.Synthetic3(), Dist: "erlang", RatePerSec: 1e308, Policy: "always-on"}}, Horizon: 1},

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 
+	"repro/internal/ctsim"
 	"repro/internal/stats"
 )
 
@@ -75,17 +76,24 @@ func (c *ClassStats) merge(o *ClassStats) {
 	c.LostToOutage += o.LostToOutage
 }
 
-// instanceResult is one instance's contribution to the aggregates.
-type instanceResult struct {
-	avgPowerW, energyRed, meanWaitSec, lossRate, energyJ float64
-	arrived, served, lost                                int64
-	events                                               uint64
-	// Interference fields, zero unless the run is coupled.
-	resourceWaitSec             float64
-	resourceDrops, budgetDenied int64
-	// Resilience fields, zero unless the run is faulted.
-	downtimeSec, energyOutageJ                     float64
-	crashes, retries, retryExhausted, lostToOutage int64
+// add folds one instance's metrics into c; maxPowerW is the instance
+// class's always-on power, the reference for EnergyReduction.
+func (c *ClassStats) add(m *ctsim.Metrics, maxPowerW float64) {
+	avgPower := m.AvgPowerW()
+	c.Instances++
+	c.AvgPowerW.Add(avgPower)
+	c.EnergyReduction.Add(1 - avgPower/maxPowerW)
+	c.MeanWaitSec.Add(m.MeanWaitSeconds())
+	c.LossRate.Add(m.LossRate())
+	c.ResourceWaitSec.Add(m.ResourceWaitSec)
+	c.ResourceDrops += m.ResourceDrops
+	c.BudgetDenied += m.BudgetDenied
+	c.DowntimeSec.Add(m.DowntimeSec)
+	c.EnergyOutageJ += m.EnergyOutageJ
+	c.Crashes += m.Crashes
+	c.Retries += m.Retries
+	c.RetryExhausted += m.RetryExhausted
+	c.LostToOutage += m.LostToOutage
 }
 
 // Summary aggregates a fleet run (or a shard of one — shards stream
@@ -99,8 +107,14 @@ type instanceResult struct {
 // under any merge order); the exact opt-in (Spec.Quantiles ==
 // QuantilesExact) additionally keeps them in instance order in Waits.
 type Summary struct {
-	// Devices is the number of simulated instances; Shards is the number
-	// of pool jobs they were sharded into (0 on a shard-local summary).
+	// ClassStats is the fleet-wide aggregate: every instance folds into
+	// it exactly as into its class's entry of Classes, so its pooled
+	// metrics and counters (AvgPowerW … LostToOutage) read as fleet-wide
+	// values. Its Name and Policy are empty.
+	ClassStats
+	// Devices is the number of simulated instances (always equal to
+	// Instances); Shards is the number of pool jobs they were sharded
+	// into (0 on a shard-local summary).
 	Devices int64
 	Shards  int
 	// HorizonSec is each instance's simulated length in seconds.
@@ -119,27 +133,6 @@ type Summary struct {
 	EnergyJ               float64
 	Arrived, Served, Lost int64
 	Events                uint64
-	// AvgPowerW, EnergyReduction, MeanWaitSec, and LossRate pool one
-	// sample per instance, fleet-wide.
-	AvgPowerW       stats.Running
-	EnergyReduction stats.Running
-	MeanWaitSec     stats.Running
-	LossRate        stats.Running
-	// ResourceWaitSec pools each instance's total time queued for the
-	// shared resource, fleet-wide; ResourceDrops and BudgetDenied are
-	// fleet-total interference counts. All zero on an uncoupled run
-	// (see ClassStats for the per-class breakdown).
-	ResourceWaitSec stats.Running
-	ResourceDrops   int64
-	BudgetDenied    int64
-	// Resilience aggregates, fleet-wide (see ClassStats): all zero on a
-	// fault-free run.
-	DowntimeSec    stats.Running
-	EnergyOutageJ  float64
-	Crashes        int64
-	Retries        int64
-	RetryExhausted int64
-	LostToOutage   int64
 	// Classes aggregates per class, index-aligned with Spec.Classes.
 	Classes []ClassStats
 	// WaitSketch pools every instance's mean wait (seconds) in a
@@ -160,21 +153,8 @@ func newSummary(r *runner, n int) *Summary {
 	if err != nil {
 		panic("fleet: wait sketch accuracy invalid: " + err.Error())
 	}
-	s := &Summary{
-		HorizonSec: r.spec.Horizon,
-		Couple:     r.spec.Couple,
-		CoupleSize: r.spec.CoupleSize,
-		Faulted:    r.spec.Faults != nil,
-		Classes:    make([]ClassStats, len(r.classes)),
-		WaitSketch: sk,
-	}
-	if r.spec.Quantiles == QuantilesExact {
-		s.Waits = make([]float64, 0, n)
-	}
-	for ci := range r.classes {
-		s.Classes[ci].Name = r.classes[ci].name
-		s.Classes[ci].Policy = r.classes[ci].src.Policy
-	}
+	s := &Summary{Classes: make([]ClassStats, len(r.classes)), WaitSketch: sk}
+	s.reset(r, n)
 	return s
 }
 
@@ -186,90 +166,43 @@ func newSummary(r *runner, n int) *Summary {
 // summary construction off the allocator so fleet allocs scale with
 // classes, not shards run.
 func (s *Summary) reset(r *runner, n int) {
-	s.Devices = 0
-	s.Shards = 0
-	s.HorizonSec = r.spec.Horizon
-	s.Couple = r.spec.Couple
-	s.CoupleSize = r.spec.CoupleSize
-	s.Faulted = r.spec.Faults != nil
-	s.EnergyJ = 0
-	s.Arrived, s.Served, s.Lost = 0, 0, 0
-	s.Events = 0
-	s.AvgPowerW = stats.Running{}
-	s.EnergyReduction = stats.Running{}
-	s.MeanWaitSec = stats.Running{}
-	s.LossRate = stats.Running{}
-	s.ResourceWaitSec = stats.Running{}
-	s.ResourceDrops = 0
-	s.BudgetDenied = 0
-	s.DowntimeSec = stats.Running{}
-	s.EnergyOutageJ = 0
-	s.Crashes, s.Retries, s.RetryExhausted, s.LostToOutage = 0, 0, 0, 0
-	for ci := range s.Classes {
-		c := &s.Classes[ci]
-		c.Instances = 0
-		c.AvgPowerW = stats.Running{}
-		c.EnergyReduction = stats.Running{}
-		c.MeanWaitSec = stats.Running{}
-		c.LossRate = stats.Running{}
-		c.ResourceWaitSec = stats.Running{}
-		c.ResourceDrops = 0
-		c.BudgetDenied = 0
-		c.DowntimeSec = stats.Running{}
-		c.EnergyOutageJ = 0
-		c.Crashes, c.Retries, c.RetryExhausted, c.LostToOutage = 0, 0, 0, 0
+	classes, sk, waits := s.Classes, s.WaitSketch, s.Waits
+	*s = Summary{
+		HorizonSec: r.spec.Horizon,
+		Couple:     r.spec.Couple,
+		CoupleSize: r.spec.CoupleSize,
+		Faulted:    r.spec.Faults != nil,
+		Classes:    classes,
+		WaitSketch: sk,
 	}
-	s.WaitSketch.Reset()
+	for ci := range classes {
+		classes[ci] = ClassStats{Name: r.classes[ci].name, Policy: r.classes[ci].src.Policy}
+	}
+	sk.Reset()
 	if r.spec.Quantiles == QuantilesExact {
-		if cap(s.Waits) < n {
-			s.Waits = make([]float64, 0, n)
-		} else {
-			s.Waits = s.Waits[:0]
+		// A nil Waits reads as sketch mode, so even n == 0 gets a buffer.
+		if waits == nil || cap(waits) < n {
+			waits = make([]float64, 0, n)
 		}
-	} else {
-		s.Waits = nil
+		s.Waits = waits[:0]
 	}
 }
 
-// addInstance folds one instance's results into the summary.
-func (s *Summary) addInstance(class int, ir instanceResult) {
+// add folds one instance of class ci into the summary: the fleet
+// totals, the fleet-wide and per-class aggregates, and the wait
+// quantiles. m may be a ctsim.MetricsView; add copies what it keeps.
+func (s *Summary) add(ci int, m *ctsim.Metrics, maxPowerW float64) {
 	s.Devices++
-	s.EnergyJ += ir.energyJ
-	s.Arrived += ir.arrived
-	s.Served += ir.served
-	s.Lost += ir.lost
-	s.Events += ir.events
-	s.AvgPowerW.Add(ir.avgPowerW)
-	s.EnergyReduction.Add(ir.energyRed)
-	s.MeanWaitSec.Add(ir.meanWaitSec)
-	s.LossRate.Add(ir.lossRate)
-	s.ResourceWaitSec.Add(ir.resourceWaitSec)
-	s.ResourceDrops += ir.resourceDrops
-	s.BudgetDenied += ir.budgetDenied
-	s.DowntimeSec.Add(ir.downtimeSec)
-	s.EnergyOutageJ += ir.energyOutageJ
-	s.Crashes += ir.crashes
-	s.Retries += ir.retries
-	s.RetryExhausted += ir.retryExhausted
-	s.LostToOutage += ir.lostToOutage
-	c := &s.Classes[class]
-	c.Instances++
-	c.AvgPowerW.Add(ir.avgPowerW)
-	c.EnergyReduction.Add(ir.energyRed)
-	c.MeanWaitSec.Add(ir.meanWaitSec)
-	c.LossRate.Add(ir.lossRate)
-	c.ResourceWaitSec.Add(ir.resourceWaitSec)
-	c.ResourceDrops += ir.resourceDrops
-	c.BudgetDenied += ir.budgetDenied
-	c.DowntimeSec.Add(ir.downtimeSec)
-	c.EnergyOutageJ += ir.energyOutageJ
-	c.Crashes += ir.crashes
-	c.Retries += ir.retries
-	c.RetryExhausted += ir.retryExhausted
-	c.LostToOutage += ir.lostToOutage
-	s.WaitSketch.Add(ir.meanWaitSec)
+	s.EnergyJ += m.EnergyJ
+	s.Arrived += m.Arrived
+	s.Served += m.Served
+	s.Lost += m.Lost
+	s.ClassStats.add(m, maxPowerW)
+	s.Classes[ci].add(m, maxPowerW)
+	wait := m.MeanWaitSeconds()
+	s.WaitSketch.Add(wait)
 	if s.Waits != nil {
-		s.Waits = append(s.Waits, ir.meanWaitSec)
+		s.Waits = append(s.Waits, wait)
 	}
 }
 
@@ -291,19 +224,7 @@ func (s *Summary) Merge(o *Summary) {
 	s.Served += o.Served
 	s.Lost += o.Lost
 	s.Events += o.Events
-	s.AvgPowerW.Merge(&o.AvgPowerW)
-	s.EnergyReduction.Merge(&o.EnergyReduction)
-	s.MeanWaitSec.Merge(&o.MeanWaitSec)
-	s.LossRate.Merge(&o.LossRate)
-	s.ResourceWaitSec.Merge(&o.ResourceWaitSec)
-	s.ResourceDrops += o.ResourceDrops
-	s.BudgetDenied += o.BudgetDenied
-	s.DowntimeSec.Merge(&o.DowntimeSec)
-	s.EnergyOutageJ += o.EnergyOutageJ
-	s.Crashes += o.Crashes
-	s.Retries += o.Retries
-	s.RetryExhausted += o.RetryExhausted
-	s.LostToOutage += o.LostToOutage
+	s.ClassStats.merge(&o.ClassStats)
 	if len(s.Classes) == 0 {
 		s.Classes = make([]ClassStats, len(o.Classes))
 	}
@@ -336,10 +257,7 @@ func (s *Summary) WaitQuantile(q float64) (float64, error) {
 // Availability returns the mean fraction of the horizon instances were
 // up, fleet-wide (1 on a fault-free run).
 func (s *Summary) Availability() float64 {
-	if s.HorizonSec == 0 {
-		return 1
-	}
-	return 1 - s.DowntimeSec.Mean()/s.HorizonSec
+	return s.ClassStats.Availability(s.HorizonSec)
 }
 
 // LossOverall returns the fleet-total loss fraction (lost/arrived over
