@@ -26,6 +26,10 @@
 // adaptive-lp, always-on, greedy-off, timeout, adaptive-timeout,
 // predictive. Slotted workloads: bernoulli (default), poisson, onoff,
 // pareto.
+//
+// -qcap is bounded per policy, so a cap whose model or table could not
+// be built fails up front: optimal and adaptive-lp at most 256, the
+// q-dpm variants at most 4096, and every other policy at most 65536.
 package main
 
 import (
@@ -79,6 +83,9 @@ func run() error {
 	flag.Parse()
 	if *replicas < 1 {
 		return fmt.Errorf("replicas %d must be >= 1", *replicas)
+	}
+	if err := checkQueueCap(*polName, *queueCap); err != nil {
+		return err
 	}
 
 	psm, err := device.Lookup(*devName)
@@ -178,6 +185,54 @@ func run() error {
 		fmt.Printf("state %-10s %8d slots (%.1f%%)\n", psm.States[i].Name, s, 100*float64(s)/float64(m.Slots))
 	}
 	fmt.Printf("switching     %8d slots (%.1f%%)\n", m.TransitionSlots, 100*float64(m.TransitionSlots)/float64(m.Slots))
+	return nil
+}
+
+// Upper bounds on -qcap. The slotted simulator allocates its queue ring
+// at the full cap, and some policies size a model or a table by it, so
+// an unchecked cap (say 1e9) runs out of memory before the first slot.
+const (
+	// maxQueueCap bounds every policy: the ring is 512 KiB at the bound.
+	maxQueueCap = 1 << 16
+	// maxQTableQueueCap bounds the q-dpm variants, whose Q-table has a
+	// row per (power state, queue level, idle level) — the bound
+	// qdpm-fleet puts on every policy.
+	maxQTableQueueCap = 4096
+	// maxLPQueueCap bounds optimal and adaptive-lp, which build the
+	// occupancy LP over the queue states. Table R1 goes up to cap 40;
+	// one solve at this bound takes well under a second, and the
+	// adaptive controller re-solves on every rate change.
+	maxLPQueueCap = 256
+)
+
+// queueCapBound maps every policy buildPolicy accepts to its -qcap
+// bound. A name missing here is rejected as unknown before anything is
+// built, so a new policy cannot run without a bound of its own.
+var queueCapBound = map[string]int{
+	"q-dpm":            maxQTableQueueCap,
+	"q-dpm-sarsa":      maxQTableQueueCap,
+	"q-dpm-double":     maxQTableQueueCap,
+	"q-dpm-fuzzy":      maxQTableQueueCap,
+	"q-dpm-qos":        maxQTableQueueCap,
+	"optimal":          maxLPQueueCap,
+	"adaptive-lp":      maxLPQueueCap,
+	"always-on":        maxQueueCap,
+	"greedy-off":       maxQueueCap,
+	"timeout":          maxQueueCap,
+	"adaptive-timeout": maxQueueCap,
+	"predictive":       maxQueueCap,
+}
+
+// checkQueueCap rejects an unknown policy and a queue cap above the
+// policy's bound.
+func checkQueueCap(polName string, qcap int) error {
+	bound, ok := queueCapBound[polName]
+	if !ok {
+		return fmt.Errorf("unknown policy %q", polName)
+	}
+	if qcap > bound {
+		return fmt.Errorf("queue capacity %d above %d for policy %s", qcap, bound, polName)
+	}
 	return nil
 }
 

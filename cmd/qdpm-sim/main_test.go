@@ -45,12 +45,9 @@ func TestBuildPolicyAllKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{
-		"q-dpm", "q-dpm-sarsa", "q-dpm-double", "q-dpm-fuzzy", "q-dpm-qos",
-		"optimal", "adaptive-lp", "always-on", "greedy-off",
-		"timeout", "adaptive-timeout", "predictive",
-	}
-	for _, name := range names {
+	// Every policy with a -qcap bound must build; checkQueueCap rejects
+	// the rest as unknown before buildPolicy runs.
+	for name := range queueCapBound {
 		pol, err := buildPolicy(name, dev, 8, 0.3, 0.1, 8, rng.New(1))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -153,6 +150,54 @@ func TestReplicasBelowOneRejected(t *testing.T) {
 			if want := "replicas " + n + " must be >= 1"; !strings.Contains(string(out), want) {
 				t.Errorf("-mode %s -replicas %s: output %q lacks %q", mode, n, out, want)
 			}
+		}
+	}
+}
+
+// TestQueueCapBoundedPerPolicy runs the command with a -qcap above the
+// chosen policy's bound, in both modes, and expects a non-zero exit
+// naming the cap before anything is allocated by it; a cap at the bound
+// still runs. It re-executes the test binary as the command, like
+// TestReplicasBelowOneRejected.
+func TestQueueCapBoundedPerPolicy(t *testing.T) {
+	if args, ok := os.LookupEnv("QDPM_SIM_TEST_ARGS"); ok {
+		os.Args = append([]string{"qdpm-sim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	exec1 := func(args string) ([]byte, error) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestQueueCapBoundedPerPolicy$")
+		cmd.Env = append(os.Environ(), "QDPM_SIM_TEST_ARGS="+args)
+		return cmd.CombinedOutput()
+	}
+	for _, mode := range []string{"slot", "ct"} {
+		for _, c := range []struct{ policy, qcap, bound string }{
+			{"always-on", "1000000000", "65536"},
+			{"timeout", "65537", "65536"},
+			{"q-dpm", "1000000000", "4096"},
+			{"q-dpm-sarsa", "4097", "4096"},
+			{"optimal", "257", "256"},
+			{"adaptive-lp", "100000", "256"},
+		} {
+			args := "-mode " + mode + " -policy " + c.policy + " -qcap " + c.qcap + " -slots 100"
+			out, err := exec1(args)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) {
+				t.Fatalf("%s: want a non-zero exit, got %v\n%s", args, err, out)
+			}
+			want := "queue capacity " + c.qcap + " above " + c.bound + " for policy " + c.policy
+			if !strings.Contains(string(out), want) {
+				t.Errorf("%s: output %q lacks %q", args, out, want)
+			}
+		}
+	}
+	for _, args := range []string{
+		"-policy always-on -qcap 65536 -slots 100",
+		"-policy q-dpm -qcap 4096 -slots 100",
+		"-policy optimal -qcap 256 -slots 100",
+	} {
+		if out, err := exec1(args); err != nil {
+			t.Errorf("%s: cap at the bound rejected: %v\n%s", args, err, out)
 		}
 	}
 }

@@ -98,8 +98,9 @@ func TestArenaMatchesReferenceHeap(t *testing.T) {
 
 // FuzzKernelOrder runs matchesReference on interleavings decoded from the
 // input: each byte b is one choice b/256 — an op, a schedule time's
-// offset from now, or the live event to cancel. Inputs are cut to 4 KiB,
-// since the reference's bookkeeping is quadratic in the live events.
+// offset from now, or the live event to cancel or probe. Inputs are cut
+// to 4 KiB, since the reference's bookkeeping is quadratic in the live
+// events.
 func FuzzKernelOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = data[:min(len(data), 4<<10)]
@@ -120,8 +121,13 @@ func FuzzKernelOrder(f *testing.F) {
 // matchesReference runs ops steps of an interleaving of schedules,
 // cancels and fires on the production kernel and the reference kernel
 // alike, then drains both. next supplies each choice, a value in [0, 1).
-// It returns an error when the fire sequences (time and event identity)
-// or the kernel's fire count diverge.
+// Every handler draws further ops from next until it draws a value below
+// 0.5: schedule an event (offset 0 is a same-instant tie), cancel a live
+// event, check Len, Pending and TimeOf against the reference, or fire the
+// next event with a nested Step. So the kernel is judged on handlers
+// that reschedule in place, schedule nothing, and reenter Step. It
+// returns an error when the fire sequences (time and event identity),
+// an in-handler check, or the kernel's fire count diverge.
 func matchesReference(ops int, next func() float64) error {
 	k := New()
 	ref := &refKernel{}
@@ -131,62 +137,116 @@ func matchesReference(ops int, next func() float64) error {
 		re *refEvent
 	}
 	var live []livePair
+	var refs []Ref // by event id
 	var gotT, wantT []float64
 	var gotID, wantID []int
-	nextID := 0
+	var failed error
+	fail := func(format string, args ...any) {
+		if failed == nil {
+			failed = fmt.Errorf(format, args...)
+		}
+	}
+	// budget bounds the in-handler ops, so handlers that keep scheduling
+	// cannot run a quick.Check stream forever.
+	budget := 2*ops + 16
+	depth := 0
 
-	for op := 0; op < ops; op++ {
-		switch v := next(); {
-		case v < 0.55: // schedule
-			// Coarse times force heavy ties; the tie-break must match.
-			tt := k.Now() + float64(int(next()*8))
-			id := nextID
-			nextID++
-			r, err := k.Schedule(tt, func(now float64) {
-				gotT = append(gotT, now)
-				gotID = append(gotID, id)
-			})
-			if err != nil {
-				return err
-			}
-			live = append(live, livePair{r: r, re: ref.schedule(tt, id)})
-		case v < 0.75 && len(live) > 0: // cancel a random live event
-			i := int(next() * float64(len(live)))
-			k.Cancel(live[i].r)
-			ref.cancel(live[i].re)
-			live = append(live[:i], live[i+1:]...)
-		default: // fire one
-			wt, wid := ref.fire()
-			if fired := k.Step(); (wid >= 0) != fired {
-				return fmt.Errorf("op %d: kernel fired %v, reference fired event %d", op, fired, wid)
-			}
-			if wid >= 0 {
-				wantT = append(wantT, wt)
-				wantID = append(wantID, wid)
-				// Drop the fired event from the live set (ids are unique).
-				for i := range live {
-					if live[i].re.id == wid {
-						live = append(live[:i], live[i+1:]...)
-						break
+	var schedule func(offset int)
+	var fireOne func() bool
+	cancel := func() { // a random live event
+		i := int(next() * float64(len(live)))
+		k.Cancel(live[i].r)
+		ref.cancel(live[i].re)
+		live = append(live[:i], live[i+1:]...)
+	}
+	handler := func(id int) Handler {
+		return func(now float64) {
+			gotT = append(gotT, now)
+			gotID = append(gotID, id)
+			for failed == nil && budget > 0 {
+				v := next()
+				if v < 0.5 {
+					return
+				}
+				budget--
+				switch {
+				case v < 0.65:
+					schedule(int(next() * 8))
+				case v < 0.75:
+					if len(live) > 0 {
+						cancel()
+					}
+				case v < 0.85:
+					if n := k.Len(); n != len(live) {
+						fail("event %d: Len %d inside its handler, reference %d", id, n, len(live))
+					}
+					if k.Pending(refs[id]) {
+						fail("event %d: pending inside its own handler", id)
+					}
+					if len(live) > 0 {
+						p := live[int(next()*float64(len(live)))]
+						if !k.Pending(p.r) || k.TimeOf(p.r) != p.re.time {
+							fail("event %d: live event %d not pending at %v", id, p.re.id, p.re.time)
+						}
+					}
+				default:
+					if depth < 3 {
+						depth++
+						fireOne()
+						depth--
 					}
 				}
 			}
 		}
 	}
-	// Drain both.
-	for {
-		wt, wid := ref.fire()
-		if wid < 0 {
-			break
+	schedule = func(offset int) {
+		// Coarse times force heavy ties; the tie-break must match.
+		tt := k.Now() + float64(offset)
+		id := len(refs)
+		r, err := k.Schedule(tt, handler(id))
+		if err != nil {
+			fail("schedule at %v: %v", tt, err)
+			return
 		}
-		if !k.Step() {
-			return fmt.Errorf("kernel drained before the reference's event %d", wid)
-		}
-		wantT = append(wantT, wt)
-		wantID = append(wantID, wid)
+		refs = append(refs, r)
+		live = append(live, livePair{r: r, re: ref.schedule(tt, id)})
 	}
-	if k.Step() {
-		return fmt.Errorf("kernel fired after the reference drained")
+	// fireOne fires the reference's next event, then the kernel's, and
+	// reports whether there was one.
+	fireOne = func() bool {
+		wt, wid := ref.fire()
+		if wid >= 0 {
+			wantT = append(wantT, wt)
+			wantID = append(wantID, wid)
+			// Drop the fired event from the live set (ids are unique)
+			// before its handler runs and probes the set.
+			for i := range live {
+				if live[i].re.id == wid {
+					live = append(live[:i], live[i+1:]...)
+					break
+				}
+			}
+		}
+		if fired := k.Step(); (wid >= 0) != fired {
+			fail("kernel fired %v, reference fired event %d", fired, wid)
+		}
+		return wid >= 0
+	}
+
+	for op := 0; op < ops && failed == nil; op++ {
+		switch v := next(); {
+		case v < 0.55:
+			schedule(int(next() * 8))
+		case v < 0.75 && len(live) > 0:
+			cancel()
+		default:
+			fireOne()
+		}
+	}
+	for failed == nil && fireOne() { // drain both
+	}
+	if failed != nil {
+		return failed
 	}
 	if len(gotT) != len(wantT) || k.Fired() != uint64(len(wantT)) {
 		return fmt.Errorf("kernel fired %d events (Fired %d), reference %d", len(gotT), k.Fired(), len(wantT))
@@ -392,6 +452,32 @@ func BenchmarkKernelHold(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k.Schedule(k.Now()+s.Float64(), fn)
+				k.Step()
+			}
+		})
+	}
+}
+
+// BenchmarkKernelReschedule: one fire per op, each handler rescheduling
+// itself at a random delay — the continuous-time simulator's tick and
+// arrival chains, which the in-place root reschedule serves. The depth
+// is the number of such chains, so the future event list holds that
+// many events throughout: 1 is a fleet_steady instance, 24 an
+// 8-device fleet_coupled_faulted group. Steady state must be 0
+// allocs/op.
+func BenchmarkKernelReschedule(b *testing.B) {
+	for _, depth := range []int{1, 24} {
+		b.Run(fmt.Sprintf("depth/%d", depth), func(b *testing.B) {
+			k := New()
+			s := rng.New(1)
+			var fn Handler
+			fn = func(now float64) { k.Schedule(now+s.Float64(), fn) }
+			for i := 0; i < depth; i++ {
+				k.Schedule(s.Float64(), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				k.Step()
 			}
 		})

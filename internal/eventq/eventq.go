@@ -30,6 +30,14 @@
 //     by (time, seq) with seq a schedule-order counter, so simultaneous
 //     events fire FIFO and the fire order is byte-for-byte the order the
 //     previous container/heap kernel produced.
+//   - Step fires in place: it leaves the fired event's key at the root
+//     (a dead root) while the handler runs, and the handler's first
+//     Schedule overwrites the root and sifts down once — one sift where
+//     a pop and a push would take two. When the handler schedules
+//     nothing, Step pops the dead root after it returns. Nothing ever
+//     orders before the dead root (its key is the fired (time, seq),
+//     the least in the heap), so no sift moves it, and since keys are
+//     unique any valid heap fires the same order.
 //
 // Callers refer to scheduled events through Ref handles (index +
 // generation). A slot's generation bumps every time it is released, so a
@@ -47,6 +55,16 @@
 // leans on that FIFO tie-break for its bit-identical determinism
 // contract (TestArenaMatchesReferenceHeap pins it against a
 // container/heap reference).
+//
+// # Handler contract
+//
+// A handler may Schedule, Cancel, query Len and Pending, and call Step,
+// Run or Reset. Inside a handler Len and Pending exclude the event that
+// is firing, exactly as if it had been removed before the call. A nested
+// Step or Run fires later events from inside the handler (the clock
+// advances with them), and Reset drops every queued event. Each of the
+// three first discards the dead root, so the outer Step has nothing left
+// to pop when the handler returns.
 //
 // # Reuse contract
 //
@@ -158,6 +176,10 @@ type Kernel struct {
 	free  int32      // free-list head (slot+1 form), 0 = empty
 	seq   uint64
 	fired uint64
+	// dead marks heap[0] as the event Step is firing: its slot is
+	// already released, and the handler's first Schedule reuses the
+	// root in place (see Step).
+	dead bool
 }
 
 // New returns a kernel with the clock at 0.
@@ -169,6 +191,7 @@ func New() *Kernel { return &Kernel{} }
 // back to back resets one kernel instead of reallocating per replica; the
 // behavior after Reset is bit-identical to a new kernel's.
 func (k *Kernel) Reset() {
+	k.dropDead()
 	for _, nd := range k.heap {
 		k.release(nd.idx)
 	}
@@ -185,9 +208,14 @@ func (k *Kernel) Now() float64 { return k.now }
 func (k *Kernel) Fired() uint64 { return k.fired }
 
 // Len returns the number of queued events. It is O(1) and exact: Cancel
-// removes events from the heap immediately, so there are no lazily
-// deleted entries to discount.
-func (k *Kernel) Len() int { return len(k.heap) }
+// removes events from the heap immediately, and inside a handler the
+// firing event's dead root is not counted.
+func (k *Kernel) Len() int {
+	if k.dead {
+		return len(k.heap) - 1
+	}
+	return len(k.heap)
+}
 
 // Pending reports whether r's event is still queued (not fired, not
 // canceled). A zero Ref and a stale Ref both report false.
@@ -242,7 +270,7 @@ func (k *Kernel) release(idx int32) {
 // an error; scheduling exactly at Now is allowed and runs after currently
 // queued events at Now (FIFO).
 func (k *Kernel) Schedule(t float64, fn Handler) (Ref, error) {
-	if math.IsNaN(t) || math.IsInf(t, 0) {
+	if t-t != 0 { // NaN or ±Inf: one compare instead of two classifications
 		return Ref{}, fmt.Errorf("eventq: schedule time %v is not finite", t)
 	}
 	if t < k.now {
@@ -257,10 +285,17 @@ func (k *Kernel) Schedule(t float64, fn Handler) (Ref, error) {
 	e.seq = k.seq
 	e.fn = fn
 	k.seq++
-	i := len(k.heap)
-	k.heap = append(k.heap, heapNode{key: timeKey(e.time), seq: e.seq, idx: idx})
-	e.heapIdx = int32(i)
-	k.siftUp(i)
+	nd := heapNode{key: timeKey(t), seq: e.seq, idx: idx}
+	if k.dead {
+		// First schedule from a firing handler: reuse the dead root.
+		k.dead = false
+		k.heap[0] = nd
+		k.siftDown(0)
+	} else {
+		i := len(k.heap)
+		k.heap = append(k.heap, nd)
+		k.siftUp(i)
+	}
 	return Ref{slot: idx + 1, gen: k.arena[idx].gen}, nil
 }
 
@@ -286,20 +321,33 @@ func (k *Kernel) Cancel(r Ref) {
 // Step fires the earliest pending event. It returns false when the queue
 // is empty.
 func (k *Kernel) Step() bool {
+	k.dropDead() // a Step nested in a handler
 	if len(k.heap) == 0 {
 		return false
 	}
-	idx := k.popMin()
+	idx := k.heap[0].idx
 	e := &k.arena[idx]
 	t, fn := e.time, e.fn
 	// Release before invoking the handler so a rescheduling handler (the
 	// steady-state pattern) reuses this very slot without growing the
 	// arena. e is invalid past this point: the handler may grow the arena.
+	// The fired key stays at the root for the handler's first Schedule to
+	// overwrite; if the handler schedules nothing, it is popped after.
 	k.release(idx)
+	k.dead = true
 	k.now = t
 	k.fired++
 	fn(t)
+	k.dropDead()
 	return true
+}
+
+// dropDead pops the dead root left by a firing handler, if any.
+func (k *Kernel) dropDead() {
+	if k.dead {
+		k.dead = false
+		k.popMin()
+	}
 }
 
 // Run executes events until the queue is empty or the clock would exceed
@@ -309,6 +357,7 @@ func (k *Kernel) Run(horizon float64) error {
 	if horizon < k.now {
 		return fmt.Errorf("eventq: horizon %v precedes current time %v", horizon, k.now)
 	}
+	k.dropDead() // a Run nested in a handler
 	hkey := timeKey(horizon)
 	for len(k.heap) > 0 && k.heap[0].key <= hkey {
 		k.Step()
@@ -372,21 +421,20 @@ func (k *Kernel) siftDown(i int) {
 	k.arena[nd.idx].heapIdx = int32(i)
 }
 
-// popMin removes and returns the arena index of the heap minimum using
-// a bottom-up ("hole percolation") delete-min: the root hole descends
-// along the min-child path without comparing against the displaced last
-// element, which is then dropped into the bottom hole and sifted up —
-// almost always zero steps, since it came from the bottom. That saves
-// one comparison per level over the classic sift-down of the last
-// element, which essentially never stops early.
-func (k *Kernel) popMin() int32 {
+// popMin removes the heap minimum using a bottom-up ("hole
+// percolation") delete-min: the root hole descends along the min-child
+// path without comparing against the displaced last element, which is
+// then dropped into the bottom hole and sifted up — almost always zero
+// steps, since it came from the bottom. That saves one comparison per
+// level over the classic sift-down of the last element, which
+// essentially never stops early.
+func (k *Kernel) popMin() {
 	h := k.heap
-	idx := h[0].idx
 	n := len(h) - 1
 	last := h[n]
 	k.heap = h[:n]
 	if n == 0 {
-		return idx
+		return
 	}
 	h = k.heap
 	i := 0
@@ -413,7 +461,6 @@ func (k *Kernel) popMin() int32 {
 	h[i] = last
 	k.arena[last.idx].heapIdx = int32(i)
 	k.siftUp(i)
-	return idx
 }
 
 // removeAt deletes the heap entry at position i, preserving order.

@@ -338,4 +338,89 @@ func TestResetMatchesFreshKernel(t *testing.T) {
 	if fired {
 		t.Fatal("event scheduled before Reset fired after it")
 	}
+
+	// Reset from inside a handler drops the firing event's dead root
+	// with the rest of the queue, and the kernel then runs — here
+	// through a Run nested in that same handler — like a fresh one.
+	k.Reset()
+	var nested []float64
+	k.Schedule(1, func(float64) {
+		k.Reset()
+		if k.Now() != 0 || k.Len() != 0 || k.Fired() != 0 {
+			t.Errorf("in-handler Reset left state: now=%v len=%d fired=%d", k.Now(), k.Len(), k.Fired())
+		}
+		nested = trace(k)
+	})
+	k.Schedule(2, func(float64) { fired = true })
+	if err := k.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if fired {
+		t.Fatal("event queued before an in-handler Reset fired after it")
+	}
+	if len(nested) != len(first) {
+		t.Fatalf("run after an in-handler Reset diverged: %v vs %v", nested, first)
+	}
+	for i := range first {
+		if nested[i] != first[i] {
+			t.Fatalf("run after an in-handler Reset diverged at %d: %v vs %v", i, nested, first)
+		}
+	}
+	if k.Len() != 0 || k.Fired() != uint64(len(first)) {
+		t.Fatalf("after the in-handler Reset: len=%d fired=%d, want 0 and %d", k.Len(), k.Fired(), len(first))
+	}
+	if k.Step() {
+		t.Fatal("Step fired on a drained kernel")
+	}
+}
+
+// TestHandlerReentry pins the handler contract of the in-place fire: Len
+// and Pending exclude the firing event, and a Run nested in a handler
+// honors its horizon even though the fired event's key still sits at the
+// root.
+func TestHandlerReentry(t *testing.T) {
+	k := New()
+	var order []float64
+	log := func(now float64) { order = append(order, now) }
+	var self, late Ref
+	self, _ = k.Schedule(1, func(now float64) {
+		order = append(order, now)
+		if k.Len() != 2 || k.Pending(self) || !k.Pending(late) {
+			t.Errorf("inside handler: Len %d, self pending %v, later event pending %v; want 2, false, true",
+				k.Len(), k.Pending(self), k.Pending(late))
+		}
+		if err := k.Run(3); err != nil { // nothing due by 3
+			t.Fatal(err)
+		}
+		if k.Now() != 3 || len(order) != 1 {
+			t.Errorf("nested Run(3) fired %v, clock at %v; want nothing, 3", order[1:], k.Now())
+		}
+		if err := k.Run(6); err != nil { // fires the event at 5 only
+			t.Fatal(err)
+		}
+		if k.Now() != 6 || k.Len() != 1 {
+			t.Errorf("after nested Run(6): now %v, Len %d; want 6, 1", k.Now(), k.Len())
+		}
+		k.Schedule(7, log)
+	})
+	k.Schedule(5, log)
+	late, _ = k.Schedule(9, log)
+	if !k.Step() {
+		t.Fatal("Step found nothing")
+	}
+	if k.Now() != 6 || k.Len() != 2 {
+		t.Fatalf("after the outer Step: now %v, Len %d; want 6, 2", k.Now(), k.Len())
+	}
+	if err := k.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{1, 5, 7, 9}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
 }
