@@ -382,7 +382,7 @@ func runCT(psm *device.PSM, dev *device.Slotted, polName, wlName, traceFile stri
 		if err != nil {
 			return err
 		}
-		fmt.Printf("replicas      %d × %.0f s (base seed %d)\n", sum.Replicas, horizon, seed)
+		fmt.Printf("replicas      %d × %.0f s (base seed %d)\n", sum.Instances, horizon, seed)
 		fmt.Printf("avg power     %.4f ± %.4f W (always-on %.4f W)\n",
 			sum.AvgPowerW.Mean(), sum.AvgPowerW.CI95(), maxPower)
 		fmt.Printf("energy red.   %.1f%% ± %.1f%%\n",

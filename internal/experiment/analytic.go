@@ -12,7 +12,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/policy"
 	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -109,7 +108,7 @@ func RunAnalyticCtx(ctx context.Context, seeds []uint64, par Parallel) (*Analyti
 		return nil, errNoSeeds
 	}
 	r := &AnalyticReport{}
-	if err := analyticCTChecks(ctx, r, seeds); err != nil {
+	if err := analyticCTChecks(ctx, r, seeds, par); err != nil {
 		return nil, err
 	}
 	if err := analyticSlotChecks(ctx, r, seeds, par); err != nil {
@@ -124,86 +123,10 @@ func RunAnalyticCtx(ctx context.Context, seeds []uint64, par Parallel) (*Analyti
 // ---------------------------------------------------------------------------
 // Continuous-time rungs
 
-// analyticCT pins one continuous-time system to an oracle regime: a
-// synthetic3 device under Poisson(rate) arrivals with a native
-// (event-driven) policy, optionally a service distribution, a queue
-// bound, and crash/repair faults.
-type analyticCT struct {
-	name        string
-	rate        float64
-	queueCap    int // ctsim convention: 0 = unbounded
-	serviceDist dist.Continuous
-	crashMTBF   float64
-	repairMean  float64
-	policy      func(psm *device.PSM) (ctsim.Policy, error)
-}
-
-// ctPools aggregates one metric sample per replica.
-type ctPools struct {
-	power, wait, backlog, loss, avail stats.Running
-}
-
-// runAnalyticCT executes one event-driven replica per seed. The stream
-// layout follows the repository contract (root → policy → sim), with one
-// extra split for the service or fault stream when the scenario enables
-// it — native policies draw nothing from the policy stream, but keeping
-// the slot reserves seed-compatibility with the adapted-policy runners.
-func runAnalyticCT(ctx context.Context, sc analyticCT, seeds []uint64) (*ctPools, error) {
-	psm := device.Synthetic3()
-	pools := &ctPools{}
-	for _, seed := range seeds {
-		pol, err := sc.policy(psm)
-		if err != nil {
-			return nil, err
-		}
-		arr, err := dist.NewExponential(sc.rate)
-		if err != nil {
-			return nil, err
-		}
-		src, err := ctsim.NewRenewalSource(arr)
-		if err != nil {
-			return nil, err
-		}
-		root := rng.New(seed)
-		_ = root.Split() // policy stream (native policies are draw-free)
-		cfg := ctsim.Config{
-			Device:   psm,
-			QueueCap: sc.queueCap,
-			Policy:   pol,
-			Source:   src,
-			Stream:   root.Split(),
-		}
-		if sc.serviceDist != nil {
-			cfg.ServiceDist = sc.serviceDist
-			cfg.ServiceStream = root.Split()
-		}
-		if sc.crashMTBF > 0 {
-			cfg.Faults = &ctsim.Faults{
-				CrashMTBF:  sc.crashMTBF,
-				RepairMean: sc.repairMean,
-				Stream:     root.Split(),
-			}
-		}
-		sim, err := ctsim.New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: analytic ct rung %s: %w", sc.name, err)
-		}
-		if err := sim.RunChunked(ctx, ctHorizon, ctHorizon/64); err != nil {
-			return nil, err
-		}
-		m := sim.Metrics()
-		pools.power.Add(m.AvgPowerW())
-		pools.wait.Add(m.MeanWaitSeconds())
-		pools.backlog.Add(m.MeanBacklog())
-		pools.loss.Add(m.LossRate())
-		pools.avail.Add(m.Availability())
-	}
-	return pools, nil
-}
-
 // analyticCTChecks runs the M/D/1, M/M/1, M/M/1/K, sleep-cycle, and
-// availability rungs on the event-driven kernel.
-func analyticCTChecks(ctx context.Context, r *AnalyticReport, seeds []uint64) error {
+// availability rungs on the event-driven kernel, every rung a cell of one
+// replica grid.
+func analyticCTChecks(ctx context.Context, r *AnalyticReport, seeds []uint64, par Parallel) error {
 	psm := device.Synthetic3()
 	roles, err := policy.DeriveRoles(psm)
 	if err != nil {
@@ -212,7 +135,21 @@ func analyticCTChecks(ctx context.Context, r *AnalyticReport, seeds []uint64) er
 	active, deep := int(roles.Wake), int(roles.Deep)
 	s := psm.ServiceTime
 
-	alwaysOn := func(p *device.PSM) (ctsim.Policy, error) { return ctsim.NewAlwaysOn(p) }
+	// cell pins one continuous-time system to an oracle regime: the
+	// device under Poisson(rate) arrivals with a native event-driven
+	// policy over ctHorizon seconds; the caller adds a service law, a
+	// queue bound, or faults. Native policies draw nothing from the
+	// policy stream, but its split still comes first, so seeds match the
+	// adapted-policy runners.
+	cell := func(name string, rate float64, pol func(*rng.Stream) (ctsim.Policy, error)) ctCell {
+		return ctCell{name: name, policy: pol, sc: CTScenario{
+			Name:    name,
+			Device:  psm,
+			Horizon: ctHorizon,
+			Source:  renewalSource(dist.Exponential{Rate: rate}),
+		}}
+	}
+	alwaysOn := func(*rng.Stream) (ctsim.Policy, error) { return ctsim.NewAlwaysOn(psm) }
 	exp2, err := dist.NewExponential(2)
 	if err != nil {
 		return err
@@ -230,18 +167,7 @@ func analyticCTChecks(ctx context.Context, r *AnalyticReport, seeds []uint64) er
 	}); err != nil {
 		return err
 	}
-	p, err := runAnalyticCT(ctx, analyticCT{name: "md1", rate: 0.8, policy: alwaysOn}, seeds)
-	if err != nil {
-		return err
-	}
-	r.add(AnalyticCheck{Rung: "M/D/1", Sim: "ctsim", Metric: "sojourn (s)",
-		Theory: md1.MeanSojourn(), Observed: p.wait.Mean(), CI: p.wait.CI95(), Slack: relSlack * md1.MeanSojourn()})
-	r.add(AnalyticCheck{Rung: "M/D/1", Sim: "ctsim", Metric: "number in system",
-		Theory: md1.MeanNumber(), Observed: p.backlog.Mean(), CI: p.backlog.CI95(), Slack: relSlack * md1.MeanNumber()})
-	r.add(AnalyticCheck{Rung: "M/D/1", Sim: "ctsim", Metric: "power (W)",
-		Theory: psm.States[active].Power, Observed: p.power.Mean(), Slack: exactTol})
-	r.add(AnalyticCheck{Rung: "M/D/1", Sim: "ctsim", Metric: "loss rate",
-		Theory: 0, Observed: p.loss.Mean(), Slack: exactTol})
+	md1Cell := cell("md1", 0.8, alwaysOn)
 
 	// Rung 2 — M/M/1: the same system with exponential service drawn
 	// from the dedicated service stream.
@@ -256,14 +182,8 @@ func analyticCTChecks(ctx context.Context, r *AnalyticReport, seeds []uint64) er
 	}); err != nil {
 		return err
 	}
-	p, err = runAnalyticCT(ctx, analyticCT{name: "mm1", rate: 0.8, serviceDist: exp2, policy: alwaysOn}, seeds)
-	if err != nil {
-		return err
-	}
-	r.add(AnalyticCheck{Rung: "M/M/1", Sim: "ctsim", Metric: "sojourn (s)",
-		Theory: mm1.MeanSojourn(), Observed: p.wait.Mean(), CI: p.wait.CI95(), Slack: relSlack * mm1.MeanSojourn()})
-	r.add(AnalyticCheck{Rung: "M/M/1", Sim: "ctsim", Metric: "number in system",
-		Theory: mm1.MeanNumber(), Observed: p.backlog.Mean(), CI: p.backlog.CI95(), Slack: relSlack * mm1.MeanNumber()})
+	mm1Cell := cell("mm1", 0.8, alwaysOn)
+	mm1Cell.sc.ServiceDist = exp2
 
 	// Rung 3 — M/M/1/K: bounded queue at ρ = 0.8 (ctsim's QueueCap
 	// counts the request in service, so QueueCap == K).
@@ -280,16 +200,9 @@ func analyticCTChecks(ctx context.Context, r *AnalyticReport, seeds []uint64) er
 	}); err != nil {
 		return err
 	}
-	p, err = runAnalyticCT(ctx, analyticCT{name: "mm1k", rate: 1.6, queueCap: sysCap, serviceDist: exp2, policy: alwaysOn}, seeds)
-	if err != nil {
-		return err
-	}
-	r.add(AnalyticCheck{Rung: "M/M/1/K", Sim: "ctsim", Metric: "loss rate",
-		Theory: mm1k.BlockingProb(), Observed: p.loss.Mean(), CI: p.loss.CI95(), Slack: relSlack * mm1k.BlockingProb()})
-	r.add(AnalyticCheck{Rung: "M/M/1/K", Sim: "ctsim", Metric: "number in system",
-		Theory: mm1k.MeanNumber(), Observed: p.backlog.Mean(), CI: p.backlog.CI95(), Slack: relSlack * mm1k.MeanNumber()})
-	r.add(AnalyticCheck{Rung: "M/M/1/K", Sim: "ctsim", Metric: "sojourn (s)",
-		Theory: mm1k.MeanSojourn(), Observed: p.wait.Mean(), CI: p.wait.CI95(), Slack: relSlack * mm1k.MeanSojourn()})
+	mm1kCell := cell("mm1k", 1.6, alwaysOn)
+	mm1kCell.sc.QueueCap = sysCap
+	mm1kCell.sc.ServiceDist = exp2
 
 	// Rung 4 — sleep-cycle power: greedy-off and the continuous-time
 	// timeout with threshold ≤ service time, which behave identically in
@@ -315,26 +228,11 @@ func analyticCTChecks(ctx context.Context, r *AnalyticReport, seeds []uint64) er
 	}); err != nil {
 		return err
 	}
-	p, err = runAnalyticCT(ctx, analyticCT{name: "greedy-off", rate: 0.4,
-		policy: func(p *device.PSM) (ctsim.Policy, error) { return ctsim.NewGreedyOff(p) }}, seeds)
-	if err != nil {
-		return err
-	}
-	r.add(AnalyticCheck{Rung: "sleep-cycle", Sim: "ctsim", Metric: "greedy-off power (W)",
-		Theory: cycle.MeanPower(), Observed: p.power.Mean(), CI: p.power.CI95(), Slack: relSlack * cycle.MeanPower()})
-
 	tmo := cycle
 	tmo.Timeout = 0.8 * s
 	if err := tmo.Validate(); err != nil {
 		return err
 	}
-	p, err = runAnalyticCT(ctx, analyticCT{name: "ct-timeout", rate: 0.4,
-		policy: func(p *device.PSM) (ctsim.Policy, error) { return ctsim.NewTimeout(p, tmo.Timeout) }}, seeds)
-	if err != nil {
-		return err
-	}
-	r.add(AnalyticCheck{Rung: "sleep-cycle", Sim: "ctsim", Metric: fmt.Sprintf("timeout-%g power (W)", tmo.Timeout),
-		Theory: tmo.MeanPower(), Observed: p.power.Mean(), CI: p.power.CI95(), Slack: relSlack * tmo.MeanPower()})
 
 	// Rung 5 — availability: Exp(MTBF) operating-time failures against
 	// Exp(repair) wall-time repairs alternate, so uptime converges to
@@ -346,13 +244,56 @@ func analyticCTChecks(ctx context.Context, r *AnalyticReport, seeds []uint64) er
 	if err := av.AppliesTo(analytic.Regime{Faults: true}); err != nil {
 		return err
 	}
-	p, err = runAnalyticCT(ctx, analyticCT{name: "availability", rate: 0.4,
-		crashMTBF: av.MTBF, repairMean: av.MeanRepair, policy: alwaysOn}, seeds)
+	avCell := cell("availability", 0.4, alwaysOn)
+	avCell.sc.Faults = &ctsim.Faults{CrashMTBF: av.MTBF, RepairMean: av.MeanRepair}
+
+	sums, err := ctGrid(ctx, par, []ctCell{
+		md1Cell,
+		mm1Cell,
+		mm1kCell,
+		cell("greedy-off", 0.4, func(*rng.Stream) (ctsim.Policy, error) { return ctsim.NewGreedyOff(psm) }),
+		cell("ct-timeout", 0.4, func(*rng.Stream) (ctsim.Policy, error) { return ctsim.NewTimeout(psm, tmo.Timeout) }),
+		avCell,
+	}, seeds)
 	if err != nil {
 		return err
 	}
+
+	p := sums[0]
+	r.add(AnalyticCheck{Rung: "M/D/1", Sim: "ctsim", Metric: "sojourn (s)",
+		Theory: md1.MeanSojourn(), Observed: p.MeanWaitSec.Mean(), CI: p.MeanWaitSec.CI95(), Slack: relSlack * md1.MeanSojourn()})
+	r.add(AnalyticCheck{Rung: "M/D/1", Sim: "ctsim", Metric: "number in system",
+		Theory: md1.MeanNumber(), Observed: p.MeanBacklog.Mean(), CI: p.MeanBacklog.CI95(), Slack: relSlack * md1.MeanNumber()})
+	r.add(AnalyticCheck{Rung: "M/D/1", Sim: "ctsim", Metric: "power (W)",
+		Theory: psm.States[active].Power, Observed: p.AvgPowerW.Mean(), Slack: exactTol})
+	r.add(AnalyticCheck{Rung: "M/D/1", Sim: "ctsim", Metric: "loss rate",
+		Theory: 0, Observed: p.LossRate.Mean(), Slack: exactTol})
+
+	p = sums[1]
+	r.add(AnalyticCheck{Rung: "M/M/1", Sim: "ctsim", Metric: "sojourn (s)",
+		Theory: mm1.MeanSojourn(), Observed: p.MeanWaitSec.Mean(), CI: p.MeanWaitSec.CI95(), Slack: relSlack * mm1.MeanSojourn()})
+	r.add(AnalyticCheck{Rung: "M/M/1", Sim: "ctsim", Metric: "number in system",
+		Theory: mm1.MeanNumber(), Observed: p.MeanBacklog.Mean(), CI: p.MeanBacklog.CI95(), Slack: relSlack * mm1.MeanNumber()})
+
+	p = sums[2]
+	r.add(AnalyticCheck{Rung: "M/M/1/K", Sim: "ctsim", Metric: "loss rate",
+		Theory: mm1k.BlockingProb(), Observed: p.LossRate.Mean(), CI: p.LossRate.CI95(), Slack: relSlack * mm1k.BlockingProb()})
+	r.add(AnalyticCheck{Rung: "M/M/1/K", Sim: "ctsim", Metric: "number in system",
+		Theory: mm1k.MeanNumber(), Observed: p.MeanBacklog.Mean(), CI: p.MeanBacklog.CI95(), Slack: relSlack * mm1k.MeanNumber()})
+	r.add(AnalyticCheck{Rung: "M/M/1/K", Sim: "ctsim", Metric: "sojourn (s)",
+		Theory: mm1k.MeanSojourn(), Observed: p.MeanWaitSec.Mean(), CI: p.MeanWaitSec.CI95(), Slack: relSlack * mm1k.MeanSojourn()})
+
+	p = sums[3]
+	r.add(AnalyticCheck{Rung: "sleep-cycle", Sim: "ctsim", Metric: "greedy-off power (W)",
+		Theory: cycle.MeanPower(), Observed: p.AvgPowerW.Mean(), CI: p.AvgPowerW.CI95(), Slack: relSlack * cycle.MeanPower()})
+	p = sums[4]
+	r.add(AnalyticCheck{Rung: "sleep-cycle", Sim: "ctsim", Metric: fmt.Sprintf("timeout-%g power (W)", tmo.Timeout),
+		Theory: tmo.MeanPower(), Observed: p.AvgPowerW.Mean(), CI: p.AvgPowerW.CI95(), Slack: relSlack * tmo.MeanPower()})
+
+	p = sums[5]
 	r.add(AnalyticCheck{Rung: "availability", Sim: "ctsim", Metric: "uptime fraction",
-		Theory: av.Value(), Observed: p.avail.Mean(), CI: p.avail.CI95(), Slack: relSlack * av.Value()})
+		Theory: av.Value(), Observed: p.Availability(ctHorizon),
+		CI: p.DowntimeSec.CI95() / ctHorizon, Slack: relSlack * av.Value()})
 	return nil
 }
 

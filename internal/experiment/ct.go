@@ -3,23 +3,26 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/ctsim"
 	"repro/internal/device"
 	"repro/internal/dist"
+	"repro/internal/fleet"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
-// CTScenario describes one continuous-time simulated system. The slotted
-// policies under comparison are wrapped with ctsim.Adapt at the scenario's
-// Period, so the same PolicyFactory values drive both simulators.
+// CTScenario describes one continuous-time simulated system. The exported
+// runners wrap the slotted policies under comparison with ctsim.Adapt at
+// the scenario's Period, so the same PolicyFactory values drive both
+// simulators; the analytic rungs run native ctsim policies with Period 0,
+// which selects event-driven decisions.
 type CTScenario struct {
 	// Name labels the scenario.
 	Name string
 	// Device is the managed physical PSM (latencies in seconds).
 	Device *device.PSM
-	// QueueCap bounds the queue.
+	// QueueCap bounds the queue (0 = unbounded).
 	QueueCap int
 	// LatencyWeight scalarizes backlog-seconds into cost (J/request-s).
 	LatencyWeight float64
@@ -27,11 +30,21 @@ type CTScenario struct {
 	Source func() ctsim.Source
 	// Horizon is the run length in seconds.
 	Horizon float64
-	// Period is the governor tick interval (the adapter's reference slot).
+	// Period is the governor tick interval (the adapter's reference slot);
+	// 0 selects event-driven decisions, which only a native policy
+	// supports.
 	Period float64
+	// ServiceDist, when non-nil, draws each service duration from this
+	// law on the replica's service stream (nil: the device's fixed
+	// service time).
+	ServiceDist dist.Continuous
+	// Faults, when non-nil, enables fault injection with this spec; its
+	// Stream is ignored and filled per replica.
+	Faults *ctsim.Faults
 }
 
-// Validate checks the scenario.
+// Validate checks the scenario for the exported runners, which adapt a
+// slotted policy onto the governor and so need a positive, finite Period.
 func (sc *CTScenario) Validate() error {
 	if sc.Device == nil {
 		return fmt.Errorf("experiment: ct scenario %q needs a device", sc.Name)
@@ -39,37 +52,83 @@ func (sc *CTScenario) Validate() error {
 	if sc.Source == nil {
 		return fmt.Errorf("experiment: ct scenario %q needs a source factory", sc.Name)
 	}
-	if !(sc.Horizon > 0) {
-		return fmt.Errorf("experiment: ct scenario %q has non-positive horizon %v", sc.Name, sc.Horizon)
+	if !(sc.Horizon > 0) || math.IsInf(sc.Horizon, 1) {
+		return fmt.Errorf("experiment: ct scenario %q has horizon %v, want positive and finite", sc.Name, sc.Horizon)
 	}
-	if !(sc.Period > 0) {
-		return fmt.Errorf("experiment: ct scenario %q has non-positive period %v", sc.Name, sc.Period)
+	if !(sc.Period > 0) || math.IsInf(sc.Period, 1) {
+		return fmt.Errorf("experiment: ct scenario %q has period %v, want positive and finite", sc.Name, sc.Period)
 	}
 	return nil
+}
+
+// ctCell is one (scenario, policy) cell of a continuous-time replica
+// grid: policy builds each replica's native ctsim policy from the
+// replica's policy stream, and name labels it.
+type ctCell struct {
+	sc     CTScenario
+	name   string
+	policy func(*rng.Stream) (ctsim.Policy, error)
+}
+
+// adaptedCell runs the slotted policies pf builds on sc's governor.
+func adaptedCell(sc CTScenario, pf PolicyFactory) ctCell {
+	period := sc.Period
+	return ctCell{sc: sc, name: pf.Name, policy: func(s *rng.Stream) (ctsim.Policy, error) {
+		pol, err := pf.New(s)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: building policy %s: %w", pf.Name, err)
+		}
+		return ctsim.Adapt(pol, period), nil
+	}}
 }
 
 // ctReplicaConfig assembles one replica's simulator configuration under
 // the repository determinism contract: the seed roots a stream whose first
 // split feeds the policy and second split feeds the simulator — the same
 // layout as the slotted newReplicaSim, so cross-simulator comparisons can
-// share seeds.
-func ctReplicaConfig(sc CTScenario, pf PolicyFactory, seed uint64) (ctsim.Config, error) {
+// share seeds — then one split for the service law and one for the
+// faults, each only when the scenario enables it.
+func ctReplicaConfig(c *ctCell, seed uint64) (ctsim.Config, error) {
 	root := rng.New(seed)
 	polStream := root.Split()
 	simStream := root.Split()
-	pol, err := pf.New(polStream)
+	pol, err := c.policy(polStream)
 	if err != nil {
-		return ctsim.Config{}, fmt.Errorf("experiment: building policy %s: %w", pf.Name, err)
+		return ctsim.Config{}, err
 	}
-	return ctsim.Config{
+	sc := &c.sc
+	cfg := ctsim.Config{
 		Device:         sc.Device,
 		QueueCap:       sc.QueueCap,
 		LatencyWeight:  sc.LatencyWeight,
-		Policy:         ctsim.Adapt(pol, sc.Period),
+		Policy:         pol,
 		Source:         sc.Source(),
 		Stream:         simStream,
 		DecisionPeriod: sc.Period,
-	}, nil
+	}
+	if sc.ServiceDist != nil {
+		cfg.ServiceDist = sc.ServiceDist
+		cfg.ServiceStream = root.Split()
+	}
+	if sc.Faults != nil {
+		f := *sc.Faults
+		f.Stream = root.Split()
+		cfg.Faults = &f
+	}
+	return cfg, nil
+}
+
+// renewalSource returns a Source factory that builds a fresh renewal
+// source over d per replica; d is shared, since sampling a law is
+// stateless.
+func renewalSource(d dist.Continuous) func() ctsim.Source {
+	return func() ctsim.Source {
+		src, err := ctsim.NewRenewalSource(d)
+		if err != nil {
+			panic(err) // only a nil law fails
+		}
+		return src
+	}
 }
 
 // ctScratch is one worker's reusable replica state: the simulator (whose
@@ -85,10 +144,10 @@ type ctScratch struct {
 
 // runCTReplica executes one replica into ws.metrics, building the
 // simulator fresh on the worker's first job and resetting it afterwards.
-// Replicas run in chunks of ctCancelChunkTicks governor ticks and poll
+// Replicas run in chunks of ctCancelChunkServices service times and poll
 // the context between chunks.
-func runCTReplica(ctx context.Context, sc CTScenario, pf PolicyFactory, seed uint64, ws *ctScratch) error {
-	cfg, err := ctReplicaConfig(sc, pf, seed)
+func runCTReplica(ctx context.Context, c *ctCell, seed uint64, ws *ctScratch) error {
+	cfg, err := ctReplicaConfig(c, seed)
 	if err != nil {
 		return err
 	}
@@ -99,16 +158,19 @@ func runCTReplica(ctx context.Context, sc CTScenario, pf PolicyFactory, seed uin
 	} else if err = ws.sim.Reset(cfg); err != nil {
 		return err
 	}
-	if err := ws.sim.RunChunked(ctx, sc.Horizon, sc.Period*ctCancelChunkTicks); err != nil {
+	if err := ws.sim.RunChunked(ctx, c.sc.Horizon, c.sc.Device.ServiceTime*ctCancelChunkServices); err != nil {
 		return err
 	}
 	ws.sim.MetricsInto(&ws.metrics)
 	return nil
 }
 
-// ctCancelChunkTicks bounds cancellation latency: replicas run in chunks
-// of this many governor ticks and poll the context between chunks.
-const ctCancelChunkTicks = 8192
+// ctCancelChunkServices bounds cancellation latency: replicas run in
+// chunks of this many device service times — a unit that exists with and
+// without a governor, and no longer than a governor period (a slot holds
+// at least one service) — and poll the context between chunks. Chunk
+// size never changes output: a chunk boundary accrues nothing.
+const ctCancelChunkServices = 8192
 
 // RunCTOneCtx executes one continuous-time replica and returns its
 // metrics, with cooperative cancellation between simulated chunks.
@@ -116,88 +178,46 @@ func RunCTOneCtx(ctx context.Context, sc CTScenario, pf PolicyFactory, seed uint
 	if err := sc.Validate(); err != nil {
 		return ctsim.Metrics{}, err
 	}
+	c := adaptedCell(sc, pf)
 	var ws ctScratch
-	if err := runCTReplica(ctx, sc, pf, seed, &ws); err != nil {
+	if err := runCTReplica(ctx, &c, seed, &ws); err != nil {
 		return ctsim.Metrics{}, err
 	}
 	return ws.metrics, nil
 }
 
-// CTSummary pools continuous-time replica metrics for one policy on one
-// scenario.
-type CTSummary struct {
-	Policy   string
-	Scenario string
-	// Replicas is the number of pooled runs.
-	Replicas int
-	// AvgPowerW, EnergyReduction, MeanWaitSec, and LossRate aggregate
-	// per-replica values (EnergyReduction is relative to the device's
-	// hungriest state).
-	AvgPowerW       stats.Running
-	EnergyReduction stats.Running
-	MeanWaitSec     stats.Running
-	LossRate        stats.Running
-}
-
-// addReplica folds one replica's metrics into the summary.
-func (s *CTSummary) addReplica(m *ctsim.Metrics, maxPowerW float64) {
-	s.Replicas++
-	p := m.AvgPowerW()
-	s.AvgPowerW.Add(p)
-	s.EnergyReduction.Add(1 - p/maxPowerW)
-	s.MeanWaitSec.Add(m.MeanWaitSeconds())
-	s.LossRate.Add(m.LossRate())
-}
-
-// Merge combines another summary (same policy and scenario) into s, with
-// the same bit-identical singleton-merge property as Summary.Merge.
-func (s *CTSummary) Merge(o *CTSummary) {
-	if s.Policy == "" {
-		s.Policy, s.Scenario = o.Policy, o.Scenario
-	}
-	s.Replicas += o.Replicas
-	s.AvgPowerW.Merge(&o.AvgPowerW)
-	s.EnergyReduction.Merge(&o.EnergyReduction)
-	s.MeanWaitSec.Merge(&o.MeanWaitSec)
-	s.LossRate.Merge(&o.LossRate)
-}
-
 // RunCTReplicatedCtx executes one continuous-time replica per seed on a
-// worker pool and pools the metrics: a one-cell replicaGrid, so the
-// result is bit-identical for every worker count.
-func RunCTReplicatedCtx(ctx context.Context, sc CTScenario, pf PolicyFactory, seeds []uint64, par Parallel) (*CTSummary, error) {
+// worker pool and pools the metrics, one sample per replica, under the
+// scenario's name and the policy's: a one-cell replicaGrid, so the result
+// is bit-identical for every worker count.
+func RunCTReplicatedCtx(ctx context.Context, sc CTScenario, pf PolicyFactory, seeds []uint64, par Parallel) (*fleet.ClassStats, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	sums, err := replicaGrid(ctx, par, 1, seeds,
-		func(ctx context.Context, ws *ctScratch, _ int, seed uint64) (*CTSummary, error) {
-			return ctReplica(ctx, ws, sc, pf, seed)
-		})
+	sums, err := ctGrid(ctx, par, []ctCell{adaptedCell(sc, pf)}, seeds)
 	if err != nil {
 		return nil, err
 	}
 	return sums[0], nil
 }
 
-// ctReplica runs one continuous-time replica on the worker's reusable
-// simulator as a single-replica summary.
-func ctReplica(ctx context.Context, ws *ctScratch, sc CTScenario, pf PolicyFactory, seed uint64) (*CTSummary, error) {
-	if err := runCTReplica(ctx, sc, pf, seed, ws); err != nil {
-		return nil, err
-	}
-	s := &CTSummary{Policy: pf.Name, Scenario: sc.Name}
-	s.addReplica(&ws.metrics, sc.Device.MaxPower())
-	return s, nil
+// ctGrid runs every cell once per seed on the pool, each worker reusing
+// one simulator, and pools each cell's replicas in seed order.
+func ctGrid(ctx context.Context, par Parallel, cells []ctCell, seeds []uint64) ([]*fleet.ClassStats, error) {
+	return replicaGrid(ctx, par, len(cells), seeds,
+		func(ctx context.Context, ws *ctScratch, ci int, seed uint64) (*fleet.ClassStats, error) {
+			c := &cells[ci]
+			if err := runCTReplica(ctx, c, seed, ws); err != nil {
+				return nil, err
+			}
+			s := &fleet.ClassStats{Name: c.sc.Name, Policy: c.name}
+			s.Add(&ws.metrics, c.sc.Device.MaxPower())
+			return s, nil
+		})
 }
 
 // ---------------------------------------------------------------------------
 // Table CT — continuous-time workload comparison
-
-// ctCell names one (scenario, policy) table cell.
-type ctCell struct {
-	sc CTScenario
-	pf PolicyFactory
-}
 
 // TableCTCtx compares policies on the event-driven simulator across
 // renewal workloads the slot grid cannot express natively — Poisson
@@ -221,7 +241,10 @@ func TableCTCtx(ctx context.Context, ratePerSec, horizon float64, seeds []uint64
 
 	var cells []ctCell
 	for _, name := range []string{"exp", "hyperexp", "pareto", "weibull"} {
-		name := name
+		d, err := dist.ByName(name, ratePerSec)
+		if err != nil {
+			return nil, err
+		}
 		sc := CTScenario{
 			Name:          name,
 			Device:        psm,
@@ -229,17 +252,7 @@ func TableCTCtx(ctx context.Context, ratePerSec, horizon float64, seeds []uint64
 			LatencyWeight: CanonLatencyWeight / CanonSlotSeconds,
 			Horizon:       horizon,
 			Period:        CanonSlotSeconds,
-			Source: func() ctsim.Source {
-				d, err := dist.ByName(name, ratePerSec)
-				if err != nil {
-					panic(err) // names are static; ByName covers them all
-				}
-				src, err := ctsim.NewRenewalSource(d)
-				if err != nil {
-					panic(err)
-				}
-				return src
-			},
+			Source:        renewalSource(d),
 		}
 		if err := sc.Validate(); err != nil {
 			return nil, err
@@ -250,22 +263,18 @@ func TableCTCtx(ctx context.Context, ratePerSec, horizon float64, seeds []uint64
 			TimeoutFactory(dev, 8),
 			QDPMFactory(dev),
 		} {
-			cells = append(cells, ctCell{sc: sc, pf: pf})
+			cells = append(cells, adaptedCell(sc, pf))
 		}
 	}
 
-	sums, err := replicaGrid(ctx, par, len(cells), seeds,
-		func(ctx context.Context, ws *ctScratch, ci int, seed uint64) (*CTSummary, error) {
-			return ctReplica(ctx, ws, cells[ci].sc, cells[ci].pf, seed)
-		})
+	sums, err := ctGrid(ctx, par, cells, seeds)
 	if err != nil {
 		return nil, err
 	}
-	for ci, cell := range cells {
-		sum := sums[ci]
+	for _, sum := range sums {
 		t.Rows = append(t.Rows, []string{
-			cell.sc.Name,
-			cell.pf.Name,
+			sum.Name,
+			sum.Policy,
 			fmt.Sprintf("%.4f", sum.AvgPowerW.Mean()),
 			fmt.Sprintf("%.4f", sum.AvgPowerW.CI95()),
 			fmt.Sprintf("%.3f", sum.MeanWaitSec.Mean()),

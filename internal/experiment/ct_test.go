@@ -2,12 +2,15 @@ package experiment
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/ctsim"
 	"repro/internal/device"
 	"repro/internal/dist"
+	"repro/internal/rng"
 )
 
 func ctTestScenario(t *testing.T, horizon float64) CTScenario {
@@ -55,8 +58,8 @@ func TestCTReplicatedBitIdenticalAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(serial, pooled) {
 			t.Errorf("%s: pooled ct summary differs from serial:\n%+v\n%+v", pf.Name, serial, pooled)
 		}
-		if serial.Replicas != len(seeds) {
-			t.Errorf("%s: %d replicas pooled, want %d", pf.Name, serial.Replicas, len(seeds))
+		if serial.Instances != int64(len(seeds)) {
+			t.Errorf("%s: %d replicas pooled, want %d", pf.Name, serial.Instances, len(seeds))
 		}
 	}
 }
@@ -104,7 +107,11 @@ func TestCTScenarioValidate(t *testing.T) {
 		func(s *CTScenario) { s.Device = nil },
 		func(s *CTScenario) { s.Source = nil },
 		func(s *CTScenario) { s.Horizon = 0 },
+		func(s *CTScenario) { s.Horizon = math.Inf(1) },
+		func(s *CTScenario) { s.Horizon = math.NaN() },
 		func(s *CTScenario) { s.Period = 0 },
+		func(s *CTScenario) { s.Period = math.Inf(1) },
+		func(s *CTScenario) { s.Period = math.NaN() },
 	}
 	for i, mut := range bad {
 		s := ctTestScenario(t, 100)
@@ -113,4 +120,113 @@ func TestCTScenarioValidate(t *testing.T) {
 			t.Errorf("bad ct scenario %d accepted", i)
 		}
 	}
+}
+
+// A ct replica splits its seed's root stream in the order policy, sim,
+// service, fault. A run through the experiment layer equals, bit for bit
+// in every Metrics field, a hand-built ctsim.Config that makes those
+// splits — for an adapted policy on the governor (Q-DPM, which draws from
+// its policy stream) and for a native event-driven one.
+func TestCTReplicaStreamLayout(t *testing.T) {
+	const seed = 7
+	exp2, err := dist.NewExponential(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := ctsim.Faults{CrashMTBF: 300, RepairMean: 5, FailProb: 0.05, RetryMax: 2, Backoff: 0.2}
+	sc := ctTestScenario(t, 4000)
+	sc.ServiceDist = exp2
+	sc.Faults = &faults
+	hand := func(period float64, pol func(*rng.Stream) (ctsim.Policy, error)) ctsim.Metrics {
+		t.Helper()
+		root := rng.New(seed)
+		polStream, simStream := root.Split(), root.Split()
+		svcStream, faultStream := root.Split(), root.Split()
+		p, err := pol(polStream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := faults
+		f.Stream = faultStream
+		sim, err := ctsim.New(ctsim.Config{
+			Device: sc.Device, QueueCap: sc.QueueCap, LatencyWeight: sc.LatencyWeight,
+			Policy: p, Source: sc.Source(), Stream: simStream, DecisionPeriod: period,
+			ServiceDist: exp2, ServiceStream: svcStream, Faults: &f,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(sc.Horizon); err != nil {
+			t.Fatal(err)
+		}
+		m := sim.Metrics()
+		if m.Crashes == 0 || m.Retries == 0 {
+			t.Fatalf("faults injected nothing: %+v", m)
+		}
+		return m
+	}
+
+	dev, err := CanonDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf := QDPMFactory(dev)
+	got, err := RunCTOneCtx(context.Background(), sc, pf, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := hand(sc.Period, func(s *rng.Stream) (ctsim.Policy, error) {
+		pol, err := pf.New(s)
+		if err != nil {
+			return nil, err
+		}
+		return ctsim.Adapt(pol, sc.Period), nil
+	})
+	if d := metricsDiff(got, want); d != "" {
+		t.Errorf("adapted q-dpm: %s", d)
+	}
+
+	native := ctCell{sc: sc, name: "greedy-off", policy: func(*rng.Stream) (ctsim.Policy, error) {
+		return ctsim.NewGreedyOff(sc.Device)
+	}}
+	native.sc.Period = 0
+	var ws ctScratch
+	if err := runCTReplica(context.Background(), &native, seed, &ws); err != nil {
+		t.Fatal(err)
+	}
+	if d := metricsDiff(ws.metrics, hand(0, native.policy)); d != "" {
+		t.Errorf("native greedy-off: %s", d)
+	}
+}
+
+// metricsDiff compares every field of two ctsim.Metrics bit for bit and
+// describes the first difference ("" when identical).
+func metricsDiff(got, want ctsim.Metrics) string {
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < g.NumField(); i++ {
+		name := g.Type().Field(i).Name
+		gf, wf := g.Field(i), w.Field(i)
+		switch gf.Kind() {
+		case reflect.Float64:
+			if math.Float64bits(gf.Float()) != math.Float64bits(wf.Float()) {
+				return fmt.Sprintf("%s = %v, want %v", name, gf.Float(), wf.Float())
+			}
+		case reflect.Int64:
+			if gf.Int() != wf.Int() {
+				return fmt.Sprintf("%s = %d, want %d", name, gf.Int(), wf.Int())
+			}
+		case reflect.Slice:
+			if gf.Len() != wf.Len() {
+				return fmt.Sprintf("len(%s) = %d, want %d", name, gf.Len(), wf.Len())
+			}
+			for j := 0; j < gf.Len(); j++ {
+				if a, b := gf.Index(j).Float(), wf.Index(j).Float(); math.Float64bits(a) != math.Float64bits(b) {
+					return fmt.Sprintf("%s[%d] = %v, want %v", name, j, a, b)
+				}
+			}
+		default:
+			return fmt.Sprintf("field %s has unhandled kind %s", name, gf.Kind())
+		}
+	}
+	return ""
 }

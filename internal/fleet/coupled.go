@@ -185,7 +185,7 @@ func (r *runner) runGroupCT(ctx context.Context, lo, hi int, ws *workerScratch, 
 	}
 	for j := range lanes {
 		ci := r.classOf(lo + j)
-		sum.add(ci, lanes[j].sim.MetricsView(), r.classes[ci].maxPower)
+		sum.Add(ci, lanes[j].sim.MetricsView(), r.classes[ci].maxPower)
 	}
 	sum.Events += ws.kernel.Fired()
 	return nil

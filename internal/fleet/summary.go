@@ -7,23 +7,25 @@ import (
 	"repro/internal/stats"
 )
 
-// ClassStats aggregates the per-instance results of one class (or one
-// policy rollup). Each Running pools one sample per instance.
+// ClassStats aggregates the results of one class (or one policy rollup)
+// of a fleet, or the replicas of one continuous-time experiment cell.
+// Each Running pools one sample per instance or per replica.
 type ClassStats struct {
 	// Name labels the group (a Class label or a policy name).
 	Name string
 	// Policy is the group's policy label (for per-policy rollups it
 	// equals Name).
 	Policy string
-	// Instances is the number of pooled instances.
+	// Instances is the number of pooled instances (or replicas).
 	Instances int64
-	// AvgPowerW, EnergyReduction, MeanWaitSec, and LossRate pool
-	// per-instance values; EnergyReduction is relative to each class's
-	// always-on power.
+	// AvgPowerW, EnergyReduction, MeanWaitSec, LossRate, and MeanBacklog
+	// pool per-instance values; EnergyReduction is relative to each
+	// class's always-on power.
 	AvgPowerW       stats.Running
 	EnergyReduction stats.Running
 	MeanWaitSec     stats.Running
 	LossRate        stats.Running
+	MeanBacklog     stats.Running
 	// Interference aggregates, populated only by coupled runs
 	// (Spec.Couple): ResourceWaitSec pools each instance's total time
 	// spent queued for the shared resource; ResourceDrops counts
@@ -55,8 +57,8 @@ func (c *ClassStats) Availability(horizonSec float64) float64 {
 	return 1 - c.DowntimeSec.Mean()/horizonSec
 }
 
-// merge folds another group (same identity) into c.
-func (c *ClassStats) merge(o *ClassStats) {
+// Merge folds another group (same identity) into c.
+func (c *ClassStats) Merge(o *ClassStats) {
 	if c.Name == "" {
 		c.Name, c.Policy = o.Name, o.Policy
 	}
@@ -65,6 +67,7 @@ func (c *ClassStats) merge(o *ClassStats) {
 	c.EnergyReduction.Merge(&o.EnergyReduction)
 	c.MeanWaitSec.Merge(&o.MeanWaitSec)
 	c.LossRate.Merge(&o.LossRate)
+	c.MeanBacklog.Merge(&o.MeanBacklog)
 	c.ResourceWaitSec.Merge(&o.ResourceWaitSec)
 	c.ResourceDrops += o.ResourceDrops
 	c.BudgetDenied += o.BudgetDenied
@@ -76,15 +79,16 @@ func (c *ClassStats) merge(o *ClassStats) {
 	c.LostToOutage += o.LostToOutage
 }
 
-// add folds one instance's metrics into c; maxPowerW is the instance
-// class's always-on power, the reference for EnergyReduction.
-func (c *ClassStats) add(m *ctsim.Metrics, maxPowerW float64) {
+// Add folds one instance's (or replica's) metrics into c; maxPowerW is
+// the device's always-on power, the reference for EnergyReduction.
+func (c *ClassStats) Add(m *ctsim.Metrics, maxPowerW float64) {
 	avgPower := m.AvgPowerW()
 	c.Instances++
 	c.AvgPowerW.Add(avgPower)
 	c.EnergyReduction.Add(1 - avgPower/maxPowerW)
 	c.MeanWaitSec.Add(m.MeanWaitSeconds())
 	c.LossRate.Add(m.LossRate())
+	c.MeanBacklog.Add(m.MeanBacklog())
 	c.ResourceWaitSec.Add(m.ResourceWaitSec)
 	c.ResourceDrops += m.ResourceDrops
 	c.BudgetDenied += m.BudgetDenied
@@ -188,17 +192,19 @@ func (s *Summary) reset(r *runner, n int) {
 	}
 }
 
-// add folds one instance of class ci into the summary: the fleet
+// Add folds one instance of class ci into the summary: the fleet
 // totals, the fleet-wide and per-class aggregates, and the wait
-// quantiles. m may be a ctsim.MetricsView; add copies what it keeps.
-func (s *Summary) add(ci int, m *ctsim.Metrics, maxPowerW float64) {
+// quantiles. m may be a ctsim.MetricsView; Add copies what it keeps.
+// It shadows the embedded ClassStats.Add, which would fold into the
+// fleet-wide aggregate alone.
+func (s *Summary) Add(ci int, m *ctsim.Metrics, maxPowerW float64) {
 	s.Devices++
 	s.EnergyJ += m.EnergyJ
 	s.Arrived += m.Arrived
 	s.Served += m.Served
 	s.Lost += m.Lost
-	s.ClassStats.add(m, maxPowerW)
-	s.Classes[ci].add(m, maxPowerW)
+	s.ClassStats.Add(m, maxPowerW)
+	s.Classes[ci].Add(m, maxPowerW)
 	wait := m.MeanWaitSeconds()
 	s.WaitSketch.Add(wait)
 	if s.Waits != nil {
@@ -224,12 +230,12 @@ func (s *Summary) Merge(o *Summary) {
 	s.Served += o.Served
 	s.Lost += o.Lost
 	s.Events += o.Events
-	s.ClassStats.merge(&o.ClassStats)
+	s.ClassStats.Merge(&o.ClassStats)
 	if len(s.Classes) == 0 {
 		s.Classes = make([]ClassStats, len(o.Classes))
 	}
 	for i := range o.Classes {
-		s.Classes[i].merge(&o.Classes[i])
+		s.Classes[i].Merge(&o.Classes[i])
 	}
 	switch {
 	case o.WaitSketch == nil:
@@ -293,7 +299,7 @@ func (s *Summary) PerPolicy() []ClassStats {
 			idx[c.Policy] = j
 			out = append(out, ClassStats{Name: c.Policy, Policy: c.Policy})
 		}
-		out[j].merge(c)
+		out[j].Merge(c)
 	}
 	return out
 }
