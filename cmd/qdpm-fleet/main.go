@@ -77,6 +77,11 @@ func main() {
 	}
 }
 
+// maxReplicas bounds -replicas: the replica seeds are derived before
+// any run, one word per replica, so an unchecked count (say 1e12) runs
+// out of memory instead of reporting an error.
+const maxReplicas = 1 << 16
+
 // run parses args, executes the fleet, and writes the report to w.
 func run(ctx context.Context, w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("qdpm-fleet", flag.ContinueOnError)
@@ -126,6 +131,9 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 	}
 	if *replicas < 1 {
 		return fmt.Errorf("replicas %d must be >= 1", *replicas)
+	}
+	if *replicas > maxReplicas {
+		return fmt.Errorf("replicas %d above %d", *replicas, maxReplicas)
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

@@ -81,6 +81,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-mode", "quantum"},
 		{"-devices", "0"},
 		{"-replicas", "0"},
+		{"-devices", "1", "-horizon", "1", "-replicas", "65537"},
 		{"-horizon", "-1"},
 		{"-qcap", "1000000000"},
 	} {

@@ -62,6 +62,11 @@ func main() {
 	}
 }
 
+// maxReplicas bounds -replicas: the replica seeds are derived before
+// any run, one word per replica, so an unchecked count (say 1e12) runs
+// out of memory instead of reporting an error.
+const maxReplicas = 1 << 16
+
 func run() error {
 	var (
 		devName  = flag.String("device", "synthetic3", "catalog device: synthetic3|hdd|wlan|sensor-radio|two-state")
@@ -83,6 +88,9 @@ func run() error {
 	flag.Parse()
 	if *replicas < 1 {
 		return fmt.Errorf("replicas %d must be >= 1", *replicas)
+	}
+	if *replicas > maxReplicas {
+		return fmt.Errorf("replicas %d above %d", *replicas, maxReplicas)
 	}
 	if err := checkQueueCap(*polName, *queueCap); err != nil {
 		return err

@@ -129,9 +129,9 @@ func TestBuildCTSourceTraceReplay(t *testing.T) {
 	}
 }
 
-// TestReplicasBelowOneRejected runs the command with -replicas 0 and -3
-// in both modes and expects a non-zero exit naming the bad count before
-// any simulation runs. run reads the global flag set, so the test binary
+// TestReplicasBelowOneRejected runs the command with -replicas 0, -3 and
+// one above maxReplicas in both modes and expects a non-zero exit naming
+// the bad count before any simulation runs. run reads the global flag set, so the test binary
 // re-executes itself as the command: with QDPM_SIM_TEST_ARGS set, the
 // test calls main on those arguments instead.
 func TestReplicasBelowOneRejected(t *testing.T) {
@@ -141,16 +141,20 @@ func TestReplicasBelowOneRejected(t *testing.T) {
 		os.Exit(0)
 	}
 	for _, mode := range []string{"slot", "ct"} {
-		for _, n := range []string{"0", "-3"} {
+		for _, tc := range []struct{ n, want string }{
+			{"0", "replicas 0 must be >= 1"},
+			{"-3", "replicas -3 must be >= 1"},
+			{"65537", "replicas 65537 above 65536"},
+		} {
 			cmd := exec.Command(os.Args[0], "-test.run=^TestReplicasBelowOneRejected$")
-			cmd.Env = append(os.Environ(), "QDPM_SIM_TEST_ARGS=-mode "+mode+" -replicas "+n+" -slots 100")
+			cmd.Env = append(os.Environ(), "QDPM_SIM_TEST_ARGS=-mode "+mode+" -replicas "+tc.n+" -slots 1")
 			out, err := cmd.CombinedOutput()
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) {
-				t.Fatalf("-mode %s -replicas %s: want a non-zero exit, got %v\n%s", mode, n, err, out)
+				t.Fatalf("-mode %s -replicas %s: want a non-zero exit, got %v\n%s", mode, tc.n, err, out)
 			}
-			if want := "replicas " + n + " must be >= 1"; !strings.Contains(string(out), want) {
-				t.Errorf("-mode %s -replicas %s: output %q lacks %q", mode, n, out, want)
+			if !strings.Contains(string(out), tc.want) {
+				t.Errorf("-mode %s -replicas %s: output %q lacks %q", mode, tc.n, out, tc.want)
 			}
 		}
 	}

@@ -1,32 +1,32 @@
-// Package engine is the parallel experiment execution subsystem: a
-// worker-pool job runner that fans independent simulation replicas
-// (Scenario × PolicyFactory × seed in the experiment layer) across
-// GOMAXPROCS workers.
+// Package engine is the parallel execution subsystem: one dispatcher,
+// MapReduce, that fans n indexed jobs (experiment replicas, fleet
+// shards) across a pool of workers and folds their outcomes in index
+// order. Map is MapReduce collecting results by index.
 //
 // Design constraints, in priority order:
 //
-//  1. Determinism. Results are collected into an index-ordered slice and
-//     reduced by the caller in that order, so a pooled run is bit-identical
-//     to a serial run regardless of worker count or scheduling. The engine
-//     never injects randomness; seed derivation (DeriveSeeds) is a pure
-//     function of the base seed.
+//  1. Determinism. Outcomes reach the caller's reduce in strict job-index
+//     order, so a pooled run is bit-identical to a serial run regardless
+//     of worker count or scheduling, and Map reports the lowest-index
+//     failure. The engine never injects randomness; seed derivation
+//     (DeriveSeeds, SeedFor) is a pure function of the base seed.
 //  2. Prompt cancellation. Cancelling the context stops job dispatch
 //     immediately and running jobs cooperatively (long replicas poll the
-//     context between chunks in the experiment layer); Map returns the
-//     context error without leaking goroutines.
-//  3. Failure isolation. A panicking job is captured as a *PanicError
-//     carrying the job index and stack; the first failure cancels the
-//     remaining work and is returned to the caller.
+//     context between chunks); the call returns without leaking
+//     goroutines.
+//  3. Bounded memory. A window of 2×workers tokens caps the jobs in flight
+//     or buffered behind a predecessor, so a million-job fold holds
+//     O(workers) outcomes.
+//  4. Caller-set failure policy. A panicking job is captured as a
+//     *PanicError carrying the job index and stack; reduce decides per
+//     job whether a failure is skipped or cancels the rest.
 //
-// The engine is deliberately below the experiment layer in the dependency
-// graph (it knows nothing about scenarios or policies), so every future
-// workload — figure drivers, table sweeps, ablation grids, trace
-// pipelines — plugs into the same pool.
+// The engine is deliberately below the experiment and fleet layers in the
+// dependency graph (it knows nothing about scenarios, policies or shards).
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -41,16 +41,17 @@ type Pool struct {
 	// Workers is the number of concurrent workers; <= 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Progress, when non-nil, observes completion: it is called after each
-	// job finishes with the number done so far and the total. Calls are
-	// serialized by the engine, so the callback needs no locking of its
-	// own, but it must not block for long — it runs on worker goroutines.
+	// Progress, when non-nil, observes completion: it is called once per
+	// reduced job, in index order, with the number reduced so far and the
+	// total. Calls are serialized by the engine, so the callback needs no
+	// locking of its own, but it must not block for long — it runs on
+	// worker goroutines.
 	Progress func(done, total int)
 }
 
-// Size reports the number of workers Map and MapWorkers will actually
-// use for n jobs — and therefore the exclusive upper bound on the worker
-// indices a MapWorkers fn observes. Callers preallocate per-worker
+// Size reports the number of workers Map and MapReduce will actually use
+// for n jobs — and therefore the exclusive upper bound on the worker
+// indices a MapReduce fn observes. Callers preallocate per-worker
 // scratch state with it.
 func (p *Pool) Size(n int) int { return p.workers(n) }
 
@@ -87,185 +88,78 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: job %d panicked: %v", e.Index, e.Value)
 }
 
-// JobError records one failed job of a MapReduceWorkersKeepGoing run.
-type JobError struct {
-	// Index is the failed job's index.
-	Index int
-	// Err is the job's error (a *PanicError if the job panicked).
-	Err error
-}
-
-// Error implements error.
-func (e *JobError) Error() string { return fmt.Sprintf("engine: job %d: %v", e.Index, e.Err) }
-
-// Unwrap exposes the job's underlying error to errors.Is/As.
-func (e *JobError) Unwrap() error { return e.Err }
-
-// PartialError reports that a MapReduceWorkersKeepGoing run finished
-// with some jobs failed: every other job ran and was reduced, and Failed
-// lists the casualties in job-index order.
-type PartialError struct {
-	// Failed holds one entry per failed job, ascending by index.
-	Failed []JobError
-	// Total is the run's job count.
-	Total int
-}
-
-// Error implements error.
-func (e *PartialError) Error() string {
-	return fmt.Sprintf("engine: %d of %d jobs failed; first: %v", len(e.Failed), e.Total, &e.Failed[0])
-}
-
 // Map runs fn(ctx, i) for every i in [0, n) on p's worker pool and returns
 // the results in index order — results[i] is fn's value for job i, so any
 // order-sensitive reduction over the output is independent of worker count
 // and scheduling.
 //
-// The first job error (or captured panic) cancels the remaining jobs and
-// is returned alongside the partial results: slots whose jobs never ran or
-// failed hold the zero value. If the parent context is cancelled, Map
-// returns ctx's error. Map only returns once every started job has
-// finished, so no worker goroutines outlive the call.
+// Any job error is fatal: the lowest-index failure, wrapped as
+// "engine: job i: …" (a captured panic as the bare *PanicError), cancels
+// the remaining jobs and is returned alongside the partial results, whose
+// slots from index i on hold the zero value. Failures take effect in
+// index order, so the error does not depend on which job failed first in
+// time.
 func Map[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapWorkers(ctx, p, n, func(ctx context.Context, _, i int) (T, error) {
-		return fn(ctx, i)
-	})
-}
-
-// MapWorkers is Map with worker identity: fn additionally receives the
-// index (in [0, p.Size(n))) of the worker goroutine executing the job.
-// Jobs that run on the same worker run sequentially, so fn may keep
-// mutable per-worker scratch state — reusable simulators, metric
-// buffers — indexed by worker without any locking. Determinism caveat:
-// which jobs share a worker depends on scheduling, so per-worker state
-// must never influence results (reuse buffers, not randomness).
-func MapWorkers[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, worker, i int) (T, error)) ([]T, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("engine: negative job count %d", n)
-	}
-	results := make([]T, n)
-	if n == 0 {
-		return results, ctx.Err()
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu       sync.Mutex
-		done     int
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	finish := func() {
-		var cb func(done, total int)
-		mu.Lock()
-		done++
-		d := done
-		if p != nil {
-			cb = p.Progress
-		}
-		if cb != nil {
-			cb(d, n) // under mu: calls are serialized and ordered
-		}
-		mu.Unlock()
-	}
-
-	runJob := func(worker, i int) {
-		defer func() {
-			if v := recover(); v != nil {
-				fail(&PanicError{Index: i, Value: v, Stack: debug.Stack()})
+	results := make([]T, max(n, 0))
+	err := MapReduce(ctx, p, n,
+		func(ctx context.Context, _, i int) (T, error) { return fn(ctx, i) },
+		func(i int, v T, err error) error {
+			if err == nil {
+				results[i] = v
+				return nil
 			}
-		}()
-		v, err := fn(ctx, worker, i)
-		if err != nil {
-			fail(fmt.Errorf("engine: job %d: %w", i, err))
-			return
-		}
-		results[i] = v
-		finish()
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := p.workers(n) - 1; w >= 0; w-- {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := range jobs {
-				runJob(worker, i)
+			if _, panicked := err.(*PanicError); panicked {
+				return err
 			}
-		}(w)
-	}
-	// Check ctx before every send: when a worker is ready and ctx is
-	// already done, select picks between the two cases at random, so the
-	// Done case alone would let jobs keep trickling out after a failure.
-	for i := 0; i < n && ctx.Err() == nil; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return results, err
-	}
-	return results, ctx.Err()
+			return fmt.Errorf("engine: job %d: %w", i, err)
+		})
+	return results, err
 }
 
-// reduceSlot is one buffered MapReduceWorkersKeepGoing result: a value
-// to fold, or a failure to skip past.
-type reduceSlot[T any] struct {
-	v   T
-	err error // non-nil: the job failed; skip the fold for this index
+// outcome is one finished job waiting for its turn in the fold.
+type outcome[T any] struct {
+	v     T
+	err   error
+	ready bool
 }
 
-// MapReduceWorkersKeepGoing runs fn(ctx, worker, i) like MapWorkers but
-// streams the results into reduce in strict job-index order instead of
-// collecting them: reduce(0, v0) completes before reduce(1, v1), and so
-// on, so an order-sensitive fold (a merge tree reduced left to right)
-// gets exactly the sequential reduction regardless of worker count.
+// MapReduce runs fn(ctx, worker, i) for every i in [0, n) on p's worker
+// pool and streams each job's outcome into reduce in strict index order:
+// reduce(0, …) returns before reduce(1, …) starts, so an order-sensitive
+// fold (a merge tree reduced left to right) gets exactly the sequential
+// reduction for every worker count.
+//
+// fn also receives the index, in [0, p.Size(n)), of the worker goroutine
+// running it. Jobs on one worker run sequentially, so fn may keep
+// mutable per-worker scratch (reusable simulators, metric buffers)
+// indexed by worker without locking. Which jobs share a worker depends
+// on scheduling, so that state must never influence results.
+//
+// reduce sees each job's value and error; a panicking job reaches it as
+// a *PanicError, unwrapped, with the zero value. reduce sets the failure
+// policy: returning nil moves the fold on (a failure it records is
+// thereby skipped), while returning an error is fatal — the remaining
+// jobs are canceled and MapReduce returns that error. A failure takes
+// effect only when it reaches the head of the fold. If the parent
+// context ends, dispatch stops and, unless reduce has returned an error,
+// MapReduce returns ctx's error.
 //
 // Memory is O(workers), not O(n): dispatch is gated by a window of
 // 2×workers tokens, each held from the moment a job is handed out until
-// its result has been folded, so at most 2×workers results ever exist
-// at once (in flight or buffered waiting on a predecessor). This is
-// what lets a million-device fleet stream per-shard summaries through a
-// fold without materializing one summary per shard. The window also
-// bounds head-of-line stalls: a slow job can idle the pool only after
-// the workers run 2×workers jobs ahead of it.
+// its outcome has been reduced, so at most 2×workers outcomes exist at
+// once (in flight or buffered behind a predecessor). This lets a
+// million-device fleet stream per-shard summaries through a fold
+// without holding one per shard. The window also bounds head-of-line
+// stalls: a slow job idles the pool only after the workers run
+// 2×workers jobs ahead of it.
 //
-// reduce calls are serialized (no locking needed inside) but run on
-// worker goroutines, so a slow reduce backpressures the pool.
-//
-// Failures are isolated, the graceful-degradation discipline for long
-// fan-outs where one poisoned shard should cost its own results, not
-// the whole run: a job that errors or panics does not cancel the run —
-// its slot is skipped in the fold (reduce is never called for it) and
-// every other job still runs and reduces in strict index order. If any
-// jobs failed, the call returns a *PartialError listing them by index.
-// A reduce error, context cancellation, and job errors caused by
-// cancellation are fatal instead: they cancel the remaining work and
-// are returned, and some prefix of the results may already have been
-// reduced. MapWorkers is deliberately not implemented on top of this
-// function: its callers want ungated dispatch (no token window, no
-// head-of-line coupling between a slow job and later dispatch), which
-// is the right discipline when all results are materialized anyway.
-func MapReduceWorkersKeepGoing[T any](ctx context.Context, p *Pool, n int,
+// reduce and Progress calls are serialized, so reduce needs no locking
+// of its own, but they run on worker goroutines, so a slow reduce
+// backpressures the pool. MapReduce returns only once every started job
+// has finished, so no worker goroutine outlives the call.
+func MapReduce[T any](ctx context.Context, p *Pool, n int,
 	fn func(ctx context.Context, worker, i int) (T, error),
-	reduce func(i int, v T) error,
+	reduce func(i int, v T, err error) error,
 ) error {
 	if n < 0 {
 		return fmt.Errorf("engine: negative job count %d", n)
@@ -280,84 +174,60 @@ func MapReduceWorkersKeepGoing[T any](ctx context.Context, p *Pool, n int,
 	workers := p.workers(n)
 	window := 2 * workers
 	// tokens gates dispatch: acquired before a job is handed out,
-	// released after its result is folded. Capacity bounds live results.
+	// released after its outcome is reduced. Capacity bounds live
+	// outcomes.
 	tokens := make(chan struct{}, window)
-	for i := 0; i < window; i++ {
+	for range window {
 		tokens <- struct{}{}
 	}
 
 	var (
-		mu       sync.Mutex
-		done     int
-		firstErr error
-		next     int
-		pending  = make(map[int]reduceSlot[T], window)
-		failed   []JobError
+		mu    sync.Mutex
+		fatal error
+		next  int
+		// Job i waits in pending[i%window]: it was dispatched holding one
+		// of the window's tokens, so i < next+window and no two waiting
+		// jobs share a slot.
+		pending = make([]outcome[T], window)
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	// deliver buffers one result (or one failure) and folds every
-	// consecutively available result from `next` on, releasing one token
-	// per advanced index. Calls are serialized under mu, so reduce needs
-	// no locking of its own and the fold order is exactly 0, 1, 2, ... —
-	// failed slots are skipped, never reduced, and recorded in `failed`
-	// in that same order.
-	deliver := func(i int, s reduceSlot[T]) error {
+	// deliver buffers job i's outcome and reduces every consecutively
+	// ready outcome from next on, releasing one token per reduced index.
+	// Calls are serialized under mu, so the fold order is exactly
+	// 0, 1, 2, …; after a fatal error nothing more is reduced.
+	deliver := func(i int, v T, err error) {
 		mu.Lock()
 		defer mu.Unlock()
-		pending[i] = s
+		if fatal != nil {
+			return
+		}
+		pending[i%window] = outcome[T]{v: v, err: err, ready: true}
 		for {
-			s, ok := pending[next]
-			if !ok {
-				return nil
+			o := &pending[next%window]
+			if !o.ready {
+				return
 			}
-			delete(pending, next)
-			if s.err != nil {
-				failed = append(failed, JobError{Index: next, Err: s.err})
-			} else if err := reduce(next, s.v); err != nil {
-				return fmt.Errorf("engine: reduce %d: %w", next, err)
+			v, err := o.v, o.err
+			*o = outcome[T]{}
+			if err := reduce(next, v, err); err != nil {
+				fatal = err
+				cancel()
+				return
 			}
 			next++
 			tokens <- struct{}{} // never blocks: releases <= acquisitions
-			done++
 			if p != nil && p.Progress != nil {
-				p.Progress(done, n)
+				p.Progress(next, n)
 			}
 		}
 	}
 
-	runJob := func(worker, i int) {
+	runJob := func(worker, i int) (v T, err error) {
 		defer func() {
-			if v := recover(); v != nil {
-				perr := &PanicError{Index: i, Value: v, Stack: debug.Stack()}
-				if err := deliver(i, reduceSlot[T]{err: perr}); err != nil {
-					fail(err)
-				}
+			if r := recover(); r != nil {
+				err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
 			}
 		}()
-		v, err := fn(ctx, worker, i)
-		if err != nil {
-			// Cancellation-shaped errors stay fatal: once the context is
-			// done, skipping ahead would just churn jobs that are all
-			// about to fail the same way.
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				fail(fmt.Errorf("engine: job %d: %w", i, err))
-				return
-			}
-			if err := deliver(i, reduceSlot[T]{err: err}); err != nil {
-				fail(err)
-			}
-			return
-		}
-		if err := deliver(i, reduceSlot[T]{v: v}); err != nil {
-			fail(err)
-		}
+		return fn(ctx, worker, i)
 	}
 
 	jobs := make(chan int)
@@ -367,12 +237,16 @@ func MapReduceWorkersKeepGoing[T any](ctx context.Context, p *Pool, n int,
 		go func(worker int) {
 			defer wg.Done()
 			for i := range jobs {
-				runJob(worker, i)
+				v, err := runJob(worker, i)
+				deliver(i, v, err)
 			}
 		}(w)
 	}
+	// Check ctx before every job: when a token or a worker is ready and
+	// ctx is already done, select picks a case at random, so the Done
+	// cases alone would let jobs keep trickling out after a failure.
 dispatch:
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && ctx.Err() == nil; i++ {
 		select {
 		case <-tokens:
 		case <-ctx.Done():
@@ -387,19 +261,10 @@ dispatch:
 	close(jobs)
 	wg.Wait()
 
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return err
+	if fatal != nil {
+		return fatal
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(failed) > 0 {
-		return &PartialError{Failed: failed, Total: n}
-	}
-	return nil
+	return ctx.Err()
 }
 
 // DeriveSeeds expands a base seed into n deterministic, statistically

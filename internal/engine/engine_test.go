@@ -230,10 +230,10 @@ func TestPoolWorkersResolution(t *testing.T) {
 	}
 }
 
-// MapWorkers: worker indices stay in [0, Size(n)), jobs sharing a worker
+// MapReduce: worker indices stay in [0, Size(n)), jobs sharing a worker
 // run sequentially (per-worker scratch needs no locking), and every job
 // runs exactly once with index-ordered results.
-func TestMapWorkersIdentity(t *testing.T) {
+func TestMapReduceWorkerIdentity(t *testing.T) {
 	const n = 64
 	p := &Pool{Workers: 3}
 	if s := p.Size(n); s != 3 {
@@ -242,7 +242,8 @@ func TestMapWorkersIdentity(t *testing.T) {
 	// Per-worker counters: only safe if same-worker jobs are sequential.
 	counts := make([]int, p.Size(n))
 	var inFlight [3]atomic.Int32
-	results, err := MapWorkers(context.Background(), p, n,
+	results := make([]int, n)
+	err := MapReduce(context.Background(), p, n,
 		func(_ context.Context, worker, i int) (int, error) {
 			if worker < 0 || worker >= 3 {
 				t.Errorf("worker index %d out of range", worker)
@@ -254,6 +255,10 @@ func TestMapWorkersIdentity(t *testing.T) {
 			time.Sleep(time.Microsecond)
 			inFlight[worker].Add(-1)
 			return i * i, nil
+		},
+		func(i, v int, err error) error {
+			results[i] = v
+			return err
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -272,10 +277,10 @@ func TestMapWorkersIdentity(t *testing.T) {
 	}
 }
 
-// Per-worker scratch reuse through MapWorkers must deliver every job a
+// Per-worker scratch reuse through MapReduce must deliver every job a
 // scratch no other in-flight job holds — the experiment layer's reusable
 // simulator pattern.
-func TestMapWorkersScratchReuse(t *testing.T) {
+func TestMapReduceScratchReuse(t *testing.T) {
 	const n = 40
 	p := &Pool{Workers: 4}
 	type scratch struct {
@@ -283,7 +288,7 @@ func TestMapWorkersScratchReuse(t *testing.T) {
 		uses int
 	}
 	pads := make([]scratch, p.Size(n))
-	_, err := MapWorkers(context.Background(), p, n,
+	err := MapReduce(context.Background(), p, n,
 		func(_ context.Context, worker, i int) (struct{}, error) {
 			ws := &pads[worker]
 			if !ws.busy.CompareAndSwap(false, true) {
@@ -293,7 +298,8 @@ func TestMapWorkersScratchReuse(t *testing.T) {
 			time.Sleep(time.Microsecond)
 			ws.busy.Store(false)
 			return struct{}{}, nil
-		})
+		},
+		func(_ int, _ struct{}, err error) error { return err })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +321,7 @@ func TestMapReduceWorkersOrderedFold(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		var got []int
 		var buffered, maxBuffered atomic.Int64
-		err := MapReduceWorkersKeepGoing(context.Background(), &Pool{Workers: workers}, n,
+		err := MapReduce(context.Background(), &Pool{Workers: workers}, n,
 			func(_ context.Context, _, i int) (int, error) {
 				time.Sleep(time.Duration(i%7) * 100 * time.Microsecond)
 				if b := buffered.Add(1); b > maxBuffered.Load() {
@@ -323,7 +329,10 @@ func TestMapReduceWorkersOrderedFold(t *testing.T) {
 				}
 				return i * i, nil
 			},
-			func(i, v int) error {
+			func(i, v int, err error) error {
+				if err != nil {
+					return err
+				}
 				buffered.Add(-1)
 				got = append(got, v) // no lock: reduce calls are serialized
 				if v != i*i {
@@ -351,15 +360,38 @@ func TestMapReduceWorkersOrderedFold(t *testing.T) {
 	}
 }
 
-// TestMapReduceKeepGoingSkipsFailures: a job error
-// or panic drops only its own slot — every other job still reduces, in
-// strict index order — and the run reports the casualties as a
-// *PartialError listing them ascending by index.
+// jobFailure is one failure a keep-going reduce recorded and skipped.
+type jobFailure struct {
+	index int
+	err   error
+}
+
+// keepGoing returns a reduce that folds values through fold, records
+// every failure in *failed and skips it, except cancellation-shaped
+// errors, which it returns as fatal — the fleet's policy.
+func keepGoing[T any](failed *[]jobFailure, fold func(i int, v T) error) func(int, T, error) error {
+	return func(i int, v T, err error) error {
+		switch {
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			return err
+		case err != nil:
+			*failed = append(*failed, jobFailure{index: i, err: err})
+			return nil
+		}
+		return fold(i, v)
+	}
+}
+
+// TestMapReduceKeepGoingSkipsFailures: under a reduce that records
+// failures, a job error or panic drops only its own slot — every other
+// job still reduces, in strict index order — and the casualties are
+// recorded ascending by index.
 func TestMapReduceKeepGoingSkipsFailures(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var got []int
-		err := MapReduceWorkersKeepGoing(context.Background(), &Pool{Workers: workers}, 60,
+		var failed []jobFailure
+		err := MapReduce(context.Background(), &Pool{Workers: workers}, 60,
 			func(_ context.Context, _, i int) (int, error) {
 				switch {
 				case i%10 == 3:
@@ -369,32 +401,31 @@ func TestMapReduceKeepGoingSkipsFailures(t *testing.T) {
 				}
 				return i, nil
 			},
-			func(i, v int) error {
+			keepGoing(&failed, func(i, v int) error {
 				got = append(got, v) // no lock: reduce calls are serialized
 				if v != i {
 					return fmt.Errorf("reduce(%d) got %d", i, v)
 				}
 				return nil
-			})
-		var pe *PartialError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: want *PartialError, got %v", workers, err)
+			}))
+		if err != nil {
+			t.Fatalf("workers=%d: want the run to keep going, got %v", workers, err)
 		}
 		wantFailed := []int{3, 13, 23, 25, 33, 43, 53}
-		if pe.Total != 60 || len(pe.Failed) != len(wantFailed) {
-			t.Fatalf("workers=%d: partial = %v", workers, pe)
+		if len(failed) != len(wantFailed) {
+			t.Fatalf("workers=%d: failed = %v", workers, failed)
 		}
-		for j, je := range pe.Failed {
-			if je.Index != wantFailed[j] {
-				t.Fatalf("workers=%d: failed[%d].Index = %d, want %d (ascending order)", workers, j, je.Index, wantFailed[j])
+		for j, je := range failed {
+			if je.index != wantFailed[j] {
+				t.Fatalf("workers=%d: failed[%d].index = %d, want %d (ascending order)", workers, j, je.index, wantFailed[j])
 			}
-			if je.Index == 25 {
+			if je.index == 25 {
 				var perr *PanicError
-				if !errors.As(je.Err, &perr) || perr.Index != 25 {
-					t.Fatalf("workers=%d: panic not captured as PanicError: %v", workers, je.Err)
+				if !errors.As(je.err, &perr) || perr.Index != 25 {
+					t.Fatalf("workers=%d: panic not captured as PanicError: %v", workers, je.err)
 				}
-			} else if !errors.Is(je.Err, boom) {
-				t.Fatalf("workers=%d: job %d error lost: %v", workers, je.Index, je.Err)
+			} else if !errors.Is(je.err, boom) {
+				t.Fatalf("workers=%d: job %d error lost: %v", workers, je.index, je.err)
 			}
 		}
 		if len(got) != 60-len(wantFailed) {
@@ -417,14 +448,15 @@ func TestMapReduceKeepGoingSkipsFailures(t *testing.T) {
 // error after a full fold.
 func TestMapReduceKeepGoingCleanRun(t *testing.T) {
 	var got []int
-	err := MapReduceWorkersKeepGoing(context.Background(), &Pool{Workers: 3}, 40,
+	var failed []jobFailure
+	err := MapReduce(context.Background(), &Pool{Workers: 3}, 40,
 		func(_ context.Context, _, i int) (int, error) { return i, nil },
-		func(i, v int) error {
+		keepGoing(&failed, func(i, v int) error {
 			got = append(got, v)
 			return nil
-		})
-	if err != nil || len(got) != 40 {
-		t.Fatalf("clean keep-going run: err=%v, reduced=%d", err, len(got))
+		}))
+	if err != nil || len(got) != 40 || len(failed) != 0 {
+		t.Fatalf("clean keep-going run: err=%v, reduced=%d, failed=%v", err, len(got), failed)
 	}
 }
 
@@ -435,20 +467,20 @@ func TestMapReduceKeepGoingCleanRun(t *testing.T) {
 func TestMapReduceKeepGoingCancellationStillFatal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	reduced := 0
-	err := MapReduceWorkersKeepGoing(ctx, &Pool{Workers: 2}, 500,
+	var failed []jobFailure
+	err := MapReduce(ctx, &Pool{Workers: 2}, 500,
 		func(ctx context.Context, _, i int) (int, error) {
 			if i == 20 {
 				cancel()
 			}
 			return i, ctx.Err()
 		},
-		func(int, int) error { reduced++; return nil })
+		keepGoing(&failed, func(int, int) error { reduced++; return nil }))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	var pe *PartialError
-	if errors.As(err, &pe) {
-		t.Fatalf("cancellation misreported as partial failure: %v", pe)
+	if len(failed) > 0 {
+		t.Fatalf("cancellation misreported as partial failure: %v", failed)
 	}
 	if reduced >= 500 {
 		t.Fatal("cancellation did not stop the run")
@@ -456,16 +488,39 @@ func TestMapReduceKeepGoingCancellationStillFatal(t *testing.T) {
 
 	// A reduce error is also still fatal.
 	boom := errors.New("boom")
-	err = MapReduceWorkersKeepGoing(context.Background(), &Pool{Workers: 2}, 50,
+	err = MapReduce(context.Background(), &Pool{Workers: 2}, 50,
 		func(_ context.Context, _, i int) (int, error) { return i, nil },
-		func(i, _ int) error {
+		keepGoing(&failed, func(i, _ int) error {
 			if i == 7 {
 				return boom
 			}
 			return nil
-		})
+		}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("reduce error lost: %v", err)
+	}
+}
+
+// TestMapReportsLowestIndexFailure: job 1 fails after a delay and job 5
+// fails at once; Map reports job 1's error at every worker count, since
+// failures take effect in index order rather than in time order.
+func TestMapReportsLowestIndexFailure(t *testing.T) {
+	early, late := errors.New("job 5 failed first"), errors.New("job 1 failed later")
+	for _, workers := range []int{1, 2, 4, 8, 0} {
+		_, err := Map(context.Background(), &Pool{Workers: workers}, 10,
+			func(_ context.Context, i int) (int, error) {
+				switch i {
+				case 1:
+					time.Sleep(20 * time.Millisecond)
+					return 0, late
+				case 5:
+					return 0, early
+				}
+				return i, nil
+			})
+		if !errors.Is(err, late) || !strings.Contains(err.Error(), "engine: job 1: ") {
+			t.Errorf("workers=%d: err = %v, want job 1's error", workers, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/engine"
 	"repro/internal/slotsim"
@@ -15,7 +16,8 @@ type Parallel struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS. Workers == 1
 	// degenerates to a serial run with identical (bit-for-bit) output.
 	Workers int
-	// Progress, when non-nil, observes job completion (serialized calls).
+	// Progress, when non-nil, observes each job as the in-order fold
+	// reduces it (serialized calls, in job-index order).
 	Progress func(done, total int)
 }
 
@@ -88,11 +90,12 @@ func slotReplica(ctx context.Context, sc Scenario, pf PolicyFactory, seed uint64
 
 // replicaGrid fans one job per (cell, seed) pair across the pool — a cell
 // is a (scenario, policy) pair the caller indexes in [0, cells) — and
-// reduces each cell by merging its single-replica summaries in seed
-// order, which makes every cell's result bit-identical for every worker
-// count. Each job gets its worker's scratch W: jobs on one worker run
-// sequentially, so run may reuse it freely, but it must never influence
-// results.
+// merges each single-replica summary into its cell as the in-order fold
+// reaches it, so every cell reduces in seed order and its result is
+// bit-identical for every worker count. Each job gets its worker's
+// scratch W: jobs on one worker run sequentially, so run may reuse it
+// freely, but it must never influence results. Any job error is fatal,
+// reported like engine.Map's.
 func replicaGrid[W, S any, P interface {
 	*S
 	Merge(*S)
@@ -105,20 +108,26 @@ func replicaGrid[W, S any, P interface {
 	pool := par.pool()
 	n := cells * len(seeds)
 	scratch := make([]W, pool.Size(n))
-	parts, err := engine.MapWorkers(ctx, pool, n,
+	out := make([]*S, cells)
+	for ci := range out {
+		out[ci] = new(S)
+	}
+	err := engine.MapReduce(ctx, pool, n,
 		func(ctx context.Context, worker, i int) (*S, error) {
 			return run(ctx, &scratch[worker], i/len(seeds), seeds[i%len(seeds)])
+		},
+		func(i int, part *S, err error) error {
+			if err == nil {
+				P(out[i/len(seeds)]).Merge(part)
+				return nil
+			}
+			if _, panicked := err.(*engine.PanicError); panicked {
+				return err
+			}
+			return fmt.Errorf("engine: job %d: %w", i, err)
 		})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]*S, cells)
-	for ci := range out {
-		sum := P(new(S))
-		for _, p := range parts[ci*len(seeds) : (ci+1)*len(seeds)] {
-			sum.Merge(p)
-		}
-		out[ci] = sum
 	}
 	return out, nil
 }

@@ -36,7 +36,7 @@
 //     is allocation-free in steady state
 //     (TestFleetCTEventLoopAllocationFree).
 //   - Shard summaries stream through an index-ordered fold
-//     (engine.MapReduceWorkersKeepGoing) and wait percentiles default to a
+//     (engine.MapReduce) and wait percentiles default to a
 //     mergeable log-binned sketch (Spec.Quantiles), so fleet memory is
 //     O(workers + classes), independent of the device count.
 //
@@ -715,9 +715,9 @@ func (e *PartialError) Error() string {
 // and returns the merged fleet summary. Output is bit-identical for
 // every pool size: shards are a pure function of the spec and their
 // summaries stream through the fold in shard-index order
-// (engine.MapReduceWorkersKeepGoing), so resident memory is
-// O(workers + classes) — per-worker pooled simulators plus a bounded
-// window of in-flight shard summaries — never O(devices), which is what
+// (engine.MapReduce), so resident memory is O(workers + classes) —
+// per-worker pooled simulators plus a bounded window of in-flight
+// shard summaries — never O(devices), which is what
 // makes a million-device fleet a time budget rather than a memory
 // budget. (The exact-quantile opt-in is the one exception: it
 // accumulates one float per instance; see Spec.Quantiles.)
@@ -741,27 +741,32 @@ func runWith(ctx context.Context, r *runner, pool *engine.Pool) (*Summary, error
 	shards := r.spec.Shards()
 	scratch := make([]workerScratch, pool.Size(shards))
 	total := newSummary(r, 0)
-	err := engine.MapReduceWorkersKeepGoing(ctx, pool, shards,
+	var failed []ShardError
+	err := engine.MapReduce(ctx, pool, shards,
 		func(ctx context.Context, worker, si int) (*Summary, error) {
 			return r.runShard(ctx, si, &scratch[worker])
 		},
-		func(_ int, part *Summary) error {
+		func(si int, part *Summary, err error) error {
+			switch {
+			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+				// Once the context is done every remaining shard is
+				// doomed the same way, so stop rather than skip ahead.
+				return err
+			case err != nil:
+				lo, hi := r.spec.shardRange(si)
+				failed = append(failed, ShardError{Shard: si, Lo: lo, Hi: hi, Err: err})
+				return nil
+			}
 			total.Merge(part)
 			r.putSummary(part)
 			return nil
 		})
-	total.Shards = shards
-	if err == nil {
-		return total, nil
-	}
-	var ep *engine.PartialError
-	if !errors.As(err, &ep) {
+	if err != nil {
 		return nil, err
 	}
-	pe := &PartialError{Failed: make([]ShardError, len(ep.Failed)), Shards: shards}
-	for i, je := range ep.Failed {
-		lo, hi := r.spec.shardRange(je.Index)
-		pe.Failed[i] = ShardError{Shard: je.Index, Lo: lo, Hi: hi, Err: je.Err}
+	total.Shards = shards
+	if len(failed) > 0 {
+		return total, &PartialError{Failed: failed, Shards: shards}
 	}
-	return total, pe
+	return total, nil
 }

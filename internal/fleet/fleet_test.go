@@ -168,57 +168,86 @@ func TestSketchQuantilesWithinBoundOfExact(t *testing.T) {
 // TestInstanceMatchesExperimentCTReplica pins the cross-layer contract:
 // a single-class CT fleet instance with seed s is bit-identical to an
 // experiment-layer CT replica built from the same ingredients — the
-// fleet layer adds sharding, not semantics.
+// fleet layer adds sharding, not semantics. The faulted case pins the
+// fault stream, the third split of the instance seed, which both layers
+// write.
 func TestInstanceMatchesExperimentCTReplica(t *testing.T) {
-	psm := device.Synthetic3()
-	cls := fleet.Class{Device: psm, Dist: "exp", RatePerSec: 0.2, Policy: "timeout=8"}
-	spec := fleet.Spec{
-		Devices: 1,
-		Classes: []fleet.Class{cls},
-		Horizon: 500,
-		Seed:    7,
-	}
-	sum, err := fleet.Run(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	dev, err := experiment.CanonDevice()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := experiment.CTScenario{
-		Name:          "one",
-		Device:        psm,
-		QueueCap:      experiment.CanonQueueCap,
-		LatencyWeight: experiment.CanonLatencyWeight / experiment.CanonSlotSeconds,
-		Horizon:       500,
-		Period:        experiment.CanonSlotSeconds,
-		Source: func() ctsim.Source {
-			d, err := dist.ByName("exp", 0.2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src, err := ctsim.NewRenewalSource(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return src
+	for _, tc := range []struct {
+		name   string
+		policy string
+		pf     experiment.PolicyFactory
+		faults *fleet.FaultSpec
+		ct     *ctsim.Faults
+	}{
+		{name: "timeout", policy: "timeout=8", pf: experiment.TimeoutFactory(dev, 8)},
+		{
+			name:   "q-dpm-faulted",
+			policy: "q-dpm",
+			pf:     experiment.QDPMFactory(dev),
+			faults: &fleet.FaultSpec{CrashMTBF: 300, RepairMean: 5, FailProb: 0.05},
+			ct:     &ctsim.Faults{CrashMTBF: 300, RepairMean: 5, FailProb: 0.05, RetryMax: 3, Backoff: 0.5},
 		},
-	}
-	seed := engine.SeedFor(7, 0)
-	m, err := experiment.RunCTOneCtx(context.Background(), sc, experiment.TimeoutFactory(dev, 8), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := sum.AvgPowerW.Mean(), m.AvgPowerW(); got != want {
-		t.Fatalf("fleet instance power %v != experiment replica power %v", got, want)
-	}
-	if got, want := sum.MeanWaitSec.Mean(), m.MeanWaitSeconds(); got != want {
-		t.Fatalf("fleet instance wait %v != experiment replica wait %v", got, want)
-	}
-	if sum.Arrived != m.Arrived || sum.Served != m.Served || sum.Lost != m.Lost {
-		t.Fatalf("fleet instance counts %+v != experiment replica counts %+v", sum, m)
+	} {
+		var crashes, retries int64
+		for _, base := range []uint64{7, 8, 9} {
+			psm := device.Synthetic3()
+			cls := fleet.Class{Device: psm, Dist: "exp", RatePerSec: 0.2, Policy: tc.policy}
+			spec := fleet.Spec{
+				Devices: 1,
+				Classes: []fleet.Class{cls},
+				Horizon: 500,
+				Seed:    base,
+				Faults:  tc.faults,
+			}
+			sum, err := fleet.Run(context.Background(), spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			sc := experiment.CTScenario{
+				Name:          "one",
+				Device:        psm,
+				QueueCap:      experiment.CanonQueueCap,
+				LatencyWeight: experiment.CanonLatencyWeight / experiment.CanonSlotSeconds,
+				Horizon:       500,
+				Period:        experiment.CanonSlotSeconds,
+				Source: func() ctsim.Source {
+					d, err := dist.ByName("exp", 0.2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					src, err := ctsim.NewRenewalSource(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return src
+				},
+				Faults: tc.ct,
+			}
+			m, err := experiment.RunCTOneCtx(context.Background(), sc, tc.pf, engine.SeedFor(base, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sum.AvgPowerW.Mean(), m.AvgPowerW(); got != want {
+				t.Fatalf("%s seed %d: fleet instance power %v != experiment replica power %v", tc.name, base, got, want)
+			}
+			if got, want := sum.MeanWaitSec.Mean(), m.MeanWaitSeconds(); got != want {
+				t.Fatalf("%s seed %d: fleet instance wait %v != experiment replica wait %v", tc.name, base, got, want)
+			}
+			if sum.Arrived != m.Arrived || sum.Served != m.Served || sum.Lost != m.Lost ||
+				sum.Crashes != m.Crashes || sum.Retries != m.Retries {
+				t.Fatalf("%s seed %d: fleet instance counts %+v != experiment replica counts %+v", tc.name, base, sum, m)
+			}
+			crashes += m.Crashes
+			retries += m.Retries
+		}
+		if tc.faults != nil && (crashes == 0 || retries == 0) {
+			t.Fatalf("%s: faulted replicas saw %d crashes and %d retries, want some of each", tc.name, crashes, retries)
+		}
 	}
 }
 
@@ -331,6 +360,37 @@ func TestRunCancellation(t *testing.T) {
 		cancel()
 		if _, err := fleet.Run(ctx, spec, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("couple %q: cancelled fleet run returned %v, want context.Canceled", couple, err)
+		}
+	}
+}
+
+// TestRunCancellationWhileRunning cancels the context from the progress
+// callback once the first shard has folded, while the next shards are
+// still running. Run must return context.Canceled and a nil summary —
+// never a *PartialError listing the canceled shards as failures.
+func TestRunCancellationWhileRunning(t *testing.T) {
+	for _, couple := range []fleet.CoupleMode{fleet.CoupleNone, fleet.CoupleChannel} {
+		for _, workers := range []int{1, 2, 4} {
+			spec := testSpec()
+			spec.Devices, spec.ShardSize = 400, 8
+			if couple != fleet.CoupleNone {
+				spec.Couple, spec.CoupleSize = couple, 4
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			folded := 0
+			pool := &engine.Pool{Workers: workers, Progress: func(done, _ int) {
+				folded = done
+				cancel()
+			}}
+			sum, err := fleet.Run(ctx, spec, pool)
+			cancel()
+			var pe *fleet.PartialError
+			if !errors.Is(err, context.Canceled) || errors.As(err, &pe) || sum != nil {
+				t.Fatalf("couple %q workers=%d: got (%v, %v), want (nil, context.Canceled)", couple, workers, sum, err)
+			}
+			if folded == 0 || folded >= spec.Shards() {
+				t.Fatalf("couple %q workers=%d: %d of %d shards folded, want a run canceled midway", couple, workers, folded, spec.Shards())
+			}
 		}
 	}
 }
