@@ -155,26 +155,32 @@ func TestResetMatchesFresh(t *testing.T) {
 func TestCTHotPathAllocationFree(t *testing.T) {
 	psm := device.Synthetic3()
 	for _, tc := range []struct {
-		name     string
-		governor bool
+		name   string
+		period float64 // 0 = event-driven
+		policy func(t *testing.T) ctsim.Policy
 	}{
-		{"governor", true},
-		{"event-driven", false},
+		{"governor", 0.5, func(*testing.T) ctsim.Policy {
+			return ctsim.Adapt(benchTimeout{deep: device.StateID(psm.NumStates() - 1), slots: 8}, 0.5)
+		}},
+		// The learner case runs the feedback path too: emitFeedback,
+		// openEpoch and the adapter's quantization into its feedback
+		// record, where an observation escaping to the heap would show.
+		{"governor-learner", 0.5, func(t *testing.T) ctsim.Policy {
+			return adaptedQDPM(t, psm, 0.5, 8, 0.6, rng.New(5))
+		}},
+		{"event-driven", 0, func(t *testing.T) ctsim.Policy {
+			pol, err := ctsim.NewTimeout(psm, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pol
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := ctsim.Config{
 				Device: psm, QueueCap: 8, LatencyWeight: 0.6,
 				Source: expSource(t, 1.5), Stream: rng.New(4),
-			}
-			if tc.governor {
-				cfg.DecisionPeriod = 0.5
-				cfg.Policy = ctsim.Adapt(benchTimeout{deep: device.StateID(psm.NumStates() - 1), slots: 8}, 0.5)
-			} else {
-				pol, err := ctsim.NewTimeout(psm, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Policy = pol
+				DecisionPeriod: tc.period, Policy: tc.policy(t),
 			}
 			sim, err := ctsim.New(cfg)
 			if err != nil {

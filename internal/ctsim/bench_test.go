@@ -3,9 +3,11 @@ package ctsim_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ctsim"
 	"repro/internal/device"
 	"repro/internal/dist"
+	"repro/internal/qlearn"
 	"repro/internal/rng"
 	"repro/internal/slotsim"
 	"repro/internal/trace"
@@ -34,11 +36,46 @@ func (p benchTimeout) Decide(o slotsim.Observation) device.StateID {
 	return p.deep
 }
 
-// benchSim assembles a replica in the requested regime. Governor runs use
-// the slotted-policy adapter at a 0.5 s period (the Table CT path);
-// event-driven runs use the native continuous-time timeout with its wake
-// timers, which exercises Schedule + Cancel on every decision.
-func benchSim(b *testing.B, src ctsim.Source, governor bool) *ctsim.Sim {
+// adaptedQDPM builds the fleet's canonical Q-DPM learner (the "q-dpm"
+// class policy: decaying ε-greedy, polynomial step size) on psm's slotted
+// view and adapts it to the periodic governor at that slot.
+func adaptedQDPM(tb testing.TB, psm *device.PSM, slot float64, queueCap int, latencyWeight float64, stream *rng.Stream) ctsim.Policy {
+	tb.Helper()
+	dev, err := psm.Slot(slot)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mgr, err := core.New(core.Config{
+		Device:        dev,
+		QueueCap:      queueCap,
+		LatencyWeight: latencyWeight,
+		Explore:       qlearn.EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000},
+		Alpha:         qlearn.Polynomial{Scale: 0.5, Omega: 0.65},
+		Stream:        stream,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ctsim.Adapt(mgr, slot)
+}
+
+// benchRegime selects a benchmark replica's decision regime and policy.
+type benchRegime int
+
+const (
+	// governorTimeout: a slotted fixed timeout behind the adapter at a
+	// 0.5 s period (the Table CT path).
+	governorTimeout benchRegime = iota
+	// governorLearner: the adapted Q-DPM learner at a 0.5 s period (the
+	// fleet's q-dpm class), so every tick also runs the feedback path.
+	governorLearner
+	// eventDriven: the native continuous-time timeout with its wake
+	// timers, which exercises Schedule + Cancel on every decision.
+	eventDriven
+)
+
+// benchSim assembles a replica in the requested regime.
+func benchSim(b *testing.B, src ctsim.Source, regime benchRegime) *ctsim.Sim {
 	b.Helper()
 	psm := device.Synthetic3()
 	cfg := ctsim.Config{
@@ -48,10 +85,14 @@ func benchSim(b *testing.B, src ctsim.Source, governor bool) *ctsim.Sim {
 		Source:        src,
 		Stream:        rng.New(2),
 	}
-	if governor {
+	switch regime {
+	case governorTimeout:
 		cfg.DecisionPeriod = 0.5
 		cfg.Policy = ctsim.Adapt(benchTimeout{deep: device.StateID(psm.NumStates() - 1), slots: 8}, 0.5)
-	} else {
+	case governorLearner:
+		cfg.DecisionPeriod = 0.5
+		cfg.Policy = adaptedQDPM(b, psm, 0.5, cfg.QueueCap, cfg.LatencyWeight, rng.New(3))
+	default:
 		pol, err := ctsim.NewTimeout(psm, 4)
 		if err != nil {
 			b.Fatal(err)
@@ -117,23 +158,30 @@ func benchRun(b *testing.B, sim *ctsim.Sim) {
 // BenchmarkCTReplicaRenewalGovernor: Poisson arrivals under the periodic
 // governor with an adapted slotted policy — the Table CT configuration.
 func BenchmarkCTReplicaRenewalGovernor(b *testing.B) {
-	benchRun(b, benchSim(b, benchExpSource(b, 2), true))
+	benchRun(b, benchSim(b, benchExpSource(b, 2), governorTimeout))
+}
+
+// BenchmarkCTReplicaLearnerGovernor: the governor rung with the fleet's
+// adapted Q-DPM learner in place of the timeout, so every tick also
+// closes a feedback interval and quantizes both of its observations.
+func BenchmarkCTReplicaLearnerGovernor(b *testing.B) {
+	benchRun(b, benchSim(b, benchExpSource(b, 2), governorLearner))
 }
 
 // BenchmarkCTReplicaRenewalEventDriven: Poisson arrivals with native
 // event-driven decisions and wake timers (Schedule + Cancel per decision).
 func BenchmarkCTReplicaRenewalEventDriven(b *testing.B) {
-	benchRun(b, benchSim(b, benchExpSource(b, 2), false))
+	benchRun(b, benchSim(b, benchExpSource(b, 2), eventDriven))
 }
 
 // BenchmarkCTReplicaTraceGovernor: trace playback under the governor.
 func BenchmarkCTReplicaTraceGovernor(b *testing.B) {
 	const warm = 256.0
-	benchRun(b, benchSim(b, benchTraceSource(b, 0.8, warm+float64(b.N)+1), true))
+	benchRun(b, benchSim(b, benchTraceSource(b, 0.8, warm+float64(b.N)+1), governorTimeout))
 }
 
 // BenchmarkCTReplicaTraceEventDriven: trace playback, event-driven.
 func BenchmarkCTReplicaTraceEventDriven(b *testing.B) {
 	const warm = 256.0
-	benchRun(b, benchSim(b, benchTraceSource(b, 0.8, warm+float64(b.N)+1), false))
+	benchRun(b, benchSim(b, benchTraceSource(b, 0.8, warm+float64(b.N)+1), eventDriven))
 }

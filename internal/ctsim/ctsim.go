@@ -399,18 +399,20 @@ type Sim struct {
 	// Policy wake timer (event-driven mode).
 	wakeEv eventq.Ref
 
-	// Learner epoch bases.
+	// Learner epoch bases. The opening observation is fb.Prev.
 	haveEpoch   bool
-	epochObs    Observation
 	epochEnergy float64
 	epochCost   float64
 	epochArr    int64
 	epochSrv    int64
 	epochLost   int64
 
-	// fb is the per-interval feedback scratch, rewritten on every
-	// emitFeedback and passed to the learner by pointer (the Learner
-	// contract: receivers copy what they keep).
+	// fb is the per-interval feedback record, passed to the learner by
+	// pointer (the Learner contract: receivers copy what they keep and
+	// modify nothing). Each decision point builds its observation once,
+	// in fb.Next; the policy decides on it, and openEpoch copies it into
+	// fb.Prev, where it waits as the opening observation of the next
+	// interval.
 	fb Feedback
 
 	metrics Metrics
@@ -537,7 +539,7 @@ func (s *Sim) apply(cfg Config) error {
 	s.transEv = eventq.Ref{}
 	s.wakeEv = eventq.Ref{}
 	s.haveEpoch = false
-	s.epochObs = Observation{}
+	s.fb = Feedback{}
 	s.epochEnergy = 0
 	s.epochCost = 0
 	s.epochArr = 0
@@ -688,22 +690,19 @@ func (s *Sim) MetricsView() *Metrics {
 	return &s.metrics
 }
 
-// Observe returns the current observation without advancing time.
-func (s *Sim) Observe() Observation { return s.observe(s.k.Now()) }
-
-func (s *Sim) observe(now float64) Observation {
-	o := Observation{
-		Phase:       s.phase,
-		TransTarget: s.transTarget,
-		Queue:       s.q.Len(),
-		IdleTime:    now - s.lastArrival,
-		Now:         now,
-	}
+// observe fills o with the observation at now. Every field is written,
+// so o needs no clearing first.
+func (s *Sim) observe(o *Observation, now float64) {
+	o.Phase = s.phase
+	o.Transitioning = s.transInProg
+	o.TransTarget = s.transTarget
+	o.TransRemaining = 0
 	if s.transInProg {
-		o.Transitioning = true
 		o.TransRemaining = s.transEnd - now
 	}
-	return o
+	o.Queue = s.q.Len()
+	o.IdleTime = now - s.lastArrival
+	o.Now = now
 }
 
 // advance integrates energy and state occupancy up to t, settling a
@@ -972,8 +971,9 @@ func (s *Sim) tick(now float64) {
 		// when the next tick falls beyond it.)
 		return
 	}
-	obs := s.observe(now)
-	s.emitFeedback(now, obs)
+	obs := &s.fb.Next
+	s.observe(obs, now)
+	s.emitFeedback(now)
 	if s.transInProg {
 		s.lastAction = s.transTarget
 	} else if s.faulted {
@@ -1003,15 +1003,17 @@ func (s *Sim) decisionPoint(now float64) {
 		return
 	}
 	s.advance(now)
-	obs := s.observe(now)
-	s.emitFeedback(now, obs)
+	obs := &s.fb.Next
+	s.observe(obs, now)
+	s.emitFeedback(now)
 	s.decide(now, obs)
 	s.maybeStartService(now)
 	s.openEpoch(now, obs)
 }
 
-// emitFeedback closes the current learner epoch against obs.
-func (s *Sim) emitFeedback(now float64, obs Observation) {
+// emitFeedback closes the current learner epoch against the observation
+// just built in s.fb.Next; s.fb.Prev holds the epoch's opening one.
+func (s *Sim) emitFeedback(now float64) {
 	if s.learner == nil || !s.haveEpoch {
 		return
 	}
@@ -1022,16 +1024,15 @@ func (s *Sim) emitFeedback(now float64, obs Observation) {
 	energy := s.metrics.EnergyJ - s.epochEnergy
 	cost := energy + s.cfg.LatencyWeight*(backlog-s.epochCost)
 	// Filled field by field: a composite literal would build a temporary
-	// Feedback and block-copy it into the scratch.
-	s.fb.Prev = s.epochObs
+	// Feedback and block-copy it into the scratch. Prev and Next are
+	// already in place.
 	s.fb.Action = s.lastAction
-	s.fb.Sojourn = now - s.epochObs.Now
+	s.fb.Sojourn = now - s.fb.Prev.Now
 	s.fb.Energy = energy
 	s.fb.Cost = cost
 	s.fb.Served = int(s.metrics.Served - s.epochSrv)
 	s.fb.Arrived = int(s.metrics.Arrived - s.epochArr)
 	s.fb.Lost = int(s.metrics.Lost - s.epochLost)
-	s.fb.Next = obs
 	s.learner.Observe(&s.fb)
 }
 
@@ -1042,12 +1043,12 @@ func (s *Sim) emitFeedback(now float64, obs Observation) {
 // Without a learner there is no feedback consumer, so the snapshot is
 // skipped entirely — baseline policies pay nothing for the epoch
 // machinery.
-func (s *Sim) openEpoch(now float64, obs Observation) {
+func (s *Sim) openEpoch(now float64, obs *Observation) {
 	if s.learner == nil {
 		return
 	}
 	s.haveEpoch = true
-	s.epochObs = obs
+	s.fb.Prev = *obs
 	s.epochEnergy = s.metrics.EnergyJ
 	backlog := s.metrics.BacklogSeconds
 	if dt := now - s.backlogT; dt > 0 {
@@ -1060,9 +1061,9 @@ func (s *Sim) openEpoch(now float64, obs Observation) {
 }
 
 // decide consults the policy and executes its command.
-func (s *Sim) decide(now float64, obs Observation) {
+func (s *Sim) decide(now float64, obs *Observation) {
 	s.metrics.Decisions++
-	d := s.cfg.Policy.Decide(obs)
+	d := s.cfg.Policy.Decide(*obs)
 	target := d.Target
 	s.lastAction = s.phase
 	dev := s.cfg.Device

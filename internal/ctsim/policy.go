@@ -38,7 +38,9 @@ type Learner interface {
 	// Observe delivers the outcome of each decision interval. fb points
 	// into scratch the simulator reuses every interval: it is valid only
 	// for the duration of the call, and implementations must copy any
-	// fields they keep.
+	// fields they keep. Implementations must not modify *fb: fb.Next is
+	// the observation the simulator then decides on and opens the next
+	// interval with (that interval's fb.Prev).
 	Observe(fb *Feedback)
 }
 
@@ -201,58 +203,60 @@ func Adapt(p slotsim.Policy, refSlot float64) Policy {
 // Name identifies the wrapped policy.
 func (a *slotAdapter) Name() string { return a.p.Name() }
 
-// sObs quantizes a continuous observation onto the reference slot grid.
-func (a *slotAdapter) sObs(o Observation) slotsim.Observation {
+// sObs quantizes a continuous observation onto the reference slot grid,
+// writing every field of out in place (a composite literal would build
+// a temporary and block-copy it).
+func (a *slotAdapter) sObs(in *Observation, out *slotsim.Observation) {
 	// Now advances between ticks, so comparing it first short-circuits
 	// almost every miss before the full struct equality.
-	if a.memoOK && o.Now == a.memoIn.Now && o == a.memoIn {
-		return a.memoOut
+	if a.memoOK && in.Now == a.memoIn.Now && *in == a.memoIn {
+		*out = a.memoOut
+		return
 	}
 	var idleSlots, now float64
 	if a.invSlot != 0 {
-		idleSlots, now = o.IdleTime*a.invSlot, o.Now*a.invSlot
+		idleSlots, now = in.IdleTime*a.invSlot, in.Now*a.invSlot
 	} else {
-		idleSlots, now = o.IdleTime/a.slot, o.Now/a.slot
+		idleSlots, now = in.IdleTime/a.slot, in.Now/a.slot
 	}
 	idle := int64(math.Floor(idleSlots + 1e-9))
 	if idle > a.sat {
 		idle = a.sat
 	}
-	trem := 0
-	if o.Transitioning {
-		trem = int(math.Ceil(o.TransRemaining/a.slot - 1e-9))
+	out.Phase = in.Phase
+	out.Transitioning = in.Transitioning
+	out.TransTarget = in.TransTarget
+	out.TransRemaining = 0
+	if in.Transitioning {
+		out.TransRemaining = int(math.Ceil(in.TransRemaining/a.slot - 1e-9))
 	}
-	out := slotsim.Observation{
-		Phase:          o.Phase,
-		Transitioning:  o.Transitioning,
-		TransTarget:    o.TransTarget,
-		TransRemaining: trem,
-		Queue:          o.Queue,
-		IdleSlots:      idle,
-		Slot:           int64(math.Round(now)),
-	}
+	out.Queue = in.Queue
+	out.IdleSlots = idle
+	out.Slot = int64(math.Round(now))
 	if a.memoize {
-		a.memoIn, a.memoOut, a.memoOK = o, out, true
+		a.memoIn, a.memoOut, a.memoOK = *in, *out, true
 	}
-	return out
 }
 
 // Decide forwards the quantized observation.
 func (a *slotAdapter) Decide(o Observation) Decision {
-	return Decision{Target: a.p.Decide(a.sObs(o))}
+	var so slotsim.Observation
+	a.sObs(&o, &so)
+	return Decision{Target: a.p.Decide(so)}
 }
 
-// Observe forwards the interval outcome as one slot of feedback. The
-// scratch record is filled field by field — a composite literal would
-// build a temporary Feedback and block-copy it into the scratch.
+// Observe forwards the interval outcome as one slot of feedback,
+// quantizing both observations straight into the scratch record and
+// filling the rest field by field — a composite literal would build a
+// temporary Feedback and block-copy it into the scratch.
 func (a *slotLearnerAdapter) Observe(fb *Feedback) {
-	a.sfb.Prev = a.sObs(fb.Prev)
+	a.sObs(&fb.Prev, &a.sfb.Prev)
 	a.sfb.Action = fb.Action
 	a.sfb.Energy = fb.Energy
 	a.sfb.Cost = fb.Cost
 	a.sfb.Served = fb.Served
 	a.sfb.Arrived = fb.Arrived
 	a.sfb.Lost = fb.Lost
-	a.sfb.Next = a.sObs(fb.Next)
+	a.sObs(&fb.Next, &a.sfb.Next)
 	a.l.Observe(&a.sfb)
 }

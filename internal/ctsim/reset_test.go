@@ -21,7 +21,7 @@ type resetSpec struct {
 	law            string
 	rate           float64
 	queueCap       int
-	policy         int // 0 always-on, 1 greedy-off, 2 timeout
+	policy         int // 0 always-on, 1 greedy-off, 2 timeout, 3 adapted Q-DPM
 	period         float64
 	slotCompatible bool
 	faults         bool
@@ -32,7 +32,9 @@ type resetSpec struct {
 const resetSpecBytes = 7
 
 // decodeResetSpec reads a resetSpec from the first resetSpecBytes bytes
-// of data; missing bytes read as zero.
+// of data; missing bytes read as zero. The flags byte holds the
+// decision mode (bit 0), slot-compatible service (bit 1), faults (bit 2)
+// and the policy: the learner when bit 7 is set, else bits 3–6 mod 3.
 func decodeResetSpec(data []byte) resetSpec {
 	var b [resetSpecBytes]byte
 	copy(b[:], data)
@@ -49,13 +51,20 @@ func decodeResetSpec(data []byte) resetSpec {
 		law:            laws[int(b[1])%len(laws)],
 		rate:           0.05 * float64(1+int(b[2])%40),
 		queueCap:       int(b[3]) % 9, // 0 = unbounded
-		policy:         int(flags>>3) % 3,
+		policy:         int(flags>>3&0x0f) % 3,
 		slotCompatible: flags&2 != 0,
 		faults:         flags&4 != 0,
 		seed:           uint64(b[6]),
 	}
-	if flags&1 != 0 {
-		s.period = periods[int(b[5])%len(periods)]
+	period := periods[int(b[5])%len(periods)]
+	switch {
+	case flags&0x80 != 0:
+		// The learner runs on the governor at its reference slot, which
+		// must hold at least one service time.
+		s.policy = 3
+		s.period = max(period, device.Catalog()[s.device].ServiceTime)
+	case flags&1 != 0:
+		s.period = period
 	}
 	return s
 }
@@ -80,8 +89,12 @@ func (s resetSpec) build(t *testing.T) ctsim.Config {
 		pol, err = ctsim.NewAlwaysOn(psm)
 	case 1:
 		pol, err = ctsim.NewGreedyOff(psm)
-	default:
+	case 2:
 		pol, err = ctsim.NewTimeout(psm, 2)
+	default:
+		// A fresh learner per build, so the reset run and the fresh run
+		// start from the same empty Q-table.
+		pol = adaptedQDPM(t, psm, s.period, max(s.queueCap, 1), 0.5, rng.New(s.seed+2000))
 	}
 	if err != nil {
 		t.Fatal(err)
