@@ -33,16 +33,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"time"
 
-	"repro/internal/ctsim"
-	"repro/internal/device"
-	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/fleet"
-	"repro/internal/rng"
 )
 
 func main() {
@@ -59,7 +54,7 @@ func main() {
 
 // run parses args and renders the selected experiments to stdout. Only
 // results go to stdout, so it is bit-identical across -parallel values;
-// section timings, progress and the ct perf probe go to stderr.
+// section timings and progress go to stderr.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("qdpm-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -204,13 +199,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			if err := renderTable(stdout, tab); err != nil {
-				return err
-			}
-			// Kernel figures of merit on stderr: stdout must stay
-			// bit-identical across -parallel values (CI diffs it), and
-			// wall-clock numbers are not.
-			return ctPerfProbe(stderr, *quick)
+			return renderTable(stdout, tab)
 		}},
 		{"fleet", func() error {
 			devices, horizon := 2000, 400.0
@@ -295,89 +284,4 @@ func renderTable(w io.Writer, tab *experiment.Table) error {
 	experiment.RenderTable(w, tab.Title, tab.Headers, tab.Rows)
 	_, err := fmt.Fprintf(w, "# %s\n", tab.Note)
 	return err
-}
-
-// ctPerfProbe measures the continuous-time kernel's per-event cost on one
-// serial replica per decision regime — the periodic governor running the
-// canonical adapted timeout policy and the native event-driven timeout
-// with its wake timers — and reports ns/event and allocs/event to stderr.
-// Steady-state allocs/event must read 0.0; anything else is an allocation
-// regression on the hot path (the CI gate tests the same property via
-// testing.AllocsPerRun). The probe mirrors the Table CT cell shape
-// (synthetic3, canonical queue cap, latency weight rescaled to J/req-s,
-// exponential renewal arrivals) with one fixed policy and seed; if
-// experiment.TableCTCtx changes that shape, change this probe with it.
-func ctPerfProbe(w io.Writer, quick bool) error {
-	horizon := 200000.0
-	if quick {
-		horizon = 40000
-	}
-	psm := device.Synthetic3()
-	dev, err := experiment.CanonDevice()
-	if err != nil {
-		return err
-	}
-
-	probe := func(name string, mkPolicy func() (ctsim.Policy, error), period float64) error {
-		pol, err := mkPolicy()
-		if err != nil {
-			return err
-		}
-		d, err := dist.NewExponential(0.2)
-		if err != nil {
-			return err
-		}
-		src, err := ctsim.NewRenewalSource(d)
-		if err != nil {
-			return err
-		}
-		sim, err := ctsim.New(ctsim.Config{
-			Device:         psm,
-			QueueCap:       experiment.CanonQueueCap,
-			LatencyWeight:  experiment.CanonLatencyWeight / experiment.CanonSlotSeconds,
-			Policy:         pol,
-			Source:         src,
-			Stream:         rng.New(99),
-			DecisionPeriod: period,
-		})
-		if err != nil {
-			return err
-		}
-		const warm = 512.0
-		if err := sim.Run(warm); err != nil {
-			return err
-		}
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		ev0 := sim.FiredEvents()
-		start := time.Now()
-		if err := sim.Run(warm + horizon); err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		ev := sim.FiredEvents() - ev0
-		if ev == 0 {
-			return fmt.Errorf("ct perf probe %s fired no events", name)
-		}
-		fmt.Fprintf(w, "# ct perf %-22s %7.1f ns/event  %6.3f allocs/event  (%d events / %.0f s simulated)\n",
-			name, float64(elapsed.Nanoseconds())/float64(ev),
-			float64(m1.Mallocs-m0.Mallocs)/float64(ev), ev, horizon)
-		return nil
-	}
-
-	if err := probe("governor+adapted", func() (ctsim.Policy, error) {
-		pf := experiment.TimeoutFactory(dev, 8)
-		p, err := pf.New(rng.New(98))
-		if err != nil {
-			return nil, err
-		}
-		return ctsim.Adapt(p, experiment.CanonSlotSeconds), nil
-	}, experiment.CanonSlotSeconds); err != nil {
-		return err
-	}
-	return probe("event-driven", func() (ctsim.Policy, error) {
-		return ctsim.NewTimeout(psm, 4)
-	}, 0)
 }

@@ -48,53 +48,6 @@ func TestMetricsSnapshotsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestMetricsIntoReusesScratch: the MetricsInto path recycles the caller's
-// StateTime backing array, matches Metrics exactly, and still does not
-// alias simulator state.
-func TestMetricsIntoReusesScratch(t *testing.T) {
-	psm := device.Synthetic3()
-	pol, err := ctsim.NewTimeout(psm, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := ctsim.New(ctsim.Config{
-		Device: psm, QueueCap: 8, Policy: pol,
-		Source: expSource(t, 0.4), Stream: rng.New(3),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(500); err != nil {
-		t.Fatal(err)
-	}
-	want := sim.Metrics()
-	var scratch ctsim.Metrics
-	sim.MetricsInto(&scratch)
-	backing := &scratch.StateTime[0]
-	if scratch.EnergyJ != want.EnergyJ || scratch.Served != want.Served ||
-		scratch.BacklogSeconds != want.BacklogSeconds || scratch.Horizon != want.Horizon {
-		t.Fatalf("MetricsInto diverged from Metrics: %+v vs %+v", scratch, want)
-	}
-	for i := range want.StateTime {
-		if scratch.StateTime[i] != want.StateTime[i] {
-			t.Fatalf("StateTime[%d] = %v, want %v", i, scratch.StateTime[i], want.StateTime[i])
-		}
-	}
-	// Second fill reuses the same backing array...
-	if err := sim.Run(800); err != nil {
-		t.Fatal(err)
-	}
-	sim.MetricsInto(&scratch)
-	if &scratch.StateTime[0] != backing {
-		t.Fatal("MetricsInto reallocated a sufficient scratch buffer")
-	}
-	// ...and writing through the scratch must not reach the simulator.
-	scratch.StateTime[0] = -1e9
-	if sim.Metrics().StateTime[0] < 0 {
-		t.Fatal("MetricsInto scratch aliases simulator state")
-	}
-}
-
 // TestResetMatchesFresh: a Reset simulator must reproduce a fresh New
 // simulator bit for bit — this is what licenses per-worker Sim reuse in
 // the experiment layer's replica grids.
@@ -190,13 +143,12 @@ func TestCTHotPathAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			horizon := 2000.0
-			var scratch ctsim.Metrics
 			avg := testing.AllocsPerRun(10, func() {
 				horizon += 500
 				if err := sim.Run(horizon); err != nil {
 					t.Fatal(err)
 				}
-				sim.MetricsInto(&scratch)
+				sim.MetricsView()
 			})
 			if avg > 0 {
 				t.Errorf("%s event loop allocates: %.1f allocs per 500 simulated seconds, want 0", tc.name, avg)

@@ -38,10 +38,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/eventq"
+	"repro/internal/queue"
 	"repro/internal/rng"
 )
 
@@ -316,12 +318,16 @@ func (m *Metrics) LossRate() float64 {
 // once at construction (no per-Schedule closure), the kernel recycles
 // event slots through its arena free list (the tick, wake, arrival,
 // service, and transition events each cycle through their own recycled
-// slot), and the timed queue is a growth-amortized power-of-two ring.
+// slot), and the request queue is a queue.Ring that grows only to its
+// high-water mark.
 // BenchmarkCTReplica* and TestCTHotPathAllocationFree guard this.
 type Sim struct {
-	cfg     Config
-	k       *eventq.Kernel
-	q       *timedQueue
+	cfg Config
+	k   *eventq.Kernel
+	// q holds the arrival time of each pending request. It sits behind a
+	// pointer because inline it would grow Sim from the 896-byte
+	// allocation size class to the 1024-byte one.
+	q       *queue.Ring[float64]
 	learner Learner
 
 	// Pre-bound event handlers: method values are closures, so binding
@@ -441,7 +447,7 @@ func NewShared(k *eventq.Kernel, cfg Config) (*Sim, error) {
 
 // newSim binds the pre-bound handlers and applies cfg against k.
 func newSim(k *eventq.Kernel, shared bool, cfg Config) (*Sim, error) {
-	s := &Sim{k: k, kernelShared: shared, hardHorizon: math.Inf(1)}
+	s := &Sim{k: k, q: new(queue.Ring[float64]), kernelShared: shared, hardHorizon: math.Inf(1)}
 	s.hArrival = s.onArrival
 	s.hTick = s.tick
 	s.hDecision = s.decisionPoint
@@ -500,11 +506,7 @@ func (s *Sim) apply(cfg Config) error {
 	if !s.kernelShared {
 		s.k.Reset()
 	}
-	if s.q == nil {
-		s.q = newTimedQueue(cfg.QueueCap)
-	} else {
-		s.q.reset(cfg.QueueCap)
-	}
+	s.q.Reset(cfg.QueueCap)
 	n := cfg.Device.NumStates()
 	st := s.metrics.StateTime
 	if cap(st) < n {
@@ -639,31 +641,9 @@ func (s *Sim) RunChunked(ctx context.Context, horizon, chunk float64) error {
 // snapshot. The snapshot owns its StateTime slice — it never aliases the
 // simulator's internal accumulator or a previous snapshot.
 func (s *Sim) Metrics() Metrics {
-	var m Metrics
-	s.MetricsInto(&m)
+	m := *s.MetricsView()
+	m.StateTime = slices.Clone(m.StateTime)
 	return m
-}
-
-// MetricsInto is the reuse path of Metrics: it accrues up to the current
-// clock and writes the snapshot into *out, recycling out's StateTime
-// backing array when it has the capacity (so per-replica metric collection
-// with a caller-provided scratch performs no allocation). The written
-// snapshot never aliases simulator state.
-func (s *Sim) MetricsInto(out *Metrics) {
-	now := s.k.Now()
-	s.advance(now)
-	s.accrueBacklog(now)
-	st := out.StateTime
-	*out = s.metrics
-	n := len(s.metrics.StateTime)
-	if cap(st) < n {
-		st = make([]float64, n)
-	}
-	st = st[:n]
-	copy(st, s.metrics.StateTime)
-	out.StateTime = st
-	out.Horizon = now
-	out.CostTotal = out.EnergyJ + s.cfg.LatencyWeight*out.BacklogSeconds
 }
 
 // MetricsView accrues up to the current clock and returns the
@@ -679,8 +659,8 @@ func (s *Sim) MetricsInto(out *Metrics) {
 // both halves of this contract). It is the zero-copy finalize
 // path for callers that drain many short instances through one reused
 // Sim and read a handful of scalars per instance — the fleet shard
-// loop — where MetricsInto's snapshot copy is measurable. Use Metrics
-// or MetricsInto when the snapshot must own its storage.
+// loop — where Metrics' snapshot copy is measurable. Use Metrics when
+// the snapshot must own its storage.
 func (s *Sim) MetricsView() *Metrics {
 	now := s.k.Now()
 	s.advance(now)
@@ -1134,68 +1114,4 @@ func (s *Sim) execTransition(now float64, target device.StateID) {
 func (s *Sim) onWake(now float64) {
 	s.wakeEv = eventq.Ref{}
 	s.decisionPoint(now)
-}
-
-// ---------------------------------------------------------------------------
-// timedQueue — bounded FIFO of arrival timestamps
-
-// timedQueue is the continuous-time analog of internal/queue: a bounded
-// ring of float64 arrival times with a power-of-two backing array, so the
-// hot-path index wrap is a mask instead of a division. Growth doubles the
-// ring (amortized O(1), and only until the high-water mark — steady state
-// never allocates). A capacity of 0 means unbounded.
-type timedQueue struct {
-	cap  int
-	buf  []float64 // len is always a power of two
-	head int
-	n    int
-}
-
-func newTimedQueue(capacity int) *timedQueue {
-	q := &timedQueue{}
-	q.reset(capacity)
-	return q
-}
-
-// reset empties the queue for a new replica, keeping the grown ring.
-func (q *timedQueue) reset(capacity int) {
-	q.cap = capacity
-	q.head = 0
-	q.n = 0
-	if len(q.buf) == 0 {
-		q.buf = make([]float64, 16)
-	}
-}
-
-func (q *timedQueue) Len() int { return q.n }
-
-// Push enqueues one arrival stamp, reporting false when the queue is full.
-func (q *timedQueue) Push(stamp float64) bool {
-	if q.cap > 0 && q.n == q.cap {
-		return false
-	}
-	if q.n == len(q.buf) {
-		// Full ring: every slot is live, oldest at head. Unroll into a
-		// doubled buffer with two contiguous copies.
-		nb := make([]float64, 2*len(q.buf))
-		m := copy(nb, q.buf[q.head:])
-		copy(nb[m:], q.buf[:q.head])
-		q.buf = nb
-		q.head = 0
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = stamp
-	q.n++
-	return true
-}
-
-// Pop dequeues the oldest stamp; it panics on an empty queue (programming
-// error — callers check Len).
-func (q *timedQueue) Pop() float64 {
-	if q.n == 0 {
-		panic("ctsim: pop from empty queue")
-	}
-	v := q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return v
 }

@@ -12,14 +12,15 @@ package estimator
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/queue"
 )
 
 // WindowRate estimates a Bernoulli per-slot arrival probability from the
 // last W slots (sliding-window maximum likelihood: arrivals/W).
 type WindowRate struct {
-	buf  []uint8
-	head int
-	n    int
+	ring queue.Ring[uint8]
+	w    int
 	sum  int
 }
 
@@ -28,7 +29,7 @@ func NewWindowRate(w int) (*WindowRate, error) {
 	if w <= 0 {
 		return nil, fmt.Errorf("estimator: window %d must be positive", w)
 	}
-	return &WindowRate{buf: make([]uint8, w)}, nil
+	return &WindowRate{w: w}, nil
 }
 
 // Add records one slot's arrival indicator (count clamped to {0,1}).
@@ -37,30 +38,27 @@ func (e *WindowRate) Add(arrivals int) {
 	if arrivals > 0 {
 		v = 1
 	}
-	if e.n == len(e.buf) {
-		e.sum -= int(e.buf[e.head])
-	} else {
-		e.n++
+	if e.Full() {
+		e.sum -= int(e.ring.Pop())
 	}
-	e.buf[e.head] = v
+	e.ring.Push(v)
 	e.sum += int(v)
-	e.head = (e.head + 1) % len(e.buf)
 }
 
 // Rate returns the MLE of the per-slot arrival probability (0 before any
 // observation).
 func (e *WindowRate) Rate() float64 {
-	if e.n == 0 {
+	if e.ring.Len() == 0 {
 		return 0
 	}
-	return float64(e.sum) / float64(e.n)
+	return float64(e.sum) / float64(e.ring.Len())
 }
 
 // Full reports whether the window has filled once.
-func (e *WindowRate) Full() bool { return e.n == len(e.buf) }
+func (e *WindowRate) Full() bool { return e.ring.Len() == e.w }
 
 // N returns the number of retained observations.
-func (e *WindowRate) N() int { return e.n }
+func (e *WindowRate) N() int { return e.ring.Len() }
 
 // ---------------------------------------------------------------------------
 

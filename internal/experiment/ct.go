@@ -131,19 +131,17 @@ func renewalSource(d dist.Continuous) func() ctsim.Source {
 	}
 }
 
-// ctScratch is one worker's reusable replica state: the simulator (whose
+// ctScratch is one worker's reusable replica state: the simulator, whose
 // kernel arena, queue ring, and StateTime buffer survive across the
-// replicas this worker runs) and a metrics scratch for MetricsInto. A
-// worker's scratch never influences results — ctsim.Sim.Reset is
-// bit-identical to a fresh build — it only keeps replica turnover off the
-// allocator.
+// replicas this worker runs. A worker's scratch never influences results
+// — ctsim.Sim.Reset is bit-identical to a fresh build — it only keeps
+// replica turnover off the allocator.
 type ctScratch struct {
-	sim     *ctsim.Sim
-	metrics ctsim.Metrics
+	sim *ctsim.Sim
 }
 
-// runCTReplica executes one replica into ws.metrics, building the
-// simulator fresh on the worker's first job and resetting it afterwards.
+// runCTReplica executes one replica on ws.sim, building the simulator
+// fresh on the worker's first job and resetting it afterwards.
 // Replicas run in chunks of ctCancelChunkServices service times and poll
 // the context between chunks.
 func runCTReplica(ctx context.Context, c *ctCell, seed uint64, ws *ctScratch) error {
@@ -158,11 +156,7 @@ func runCTReplica(ctx context.Context, c *ctCell, seed uint64, ws *ctScratch) er
 	} else if err = ws.sim.Reset(cfg); err != nil {
 		return err
 	}
-	if err := ws.sim.RunChunked(ctx, c.sc.Horizon, c.sc.Device.ServiceTime*ctCancelChunkServices); err != nil {
-		return err
-	}
-	ws.sim.MetricsInto(&ws.metrics)
-	return nil
+	return ws.sim.RunChunked(ctx, c.sc.Horizon, c.sc.Device.ServiceTime*ctCancelChunkServices)
 }
 
 // ctCancelChunkServices bounds cancellation latency: replicas run in
@@ -183,7 +177,7 @@ func RunCTOneCtx(ctx context.Context, sc CTScenario, pf PolicyFactory, seed uint
 	if err := runCTReplica(ctx, &c, seed, &ws); err != nil {
 		return ctsim.Metrics{}, err
 	}
-	return ws.metrics, nil
+	return ws.sim.Metrics(), nil
 }
 
 // RunCTReplicatedCtx executes one continuous-time replica per seed on a
@@ -211,7 +205,7 @@ func ctGrid(ctx context.Context, par Parallel, cells []ctCell, seeds []uint64) (
 				return nil, err
 			}
 			s := &fleet.ClassStats{Name: c.sc.Name, Policy: c.name}
-			s.Add(&ws.metrics, c.sc.Device.MaxPower())
+			s.Add(ws.sim.MetricsView(), c.sc.Device.MaxPower())
 			return s, nil
 		})
 }

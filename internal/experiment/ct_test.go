@@ -194,7 +194,7 @@ func TestCTReplicaStreamLayout(t *testing.T) {
 	if err := runCTReplica(context.Background(), &native, seed, &ws); err != nil {
 		t.Fatal(err)
 	}
-	if d := metricsDiff(ws.metrics, hand(0, native.policy)); d != "" {
+	if d := metricsDiff(ws.sim.Metrics(), hand(0, native.policy)); d != "" {
 		t.Errorf("native greedy-off: %s", d)
 	}
 }

@@ -29,21 +29,10 @@ func CanonDevice() (*device.Slotted, error) {
 }
 
 // QDPMFactory returns the canonical converging Q-DPM configuration
-// (decaying exploration, polynomial learning rate) used in Fig. 1.
+// (decaying exploration, polynomial learning rate) used in Fig. 1: the
+// unmodified QDPMVariantFactory.
 func QDPMFactory(dev *device.Slotted) PolicyFactory {
-	return PolicyFactory{
-		Name: "q-dpm",
-		New: func(stream *rng.Stream) (slotsim.Policy, error) {
-			return core.New(core.Config{
-				Device:        dev,
-				QueueCap:      CanonQueueCap,
-				LatencyWeight: CanonLatencyWeight,
-				Explore:       qlearn.EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000},
-				Alpha:         qlearn.Polynomial{Scale: 0.5, Omega: 0.65},
-				Stream:        stream,
-			})
-		},
-	}
+	return QDPMVariantFactory("q-dpm", dev, nil)
 }
 
 // QDPMTrackingFactory returns the nonstationary-tracking configuration
@@ -66,7 +55,8 @@ func QDPMTrackingFactory(dev *device.Slotted) PolicyFactory {
 	}
 }
 
-// QDPMVariantFactory exposes the full configuration for ablations.
+// QDPMVariantFactory returns the converging Q-DPM configuration under
+// name, with mut (if non-nil) applied to it: the ablations' variants.
 func QDPMVariantFactory(name string, dev *device.Slotted, mut func(*core.Config)) PolicyFactory {
 	return PolicyFactory{
 		Name: name,

@@ -100,14 +100,13 @@ func TestFleetCTEventLoopAllocationFree(t *testing.T) {
 			if err := sim.Run(until); err != nil { // warm: ring growth, learner tables
 				t.Fatal(err)
 			}
-			var scratch ctsim.Metrics
-			sim.MetricsInto(&scratch)
+			sim.MetricsView()
 			allocs := testing.AllocsPerRun(20, func() {
 				until += 256
 				if err := sim.Run(until); err != nil {
 					t.Fatal(err)
 				}
-				sim.MetricsInto(&scratch)
+				sim.MetricsView()
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state fleet CT loop allocates %.1f times per 256 s chunk", allocs)
@@ -205,7 +204,7 @@ func TestFleetFaultedShardAllocationFree(t *testing.T) {
 }
 
 // BenchmarkFleetInstanceCT measures one full fleet CT instance through
-// the worker reuse path (reseed, reset, run, MetricsInto), reporting
+// the worker reuse path (reseed, reset, run, MetricsView), reporting
 // ns/event. One op = one instance at a 512 s horizon.
 func BenchmarkFleetInstanceCT(b *testing.B) {
 	spec := Spec{Devices: 64, Classes: DefaultMix(), Horizon: 512, Seed: 5}

@@ -1,105 +1,89 @@
-// Package queue implements the bounded FIFO request queue that sits
-// between the service requester and the power-managed service provider,
-// with exact per-request waiting-time accounting and loss counting.
+// Package queue implements Ring, the FIFO behind every queue in the
+// repository: the slotted and continuous-time request queues, the
+// shared resources' wait queues, and the sliding windows of the
+// figure series and the adaptive-LP rate estimator.
 package queue
 
 import "fmt"
 
-// Queue is a bounded FIFO of pending requests. Each entry records the slot
-// the request arrived in so waiting times are exact. A capacity of 0 means
-// unbounded.
-type Queue struct {
-	cap  int
-	buf  []int64 // enqueue slots, ring buffer
-	head int
-	n    int
+// minRing is the buffer size of a ring's first growth.
+const minRing = 4
 
-	lost      int64
-	arrived   int64
-	served    int64
-	waitSlots int64 // cumulative waiting of served requests
+// Ring is a FIFO of T over a power-of-two circular buffer, so the index
+// wrap is a mask. The zero value is an empty, unbounded ring. The buffer
+// doubles only when a Push finds it full, so it grows to the ring's
+// high-water mark and no further; Reset keeps it. After that, Push, Pop
+// and Remove never allocate. Vacated slots are not cleared: a ring of
+// pointers keeps what they point to reachable until the slot is reused.
+type Ring[T comparable] struct {
+	buf   []T // len is zero or a power of two
+	head  int // index of the oldest entry
+	n     int
+	bound int // maximum length; 0 means unbounded
 }
 
-// New returns a queue with the given capacity; capacity < 0 is an error,
-// capacity == 0 means unbounded.
-func New(capacity int) (*Queue, error) {
-	if capacity < 0 {
-		return nil, fmt.Errorf("queue: negative capacity %d", capacity)
+// Reset empties the ring and sets its bound (0 means unbounded), keeping
+// the grown buffer. A negative bound panics.
+func (r *Ring[T]) Reset(bound int) {
+	if bound < 0 {
+		panic(fmt.Sprintf("queue: negative ring bound %d", bound))
 	}
-	initial := capacity
-	if initial == 0 {
-		initial = 16
-	}
-	return &Queue{cap: capacity, buf: make([]int64, initial)}, nil
+	r.head, r.n, r.bound = 0, 0, bound
 }
 
-// Len returns the number of queued requests.
-func (q *Queue) Len() int { return q.n }
+// Len returns the number of entries.
+func (r *Ring[T]) Len() int { return r.n }
 
-// Push enqueues one request that arrived in slot `slot`. It returns false
-// (and counts a loss) when the queue is full.
-func (q *Queue) Push(slot int64) bool {
-	q.arrived++
-	if q.cap > 0 && q.n == q.cap {
-		q.lost++
+// Push appends v at the tail. It returns false, leaving the ring
+// unchanged, when the ring is bounded and full.
+func (r *Ring[T]) Push(v T) bool {
+	if r.n == r.bound && r.bound > 0 {
 		return false
 	}
-	if q.n == len(q.buf) {
-		q.grow()
+	if r.n == len(r.buf) {
+		r.grow()
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = slot
-	q.n++
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
 	return true
 }
 
-func (q *Queue) grow() {
-	nb := make([]int64, 2*len(q.buf))
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.buf = nb
-	q.head = 0
+// grow doubles the full buffer and keeps head: the entries from head to
+// the old end stay in place and the wrapped ones follow them. This form
+// keeps Push within the compiler's inlining budget.
+func (r *Ring[T]) grow() {
+	nb := make([]T, max(2*len(r.buf), minRing))
+	copy(nb, r.buf)
+	copy(nb[len(r.buf):], r.buf[:r.head])
+	r.buf = nb
 }
 
-// Serve dequeues up to k requests, each completing in slot `slot`, and
-// returns the number actually served. Waiting time of a request is the
-// number of whole slots between arrival and service.
-func (q *Queue) Serve(k int, slot int64) int {
-	if k < 0 {
-		panic(fmt.Sprintf("queue: negative service count %d", k))
+// Pop removes and returns the oldest entry. It panics on an empty ring:
+// callers check Len.
+func (r *Ring[T]) Pop() T {
+	if r.n == 0 {
+		panic("queue: pop from empty ring")
 	}
-	served := 0
-	for served < k && q.n > 0 {
-		enq := q.buf[q.head]
-		q.head = (q.head + 1) % len(q.buf)
-		q.n--
-		wait := slot - enq
-		if wait < 0 {
-			panic(fmt.Sprintf("queue: service slot %d precedes enqueue slot %d", slot, enq))
+	v := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
+// Remove deletes the oldest entry equal to v, shifting the entries
+// behind it one place toward the head so the order of the rest is
+// kept. It reports whether v was found.
+func (r *Ring[T]) Remove(v T) bool {
+	mask := len(r.buf) - 1
+	for i := 0; i < r.n; i++ {
+		if r.buf[(r.head+i)&mask] != v {
+			continue
 		}
-		q.waitSlots += wait
-		q.served++
-		served++
+		for ; i+1 < r.n; i++ {
+			r.buf[(r.head+i)&mask] = r.buf[(r.head+i+1)&mask]
+		}
+		r.n--
+		return true
 	}
-	return served
-}
-
-// Arrived returns the number of Push calls (including lost requests).
-func (q *Queue) Arrived() int64 { return q.arrived }
-
-// Served returns the number of requests dequeued by Serve.
-func (q *Queue) Served() int64 { return q.served }
-
-// Lost returns the number of requests rejected because the queue was full.
-func (q *Queue) Lost() int64 { return q.lost }
-
-// WaitSlots returns the cumulative waiting slots of served requests.
-func (q *Queue) WaitSlots() int64 { return q.waitSlots }
-
-// MeanWait returns the average waiting time in slots of served requests.
-func (q *Queue) MeanWait() float64 {
-	if q.served == 0 {
-		return 0
-	}
-	return float64(q.waitSlots) / float64(q.served)
+	return false
 }

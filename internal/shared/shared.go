@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"repro/internal/ctsim"
+	"repro/internal/queue"
 )
 
 // Outageable is the scheduled-outage half of the resource contract:
@@ -46,82 +47,6 @@ type Outageable interface {
 	SetDown(down bool, now float64)
 }
 
-// fifo is a FIFO of waiting clients backed by a power-of-two ring (the
-// internal/ctsim timedQueue pattern): head and tail are free-running
-// counters masked into the buffer, so push/pop are a store and a mask —
-// no append bookkeeping, no lazy compaction copy — and the buffer grows
-// only until the queue's high-water mark, after which every operation
-// is allocation-free. A coupled group's grant/wait/release traffic in
-// steady state therefore never touches the allocator.
-type fifo struct {
-	buf  []ctsim.ResourceClient // len is a power of two (or nil)
-	head uint32                 // next pop position (masked)
-	tail uint32                 // next push position (masked)
-}
-
-func (f *fifo) len() int { return int(f.tail - f.head) }
-
-func (f *fifo) push(g ctsim.ResourceClient) {
-	if int(f.tail-f.head) == len(f.buf) {
-		f.grow()
-	}
-	f.buf[f.tail&uint32(len(f.buf)-1)] = g
-	f.tail++
-}
-
-// grow doubles the ring (minimum 4 slots), unwrapping the live window
-// into the front of the new buffer so head/tail restart at zero.
-func (f *fifo) grow() {
-	n := len(f.buf) * 2
-	if n == 0 {
-		n = 4
-	}
-	nb := make([]ctsim.ResourceClient, n)
-	cnt := f.tail - f.head
-	for i := uint32(0); i < cnt; i++ {
-		nb[i] = f.buf[(f.head+i)&uint32(len(f.buf)-1)]
-	}
-	f.buf = nb
-	f.head = 0
-	f.tail = cnt
-}
-
-func (f *fifo) pop() ctsim.ResourceClient {
-	i := f.head & uint32(len(f.buf)-1)
-	g := f.buf[i]
-	f.buf[i] = nil
-	f.head++
-	return g
-}
-
-// remove deletes the first occurrence of g, preserving the order of
-// the remaining waiters (later entries shift one slot toward the
-// head). It reports whether g was found.
-func (f *fifo) remove(g ctsim.ResourceClient) bool {
-	mask := uint32(len(f.buf) - 1)
-	for i := f.head; i != f.tail; i++ {
-		if f.buf[i&mask] != g {
-			continue
-		}
-		for j := i; j+1 != f.tail; j++ {
-			f.buf[j&mask] = f.buf[(j+1)&mask]
-		}
-		f.tail--
-		f.buf[f.tail&mask] = nil
-		return true
-	}
-	return false
-}
-
-func (f *fifo) reset() {
-	mask := uint32(len(f.buf) - 1)
-	for i := f.head; i != f.tail; i++ {
-		f.buf[i&mask] = nil
-	}
-	f.head = 0
-	f.tail = 0
-}
-
 // Channel is a single-occupancy shared medium: at most one device in
 // the group serves at a time (a WLAN cell where a transmission
 // occupies the channel). Contenders queue FIFO and are granted as the
@@ -135,7 +60,7 @@ func (f *fifo) reset() {
 type Channel struct {
 	busy    bool
 	down    bool
-	waiters fifo
+	waiters queue.Ring[ctsim.ResourceClient]
 }
 
 // NewChannel returns an idle single-occupancy channel.
@@ -146,7 +71,7 @@ func NewChannel() *Channel { return &Channel{} }
 func (c *Channel) Reset() {
 	c.busy = false
 	c.down = false
-	c.waiters.reset()
+	c.waiters.Reset(0)
 }
 
 // RequestService grants the channel if idle (and not jammed), else
@@ -156,7 +81,7 @@ func (c *Channel) RequestService(now float64, g ctsim.ResourceClient) ctsim.Verd
 		c.busy = true
 		return ctsim.Grant
 	}
-	c.waiters.push(g)
+	c.waiters.Push(g)
 	return ctsim.Wait
 }
 
@@ -164,8 +89,8 @@ func (c *Channel) RequestService(now float64, g ctsim.ResourceClient) ctsim.Verd
 // waiter, if any. During a jam the channel goes idle without granting;
 // SetDown(false) resumes the queue.
 func (c *Channel) ReleaseService(now float64, g ctsim.ResourceClient) {
-	if c.waiters.len() > 0 && !c.down {
-		c.waiters.pop().ResourceGranted(now)
+	if c.waiters.Len() > 0 && !c.down {
+		c.waiters.Pop().ResourceGranted(now)
 		return
 	}
 	c.busy = false
@@ -175,15 +100,15 @@ func (c *Channel) ReleaseService(now float64, g ctsim.ResourceClient) {
 // the head waiter if the medium is idle.
 func (c *Channel) SetDown(down bool, now float64) {
 	c.down = down
-	if !down && !c.busy && c.waiters.len() > 0 {
+	if !down && !c.busy && c.waiters.Len() > 0 {
 		c.busy = true
-		c.waiters.pop().ResourceGranted(now)
+		c.waiters.Pop().ResourceGranted(now)
 	}
 }
 
 // CancelWait withdraws a queued g.
 func (c *Channel) CancelWait(now float64, g ctsim.ResourceClient) {
-	if !c.waiters.remove(g) {
+	if !c.waiters.Remove(g) {
 		panic("shared: Channel.CancelWait for a client that is not waiting")
 	}
 }
@@ -208,7 +133,7 @@ type Gateway struct {
 	waitCap int
 	busy    int
 	down    bool
-	waiters fifo
+	waiters queue.Ring[ctsim.ResourceClient]
 }
 
 // NewGateway returns an idle gateway with the given concurrent-service
@@ -229,7 +154,7 @@ func NewGateway(servers, waitCap int) *Gateway {
 func (gw *Gateway) Reset() {
 	gw.busy = 0
 	gw.down = false
-	gw.waiters.reset()
+	gw.waiters.Reset(0)
 }
 
 // RequestService grants while a server is free, queues while the wait
@@ -243,8 +168,8 @@ func (gw *Gateway) RequestService(now float64, g ctsim.ResourceClient) ctsim.Ver
 		gw.busy++
 		return ctsim.Grant
 	}
-	if gw.waiters.len() < gw.waitCap {
-		gw.waiters.push(g)
+	if gw.waiters.Len() < gw.waitCap {
+		gw.waiters.Push(g)
 		return ctsim.Wait
 	}
 	return ctsim.Drop
@@ -254,8 +179,8 @@ func (gw *Gateway) RequestService(now float64, g ctsim.ResourceClient) ctsim.Ver
 // waiter, if any. During an outage the server frees without granting;
 // SetDown(false) drains the queue.
 func (gw *Gateway) ReleaseService(now float64, g ctsim.ResourceClient) {
-	if gw.waiters.len() > 0 && !gw.down {
-		gw.waiters.pop().ResourceGranted(now)
+	if gw.waiters.Len() > 0 && !gw.down {
+		gw.waiters.Pop().ResourceGranted(now)
 		return
 	}
 	gw.busy--
@@ -266,16 +191,16 @@ func (gw *Gateway) ReleaseService(now float64, g ctsim.ResourceClient) {
 func (gw *Gateway) SetDown(down bool, now float64) {
 	gw.down = down
 	if !down {
-		for gw.busy < gw.servers && gw.waiters.len() > 0 {
+		for gw.busy < gw.servers && gw.waiters.Len() > 0 {
 			gw.busy++
-			gw.waiters.pop().ResourceGranted(now)
+			gw.waiters.Pop().ResourceGranted(now)
 		}
 	}
 }
 
 // CancelWait withdraws a queued g.
 func (gw *Gateway) CancelWait(now float64, g ctsim.ResourceClient) {
-	if !gw.waiters.remove(g) {
+	if !gw.waiters.Remove(g) {
 		panic("shared: Gateway.CancelWait for a client that is not waiting")
 	}
 }

@@ -234,7 +234,7 @@ type SlotRecord struct {
 // Step.
 type Sim struct {
 	cfg Config
-	q   *queue.Queue
+	q   queue.Ring[int64] // arrival slot of each pending request
 
 	phase      device.StateID
 	transTo    device.StateID
@@ -253,13 +253,8 @@ func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	q, err := queue.New(cfg.QueueCap)
-	if err != nil {
-		return nil, err
-	}
 	s := &Sim{
 		cfg:        cfg,
-		q:          q,
 		phase:      cfg.InitialState,
 		metrics:    Metrics{StateSlots: make([]int64, cfg.Device.PSM.NumStates())},
 		idleSatCap: cfg.IdleSaturation,
@@ -267,6 +262,7 @@ func New(cfg Config) (*Sim, error) {
 	if s.idleSatCap == 0 {
 		s.idleSatCap = 1024
 	}
+	s.q.Reset(cfg.QueueCap)
 	s.learner, _ = cfg.Policy.(Learner)
 	return s, nil
 }
@@ -357,7 +353,11 @@ func (s *Sim) step(rec *SlotRecord) {
 		slotEnergy = dev.StateEnergy[s.phase]
 		s.metrics.StateSlots[s.phase]++
 		if dev.PSM.States[s.phase].CanService {
-			served = s.q.Serve(dev.ServePerSlot, s.slot)
+			// A request's wait is the whole slots from arrival to service.
+			for served < dev.ServePerSlot && s.q.Len() > 0 {
+				s.metrics.WaitSlots += s.slot - s.q.Pop()
+				served++
+			}
 		}
 	}
 
@@ -427,18 +427,8 @@ func (s *Sim) Run(n int64, observer func(SlotRecord)) (Metrics, error) {
 			observer(rec)
 		}
 	}
-	// Finalize wait accounting from the queue.
-	m := s.metrics
-	m.WaitSlots = s.q.WaitSlots()
-	return m, nil
+	return s.metrics, nil
 }
 
 // Metrics returns a snapshot of the accumulated metrics.
-func (s *Sim) Metrics() Metrics {
-	m := s.metrics
-	m.WaitSlots = s.q.WaitSlots()
-	return m
-}
-
-// Queue exposes queue counters for integration tests.
-func (s *Sim) Queue() *queue.Queue { return s.q }
+func (s *Sim) Metrics() Metrics { return s.metrics }

@@ -122,9 +122,9 @@ func TestRequestConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Arrived != m.Served+m.Lost+int64(sim.Queue().Len()) {
+	if m.Arrived != m.Served+m.Lost+int64(sim.Observe().Queue) {
 		t.Errorf("conservation violated: arrived %d != served %d + lost %d + backlog %d",
-			m.Arrived, m.Served, m.Lost, sim.Queue().Len())
+			m.Arrived, m.Served, m.Lost, sim.Observe().Queue)
 	}
 	if m.Lost != 0 {
 		t.Errorf("active server at λ=0.6 < μ=1 lost %d requests", m.Lost)
@@ -229,7 +229,7 @@ func TestNoServiceDuringTransition(t *testing.T) {
 			t.Fatalf("served %d during transition slot %d", rec.Served, i)
 		}
 	}
-	if q := sim.Queue().Len(); q != 3 {
+	if q := sim.Observe().Queue; q != 3 {
 		t.Errorf("backlog after 3-slot wakeup at rate 1 = %d, want 3", q)
 	}
 }
@@ -323,8 +323,36 @@ func TestQueueOverflowCounted(t *testing.T) {
 	if m.Lost != 6 {
 		t.Errorf("lost %d, want 6", m.Lost)
 	}
-	if sim.Queue().Len() != 4 {
-		t.Errorf("backlog %d, want 4", sim.Queue().Len())
+	if sim.Observe().Queue != 4 {
+		t.Errorf("backlog %d, want 4", sim.Observe().Queue)
+	}
+}
+
+// TestWaitAccounting: each served request waits the whole slots from
+// its arrival slot to its service slot, in FIFO order.
+func TestWaitAccounting(t *testing.T) {
+	arr, err := workload.NewPlayback([]int{3, 0, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := New(Config{
+		Device: synth(), Arrivals: arr, QueueCap: 8,
+		Policy: stayPolicy{}, Stream: rng.New(15), LatencyWeight: 0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One service per slot: the slot-0 burst waits 0, 1 and 2 slots; the
+	// slot-3 arrival is served at once.
+	for _, want := range []int64{0, 1, 3, 3} {
+		sim.Step()
+		if got := sim.Metrics().WaitSlots; got != want {
+			t.Fatalf("slot %d: wait slots %d, want %d", sim.Observe().Slot-1, got, want)
+		}
+	}
+	m := sim.Metrics()
+	if m.Served != 4 || m.MeanWaitSlots() != 0.75 {
+		t.Fatalf("served %d, mean wait %v; want 4, 0.75", m.Served, m.MeanWaitSlots())
 	}
 }
 
@@ -396,7 +424,7 @@ func TestInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if m.Arrived != m.Served+m.Lost+int64(sim.Queue().Len()) {
+		if m.Arrived != m.Served+m.Lost+int64(sim.Observe().Queue) {
 			return false
 		}
 		if m.EnergyJ < 0 || m.CostTotal < m.EnergyJ-1e-9 {
@@ -444,7 +472,7 @@ func TestPoissonMultiArrivalConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Arrived != m.Served+m.Lost+int64(sim.Queue().Len()) {
+	if m.Arrived != m.Served+m.Lost+int64(sim.Observe().Queue) {
 		t.Errorf("conservation violated on multi-arrival workload")
 	}
 	// An active HDD serving 41/slot at λ=2.5 must never lose requests.
@@ -480,24 +508,28 @@ func TestMultiServeDrainsBacklogFast(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		sim.Step()
 	}
-	backlog := sim.Queue().Len()
+	backlog := sim.Observe().Queue
 	if backlog == 0 {
 		t.Fatal("no backlog accumulated while dozing")
 	}
 	// Wake and serve: doze->txrx takes 1 slot (0.1s at 0.5s slots)...
 	// at 0.5s slots ceil(0.1/0.5)=1 slot. Then one serving slot clears all.
+	// A 30-request burst lands in the transition slot.
+	burst30, err := workload.NewPlayback([]int{30})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim2, err := New(Config{
-		Device: wlan, Arrivals: mustBern(0), QueueCap: 64,
+		Device: wlan, Arrivals: burst30, QueueCap: 64,
 		Policy: gotoPolicy{target: txrx}, Stream: rng.New(103),
 		LatencyWeight: 0.3, InitialState: doze,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 30; i++ {
-		sim2.Queue().Push(0)
+	if rec := sim2.Step(); !rec.Transitioning || rec.Backlog != 30 {
+		t.Fatalf("burst slot: transitioning %v, backlog %d; want true, 30", rec.Transitioning, rec.Backlog)
 	}
-	sim2.Step() // transition slot
 	rec := sim2.Step()
 	if rec.Served != 30 {
 		t.Errorf("multi-serve slot served %d, want all 30", rec.Served)
@@ -531,7 +563,7 @@ func TestSensorRadioEndToEnd(t *testing.T) {
 	if m.EnergyJ >= alwaysOnEnergy {
 		t.Errorf("sleeping radio energy %v not below always-on %v", m.EnergyJ, alwaysOnEnergy)
 	}
-	if m.Arrived != m.Served+m.Lost+int64(sim.Queue().Len()) {
+	if m.Arrived != m.Served+m.Lost+int64(sim.Observe().Queue) {
 		t.Error("conservation violated on sensor radio")
 	}
 }

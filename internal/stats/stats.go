@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/queue"
 )
 
 // Running accumulates mean and variance with Welford's algorithm, which is
@@ -107,10 +109,9 @@ func (r *Running) CI95() float64 {
 // Window is a fixed-size sliding-window mean over the last Cap observations,
 // used for the windowed power/energy-reduction series in Figs. 1 and 2.
 type Window struct {
-	buf  []float64
-	head int
-	n    int
-	sum  float64
+	ring     queue.Ring[float64]
+	capacity int
+	sum      float64
 }
 
 // NewWindow returns a window of the given capacity (must be positive).
@@ -118,34 +119,31 @@ func NewWindow(capacity int) (*Window, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("stats: window capacity %d must be positive", capacity)
 	}
-	return &Window{buf: make([]float64, capacity)}, nil
+	return &Window{capacity: capacity}, nil
 }
 
 // Add pushes one observation, evicting the oldest when full.
 func (w *Window) Add(x float64) {
-	if w.n == len(w.buf) {
-		w.sum -= w.buf[w.head]
-	} else {
-		w.n++
+	if w.Full() {
+		w.sum -= w.ring.Pop()
 	}
-	w.buf[w.head] = x
+	w.ring.Push(x)
 	w.sum += x
-	w.head = (w.head + 1) % len(w.buf)
 }
 
 // Mean returns the mean of the retained observations (0 if empty).
 func (w *Window) Mean() float64 {
-	if w.n == 0 {
+	if w.ring.Len() == 0 {
 		return 0
 	}
-	return w.sum / float64(w.n)
+	return w.sum / float64(w.ring.Len())
 }
 
 // Full reports whether the window has reached capacity.
-func (w *Window) Full() bool { return w.n == len(w.buf) }
+func (w *Window) Full() bool { return w.ring.Len() == w.capacity }
 
 // N returns the number of retained observations.
-func (w *Window) N() int { return w.n }
+func (w *Window) N() int { return w.ring.Len() }
 
 // ---------------------------------------------------------------------------
 
