@@ -105,8 +105,10 @@ func (c *CUSUM) Add(arrivals int) bool {
 		v = 1
 	}
 	d := v - c.ref
-	c.gPos = math.Max(0, c.gPos+d-c.k)
-	c.gNeg = math.Max(0, c.gNeg-d-c.k)
+	// The builtin max gives math.Max's results, NaN and signed zeros
+	// included, and inlines; on amd64 math.Max is an out-of-line call.
+	c.gPos = max(0, c.gPos+d-c.k)
+	c.gNeg = max(0, c.gNeg-d-c.k)
 	if c.gPos > c.h || c.gNeg > c.h {
 		c.gPos, c.gNeg = 0, 0
 		c.alarms++

@@ -159,6 +159,74 @@ func TestCUSUMValidation(t *testing.T) {
 	}
 }
 
+// mathMaxCUSUM is CUSUM.Add as written with math.Max: the reference the
+// builtin-max version must match bit for bit.
+type mathMaxCUSUM struct {
+	ref, k, h, gPos, gNeg float64
+}
+
+func (c *mathMaxCUSUM) add(arrivals int) bool {
+	v := 0.0
+	if arrivals > 0 {
+		v = 1
+	}
+	d := v - c.ref
+	c.gPos = math.Max(0, c.gPos+d-c.k)
+	c.gNeg = math.Max(0, c.gNeg-d-c.k)
+	if c.gPos > c.h || c.gNeg > c.h {
+		c.gPos, c.gNeg = 0, 0
+		return true
+	}
+	return false
+}
+
+// TestCUSUMMatchesMathMax checks, for random valid (ref, k, h) and random
+// arrival sequences, that Add fires on the same slots as the math.Max
+// reference and leaves both statistics with the same bits after every
+// call. The slack draws include 0 and the reference draws 0 and 1, where
+// a statistic lands on zero.
+func TestCUSUMMatchesMathMax(t *testing.T) {
+	s := rng.New(7)
+	pick := func(edges ...float64) float64 {
+		if i := s.Intn(len(edges) + 2); i < len(edges) {
+			return edges[i]
+		}
+		return s.Float64()
+	}
+	for trial := 0; trial < 200; trial++ {
+		ref := pick(0, 1, 0.5)
+		k := pick(0, 0.05) * 0.5
+		h := 0.1 + s.Float64()*8
+		c, err := NewCUSUM(ref, k, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &mathMaxCUSUM{ref: ref, k: k, h: h}
+		p := s.Float64()
+		alarms := 0
+		for i := 0; i < 2000; i++ {
+			a := 0
+			if s.Bool(p) {
+				a = 1 + s.Intn(3)
+			}
+			got, exp := c.Add(a), want.add(a)
+			if got != exp {
+				t.Fatalf("ref=%v k=%v h=%v slot %d: alarm %v, math.Max reference %v", ref, k, h, i, got, exp)
+			}
+			if math.Float64bits(c.gPos) != math.Float64bits(want.gPos) || math.Float64bits(c.gNeg) != math.Float64bits(want.gNeg) {
+				t.Fatalf("ref=%v k=%v h=%v slot %d: (gPos, gNeg) = (%v, %v), math.Max reference (%v, %v)",
+					ref, k, h, i, c.gPos, c.gNeg, want.gPos, want.gNeg)
+			}
+			if got {
+				alarms++
+			}
+		}
+		if int64(alarms) != c.Alarms() {
+			t.Fatalf("ref=%v k=%v h=%v: Alarms() = %d, fired %d times", ref, k, h, c.Alarms(), alarms)
+		}
+	}
+}
+
 func BenchmarkWindowRateAdd(b *testing.B) {
 	e, _ := NewWindowRate(1000)
 	for i := 0; i < b.N; i++ {

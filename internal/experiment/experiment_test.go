@@ -215,9 +215,11 @@ func TestTableR1OrdersOfMagnitude(t *testing.T) {
 	}
 	for _, r := range rows {
 		// The paper's claim: an LP re-solve is orders of magnitude more
-		// expensive than a Q step. Require >= 100x even on a fast host.
-		if r.LPSpeedupOverQ < 100 {
-			t.Errorf("|S|=%d: LP/Qstep ratio %v < 100", r.States, r.LPSpeedupOverQ)
+		// expensive than a Q step. Counted in table entries read, not
+		// timed, so no host is fast or loaded enough to move it.
+		if ratio := float64(r.LPTableauReads) / float64(r.QStepReads); ratio < 100 {
+			t.Errorf("|S|=%d: LP solve reads %d tableau entries, a Q step %d table entries: ratio %.1f < 100",
+				r.States, r.LPTableauReads, r.QStepReads, ratio)
 		}
 		if r.QTableBytes >= r.ModelBytes {
 			t.Errorf("|S|=%d: Q table (%dB) not smaller than model (%dB)", r.States, r.QTableBytes, r.ModelBytes)

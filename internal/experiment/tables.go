@@ -41,6 +41,14 @@ type R1Row struct {
 	// measure of solve work that, unlike LPSolveMs, machine load cannot
 	// perturb.
 	LPPivots int
+	// LPTableauReads counts the tableau entries one LP solve reads at the
+	// least: LPPivots times what every pivot reads whatever the sparsity,
+	// its pivot row over the structural columns and the rhs plus the
+	// pivot column's entry in each other row. QStepReads counts the Q
+	// table entries one Q step (select + update) reads. Their ratio is
+	// the machine-independent counterpart of LPSpeedupOverQ.
+	LPTableauReads int
+	QStepReads     int
 }
 
 // TableR1Ctx measures the paper's §1 efficiency claims on this host: the
@@ -108,6 +116,12 @@ func TableR1Ctx(ctx context.Context, queueCaps []int) (*Table, []R1Row, error) {
 			lpPivots = sol.Pivots
 		}
 		lpMs := float64(time.Since(lpStart).Microseconds()) / float64(lpReps) / 1000
+		occ, err := stochpm.OccupancyLP(d, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		prob := occ.Build()
+		pivotReads := len(prob.C) + 1 + len(prob.B)
 
 		// RVI solve.
 		rviStart := time.Now()
@@ -146,6 +160,10 @@ func TableR1Ctx(ctx context.Context, queueCaps []int) (*Table, []R1Row, error) {
 			EstimatorNs: estNs,
 			QTableBytes: m.TableBytes(),
 			ModelBytes:  modelBytes,
+			// Selection reads every legal Q(s, ·), the update's target
+			// every legal Q(s', ·), and the update itself Q(s, a).
+			LPTableauReads: lpPivots * pivotReads,
+			QStepReads:     2*len(legal) + 1,
 		}
 		row.LPSpeedupOverQ = row.LPSolveMs * 1e6 / row.QStepNs
 		rows = append(rows, row)

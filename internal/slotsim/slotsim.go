@@ -269,15 +269,24 @@ func New(cfg Config) (*Sim, error) {
 
 // Observe returns the current observation without advancing time.
 func (s *Sim) Observe() Observation {
-	return Observation{
-		Phase:          s.phase,
-		Transitioning:  s.transLeft > 0,
-		TransTarget:    s.transTo,
-		TransRemaining: s.transLeft,
-		Queue:          s.q.Len(),
-		IdleSlots:      s.idleSlots,
-		Slot:           s.slot,
-	}
+	var o Observation
+	s.observe(&o)
+	return o
+}
+
+// observe writes the current observation into o field by field. The slot
+// loop fills its observations in place through it: a composite literal
+// copied out stores each field with a word-sized write and reads them
+// back with 16-byte block moves, which the CPU cannot forward from the
+// pending stores, so every such copy stalls.
+func (s *Sim) observe(o *Observation) {
+	o.Phase = s.phase
+	o.Transitioning = s.transLeft > 0
+	o.TransTarget = s.transTo
+	o.TransRemaining = s.transLeft
+	o.Queue = s.q.Len()
+	o.IdleSlots = s.idleSlots
+	o.Slot = s.slot
 }
 
 // Step advances one slot and returns its record.
@@ -294,7 +303,11 @@ func (s *Sim) Step() SlotRecord {
 // -benchmem output).
 func (s *Sim) step(rec *SlotRecord) {
 	dev := s.cfg.Device
-	prev := s.Observe()
+	// A local, not s.fb.Prev: built there, Decide's by-value argument
+	// would block-copy the fresh stores. fb.Prev = prev below copies
+	// stores that retired long before.
+	var prev Observation
+	s.observe(&prev)
 
 	// 1. Decision.
 	action := s.phase
@@ -391,8 +404,9 @@ func (s *Sim) step(rec *SlotRecord) {
 		// feedback record is two embedded observations wide, and copying
 		// it down the learner call chain (adapter, manager) shows up in
 		// fleet profiles. Receivers must not retain the pointer (the
-		// Learner contract). Field by field: a composite literal would be
-		// built on the stack and then block-copied in.
+		// Learner contract). Field by field, and Next in place: a
+		// composite literal would be built on the stack and then
+		// block-copied in (see observe).
 		fb := &s.fb
 		fb.Prev = prev
 		fb.Action = action
@@ -401,7 +415,7 @@ func (s *Sim) step(rec *SlotRecord) {
 		fb.Served = served
 		fb.Arrived = arrived
 		fb.Lost = lost
-		fb.Next = s.Observe()
+		s.observe(&fb.Next)
 		s.learner.Observe(fb)
 	}
 }

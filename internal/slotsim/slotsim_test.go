@@ -288,6 +288,124 @@ func TestLearnerReceivesFeedback(t *testing.T) {
 	}
 }
 
+// chainLearner records, for every slot, the observation Decide saw (if
+// the simulator consulted it), the feedback it was handed and the
+// simulator's own Observe() at delivery. Its rule cycles the device
+// through its latent transitions: wake on backlog (three slots out of
+// sleep), idle while recently busy, sleep after threshold idle slots.
+type chainLearner struct {
+	sim       *Sim
+	threshold int64
+
+	decided bool
+	seen    Observation
+
+	decides []bool        // slot i consulted Decide
+	seens   []Observation // what that Decide saw
+	fbs     []Feedback
+	afters  []Observation // sim.Observe() when slot i's feedback arrived
+}
+
+func (l *chainLearner) Name() string { return "chain-recorder" }
+
+func (l *chainLearner) Decide(o Observation) device.StateID {
+	l.decided, l.seen = true, o
+	switch {
+	case o.Queue > 0:
+		return 0
+	case o.IdleSlots >= l.threshold:
+		return 2
+	default:
+		return 1
+	}
+}
+
+func (l *chainLearner) Observe(fb *Feedback) {
+	l.decides = append(l.decides, l.decided)
+	l.seens = append(l.seens, l.seen)
+	l.fbs = append(l.fbs, *fb)
+	l.afters = append(l.afters, l.sim.Observe())
+	l.decided = false
+}
+
+// TestSlotFeedbackChain pins what the slotted simulator promises a
+// learner: fb.Prev is the observation Decide saw that slot, or, on a
+// latent-transition slot where Decide is skipped, Observe() taken before
+// the step; fb.Next is Observe() after the step; and each slot opens on
+// the observation the previous one closed with. It runs through Run's
+// record-free loop and through Step.
+func TestSlotFeedbackChain(t *testing.T) {
+	const slots = 3000
+	for _, viaStep := range []bool{false, true} {
+		name := "run"
+		if viaStep {
+			name = "step"
+		}
+		t.Run(name, func(t *testing.T) {
+			l := &chainLearner{threshold: 4}
+			sim, err := New(baseConfig(l, 0.2, 21))
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.sim = sim
+			befores := []Observation{sim.Observe()}
+			if viaStep {
+				for i := 0; i < slots; i++ {
+					sim.Step()
+					after := sim.Observe()
+					if after != l.afters[i] {
+						t.Fatalf("slot %d: Observe() after Step = %+v, at feedback %+v", i, after, l.afters[i])
+					}
+					befores = append(befores, after)
+				}
+			} else {
+				if _, err := sim.Run(slots, nil); err != nil {
+					t.Fatal(err)
+				}
+				befores = append(befores, l.afters...)
+				if after := sim.Observe(); after != l.afters[slots-1] {
+					t.Fatalf("Observe() after Run = %+v, at the last feedback %+v", after, l.afters[slots-1])
+				}
+			}
+			if len(l.fbs) != slots {
+				t.Fatalf("learner saw %d feedbacks, want %d", len(l.fbs), slots)
+			}
+			latent, wakeups := 0, 0
+			for i, fb := range l.fbs {
+				before := befores[i]
+				if l.decides[i] {
+					if l.seens[i] != before {
+						t.Fatalf("slot %d: Decide saw %+v, Observe() before the step was %+v", i, l.seens[i], before)
+					}
+					if fb.Prev != l.seens[i] {
+						t.Fatalf("slot %d: Prev = %+v, Decide saw %+v", i, fb.Prev, l.seens[i])
+					}
+				} else {
+					if !before.Transitioning {
+						t.Fatalf("slot %d: Decide skipped on a settled device %+v", i, before)
+					}
+					if fb.Prev != before {
+						t.Fatalf("slot %d: Prev = %+v, Observe() before the step was %+v", i, fb.Prev, before)
+					}
+					latent++
+					if before.TransRemaining > 1 {
+						wakeups++
+					}
+				}
+				if fb.Next != l.afters[i] {
+					t.Fatalf("slot %d: Next = %+v, Observe() after the step was %+v", i, fb.Next, l.afters[i])
+				}
+				if i+1 < len(l.fbs) && fb.Next != l.fbs[i+1].Prev {
+					t.Fatalf("slot %d: Next = %+v, but slot %d opens on %+v", i, fb.Next, i+1, l.fbs[i+1].Prev)
+				}
+			}
+			if latent == 0 || wakeups == 0 {
+				t.Fatalf("chain too thin to pin anything: %d latent-transition slots, %d inside multi-slot wake-ups", latent, wakeups)
+			}
+		})
+	}
+}
+
 func TestIdleSlotsTracking(t *testing.T) {
 	// Rate-0 arrivals: idle counter grows and saturates.
 	cfg := baseConfig(stayPolicy{}, 0, 11)
@@ -438,14 +556,6 @@ func TestInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkSimStep(b *testing.B) {
-	sim, _ := New(baseConfig(stayPolicy{}, 0.3, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Step()
 	}
 }
 
