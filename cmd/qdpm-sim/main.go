@@ -22,10 +22,11 @@
 // under a -slot-period governor via the slotted-policy adapter. -horizon
 // sets the run length in seconds (default -slots × -slot).
 //
-// Policies: q-dpm, q-dpm-sarsa, q-dpm-double, q-dpm-fuzzy, optimal,
-// adaptive-lp, always-on, greedy-off, timeout, adaptive-timeout,
-// predictive. Slotted workloads: bernoulli (default), poisson, onoff,
-// pareto.
+// Policies are the names of internal/registry, each one configuration:
+// q-dpm (the converging learner of Fig. 1 and the fleet), q-dpm-sarsa,
+// q-dpm-double, q-dpm-fuzzy, q-dpm-qos, optimal, adaptive-lp, always-on,
+// greedy-off, timeout, adaptive-timeout, predictive. Slotted workloads:
+// bernoulli (default), poisson, onoff, pareto.
 //
 // -qcap is bounded per policy, so a cap whose model or table could not
 // be built fails up front: optimal and adaptive-lp at most 256, the
@@ -38,19 +39,16 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
-	"repro/internal/core"
 	"repro/internal/ctsim"
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/experiment"
-	"repro/internal/mdp"
-	"repro/internal/policy"
-	"repro/internal/qlearn"
+	"repro/internal/registry"
 	"repro/internal/rng"
 	"repro/internal/slotsim"
-	"repro/internal/stochpm"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -70,7 +68,7 @@ const maxReplicas = 1 << 16
 func run() error {
 	var (
 		devName  = flag.String("device", "synthetic3", "catalog device: synthetic3|hdd|wlan|sensor-radio|two-state")
-		polName  = flag.String("policy", "q-dpm", "power-management policy")
+		polName  = flag.String("policy", "q-dpm", "power-management policy: "+strings.Join(registry.Names(), "|"))
 		wlName   = flag.String("workload", "bernoulli", "arrival process: bernoulli|poisson|onoff|pareto")
 		rate     = flag.Float64("rate", 0.1, "mean arrivals per slot")
 		slotDur  = flag.Float64("slot", 0.5, "slot duration in seconds")
@@ -78,7 +76,7 @@ func run() error {
 		seed     = flag.Uint64("seed", 1, "rng seed (replica seeds derive from it when -replicas > 1)")
 		queueCap = flag.Int("qcap", 8, "queue capacity")
 		latW     = flag.Float64("latw", 0.3, "latency weight (J per request-slot)")
-		timeout  = flag.Int64("timeout", 8, "timeout slots (timeout policy)")
+		timeout  = flag.Int64("timeout", registry.DefaultTimeoutSlots, "timeout slots (timeout policy; adaptive-timeout's initial one)")
 		replicas = flag.Int("replicas", 1, "independent replicas to pool")
 		parallel = flag.Int("parallel", 0, "worker-pool size for replicas (0 = GOMAXPROCS)")
 		mode     = flag.String("mode", "slot", "simulator: slot (discrete-time) or ct (event-driven continuous time)")
@@ -92,7 +90,11 @@ func run() error {
 	if *replicas > maxReplicas {
 		return fmt.Errorf("replicas %d above %d", *replicas, maxReplicas)
 	}
-	if err := checkQueueCap(*polName, *queueCap); err != nil {
+	entry, err := registry.Lookup(*polName)
+	if err != nil {
+		return err
+	}
+	if err := entry.CheckQueueCap(*queueCap); err != nil {
 		return err
 	}
 
@@ -104,6 +106,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	pf, err := policyFactory(entry, registry.Args{
+		Device: dev, QueueCap: *queueCap, LatencyWeight: *latW, Rate: *rate, TimeoutSlots: *timeout,
+	})
+	if err != nil {
+		return err
+	}
 
 	switch *mode {
 	case "slot":
@@ -112,8 +120,8 @@ func run() error {
 		if h == 0 {
 			h = float64(*slots) * *slotDur
 		}
-		return runCT(psm, dev, *polName, *wlName, *traceIn, *rate, *slotDur, h,
-			*queueCap, *latW, *timeout, *seed, *replicas, *parallel)
+		return runCT(psm, pf, *wlName, *traceIn, *rate, *slotDur, h,
+			*queueCap, *latW, *seed, *replicas, *parallel)
 	default:
 		return fmt.Errorf("unknown mode %q (want slot or ct)", *mode)
 	}
@@ -131,22 +139,6 @@ func run() error {
 		Slots:         *slots,
 		Workload:      arr.Clone,
 	}
-	pf := experiment.PolicyFactory{
-		Name: *polName,
-		New: func(stream *rng.Stream) (slotsim.Policy, error) {
-			return buildPolicy(*polName, dev, *queueCap, *latW, *rate, *timeout, stream)
-		},
-	}
-	if *polName == "optimal" {
-		// The optimal policy is stateless and its MDP solve is identical
-		// for every replica: solve once, share across the pool.
-		opt, err := buildPolicy(*polName, dev, *queueCap, *latW, *rate, *timeout, nil)
-		if err != nil {
-			return err
-		}
-		pf.New = func(*rng.Stream) (slotsim.Policy, error) { return opt, nil }
-	}
-
 	if *replicas > 1 {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
@@ -196,52 +188,27 @@ func run() error {
 	return nil
 }
 
-// Upper bounds on -qcap. The slotted simulator allocates its queue ring
-// at the full cap, and some policies size a model or a table by it, so
-// an unchecked cap (say 1e9) runs out of memory before the first slot.
-const (
-	// maxQueueCap bounds every policy: the ring is 512 KiB at the bound.
-	maxQueueCap = 1 << 16
-	// maxQTableQueueCap bounds the q-dpm variants, whose Q-table has a
-	// row per (power state, queue level, idle level) — the bound
-	// qdpm-fleet puts on every policy.
-	maxQTableQueueCap = 4096
-	// maxLPQueueCap bounds optimal and adaptive-lp, which build the
-	// occupancy LP over the queue states. Table R1 goes up to cap 40;
-	// one solve at this bound takes well under a second, and the
-	// adaptive controller re-solves on every rate change.
-	maxLPQueueCap = 256
-)
-
-// queueCapBound maps every policy buildPolicy accepts to its -qcap
-// bound. A name missing here is rejected as unknown before anything is
-// built, so a new policy cannot run without a bound of its own.
-var queueCapBound = map[string]int{
-	"q-dpm":            maxQTableQueueCap,
-	"q-dpm-sarsa":      maxQTableQueueCap,
-	"q-dpm-double":     maxQTableQueueCap,
-	"q-dpm-fuzzy":      maxQTableQueueCap,
-	"q-dpm-qos":        maxQTableQueueCap,
-	"optimal":          maxLPQueueCap,
-	"adaptive-lp":      maxLPQueueCap,
-	"always-on":        maxQueueCap,
-	"greedy-off":       maxQueueCap,
-	"timeout":          maxQueueCap,
-	"adaptive-timeout": maxQueueCap,
-	"predictive":       maxQueueCap,
-}
-
-// checkQueueCap rejects an unknown policy and a queue cap above the
-// policy's bound.
-func checkQueueCap(polName string, qcap int) error {
-	bound, ok := queueCapBound[polName]
-	if !ok {
-		return fmt.Errorf("unknown policy %q", polName)
+// policyFactory builds the registry entry for every replica from a and
+// the replica's stream. A Shared entry (the optimal policy, whose MDP
+// solve is identical for every replica) is built once and serves the
+// whole pool.
+func policyFactory(e registry.Entry, a registry.Args) (experiment.PolicyFactory, error) {
+	pf := experiment.PolicyFactory{
+		Name: e.Name,
+		New: func(stream *rng.Stream) (slotsim.Policy, error) {
+			a := a
+			a.Stream = stream
+			return e.Build(a)
+		},
 	}
-	if qcap > bound {
-		return fmt.Errorf("queue capacity %d above %d for policy %s", qcap, bound, polName)
+	if e.Shared {
+		pol, err := e.Build(a)
+		if err != nil {
+			return pf, err
+		}
+		pf.New = func(*rng.Stream) (slotsim.Policy, error) { return pol, nil }
 	}
-	return nil
+	return pf, nil
 }
 
 func buildWorkload(name string, rate float64) (workload.Arrivals, error) {
@@ -275,51 +242,6 @@ func buildWorkload(name string, rate float64) (workload.Arrivals, error) {
 	}
 }
 
-func buildPolicy(name string, dev *device.Slotted, qcap int, latW, rate float64, timeout int64, stream *rng.Stream) (slotsim.Policy, error) {
-	switch name {
-	case "q-dpm", "q-dpm-sarsa", "q-dpm-double", "q-dpm-fuzzy", "q-dpm-qos":
-		cfg := core.Config{
-			Device: dev, QueueCap: qcap, LatencyWeight: latW, Stream: stream,
-		}
-		switch name {
-		case "q-dpm-sarsa":
-			cfg.Rule = qlearn.SARSA
-		case "q-dpm-double":
-			cfg.Rule = qlearn.DoubleQ
-		case "q-dpm-fuzzy":
-			cfg.Fuzzy = true
-		case "q-dpm-qos":
-			cfg.QoS = &core.QoSConfig{TargetBacklog: 0.5, Eta: 0.05}
-		}
-		return core.New(cfg)
-	case "optimal":
-		d, err := mdp.BuildDPM(mdp.DPMConfig{
-			Device: dev, ArrivalP: rate, QueueCap: qcap, LatencyWeight: latW,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return policy.NewOptimalFromModel(d)
-	case "adaptive-lp":
-		return stochpm.NewAdaptive(stochpm.AdaptiveConfig{
-			Device: dev, QueueCap: qcap, LatencyWeight: latW,
-			InitialRate: rate, Stream: stream,
-		})
-	case "always-on":
-		return policy.NewAlwaysOn(dev)
-	case "greedy-off":
-		return policy.NewGreedyOff(dev)
-	case "timeout":
-		return policy.NewFixedTimeout(dev, timeout)
-	case "adaptive-timeout":
-		return policy.NewAdaptiveTimeout(dev, timeout, 1, 128)
-	case "predictive":
-		return policy.NewPredictive(dev, 0.5)
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
-}
-
 // buildCTSource maps a workload name (a dist.ByName law; bernoulli and
 // poisson degrade gracefully to their continuous limit, the Poisson
 // process) or a trace file to a continuous-time arrival source factory.
@@ -346,9 +268,9 @@ func buildCTSource(name, traceFile string, ratePerSec float64) (func() (ctsim.So
 
 // runCT drives the event-driven continuous-time simulator with the chosen
 // slotted policy adapted onto a slotDur-period governor.
-func runCT(psm *device.PSM, dev *device.Slotted, polName, wlName, traceFile string,
+func runCT(psm *device.PSM, pf experiment.PolicyFactory, wlName, traceFile string,
 	ratePerSlot, slotDur, horizon float64, queueCap int, latW float64,
-	timeout int64, seed uint64, replicas, parallel int) error {
+	seed uint64, replicas, parallel int) error {
 
 	srcFactory, srcDesc, err := buildCTSource(wlName, traceFile, ratePerSlot/slotDur)
 	if err != nil {
@@ -369,13 +291,6 @@ func runCT(psm *device.PSM, dev *device.Slotted, polName, wlName, traceFile stri
 			return src
 		},
 	}
-	pf := experiment.PolicyFactory{
-		Name: polName,
-		New: func(stream *rng.Stream) (slotsim.Policy, error) {
-			return buildPolicy(polName, dev, queueCap, latW, ratePerSlot, timeout, stream)
-		},
-	}
-
 	maxPower := psm.MaxPower()
 	fmt.Printf("device        %s (%d states, continuous time, %.3gs governor)\n",
 		psm.Name, psm.NumStates(), slotDur)

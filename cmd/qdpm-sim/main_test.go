@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/device"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -39,28 +38,6 @@ func TestBuildWorkloadAllKinds(t *testing.T) {
 	// On/off clamps the burst rate at 1.
 	if _, err := buildWorkload("onoff", 0.5); err != nil {
 		t.Errorf("onoff at high rate: %v", err)
-	}
-}
-
-func TestBuildPolicyAllKinds(t *testing.T) {
-	dev, err := device.Synthetic3().Slot(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every policy with a -qcap bound must build; checkQueueCap rejects
-	// the rest as unknown before buildPolicy runs.
-	for name := range queueCapBound {
-		pol, err := buildPolicy(name, dev, 8, 0.3, 0.1, 8, rng.New(1))
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if pol.Name() == "" {
-			t.Errorf("%s: empty policy name", name)
-		}
-	}
-	if _, err := buildPolicy("nope", dev, 8, 0.3, 0.1, 8, rng.New(1)); err == nil {
-		t.Error("unknown policy accepted")
 	}
 }
 

@@ -106,8 +106,8 @@ func main() {
 	par := experiment.Parallel{Workers: *parallel}
 	maxPower := psm.MaxPower()
 	for _, pf := range []experiment.PolicyFactory{
-		experiment.TimeoutFactory(dev, 8),
-		experiment.QDPMFactory(dev),
+		experiment.Factory("timeout", dev, 8),
+		experiment.Factory("q-dpm", dev, 0),
 	} {
 		sum, err := experiment.RunCTReplicatedCtx(context.Background(), sc, pf, seeds, par)
 		if err != nil {

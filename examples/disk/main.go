@@ -89,9 +89,9 @@ func main() {
 		},
 	}
 	pfs := []experiment.PolicyFactory{
-		experiment.AlwaysOnFactory(dev),
-		experiment.GreedyOffFactory(dev),
-		experiment.TimeoutFactory(dev, 16), // 8 s timeout
+		experiment.Factory("always-on", dev, 0),
+		experiment.Factory("greedy-off", dev, 0),
+		experiment.Factory("timeout", dev, 16), // 8 s timeout
 		adaptive,
 		qdpm,
 	}

@@ -89,7 +89,7 @@ func main() {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	mAO, err := experiment.RunOneCtx(context.Background(), sc, experiment.AlwaysOnFactory(dev), *seed, nil)
+	mAO, err := experiment.RunOneCtx(context.Background(), sc, experiment.Factory("always-on", dev, 0), *seed, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func main() {
 			})
 		},
 	}
-	alwaysOn := experiment.AlwaysOnFactory(dev)
+	alwaysOn := experiment.Factory("always-on", dev, 0)
 
 	// 4. Replicated runs on the worker pool. Seeds derive from the base
 	//    seed, so the output is reproducible for any -parallel value.

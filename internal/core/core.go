@@ -458,8 +458,7 @@ func (m *Manager) Observe(fb *slotsim.Feedback) {
 		delta := target - cur
 		for i, s := range p.states {
 			// Per-component learning rate from its own visit counter.
-			m.agent.SetQ(s, int(p.action),
-				m.agent.Q(s, int(p.action))+m.fuzzyAlpha(s, int(p.action))*p.weights[i]*delta)
+			m.agent.UpdateComponent(s, int(p.action), p.weights[i], delta)
 		}
 	case m.cfg.Rule == qlearn.SARSA:
 		m.sarsaReady = completedExp{pendingExp: *p,
@@ -469,13 +468,6 @@ func (m *Manager) Observe(fb *slotsim.Feedback) {
 		next := m.encode(fb.Next.Phase, fb.Next.Queue, fb.Next.IdleSlots)
 		m.agent.Update(p.state, int(p.action), p.reward, next, nextLegal, p.elapsed, m.cfg.Stream)
 	}
-}
-
-// fuzzyVisits tracks per-pair visit counts for the fuzzy path.
-func (m *Manager) fuzzyAlpha(s, act int) float64 {
-	// The agent's visit counters are only advanced by Update; fuzzy
-	// updates bypass it, so track approximate visits via Updates().
-	return m.cfg.Alpha.Alpha(m.agent.Updates()/4 + 1)
 }
 
 // GreedyTarget returns the current greedy command for an observation

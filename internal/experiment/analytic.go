@@ -331,11 +331,11 @@ func analyticSlotChecks(ctx context.Context, r *AnalyticReport, seeds []uint64, 
 	// pfs[0] serves rung 6 and, with pfs[2:], the rung 7 bound;
 	// pfs[1] is the derived optimal policy.
 	pfs := []PolicyFactory{
-		AlwaysOnFactory(dev),
+		Factory("always-on", dev, 0),
 		optPF,
-		GreedyOffFactory(dev),
-		TimeoutFactory(dev, 8),
-		QDPMFactory(dev),
+		Factory("greedy-off", dev, 0),
+		Factory("timeout", dev, 8),
+		Factory("q-dpm", dev, 0),
 	}
 	sums, err := replicaGrid(ctx, par, len(pfs), seeds,
 		func(ctx context.Context, _ *struct{}, pi int, seed uint64) (*Summary, error) {

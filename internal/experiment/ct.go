@@ -252,10 +252,10 @@ func TableCTCtx(ctx context.Context, ratePerSec, horizon float64, seeds []uint64
 			return nil, err
 		}
 		for _, pf := range []PolicyFactory{
-			AlwaysOnFactory(dev),
-			GreedyOffFactory(dev),
-			TimeoutFactory(dev, 8),
-			QDPMFactory(dev),
+			Factory("always-on", dev, 0),
+			Factory("greedy-off", dev, 0),
+			Factory("timeout", dev, 8),
+			Factory("q-dpm", dev, 0),
 		} {
 			cells = append(cells, adaptedCell(sc, pf))
 		}

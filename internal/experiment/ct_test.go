@@ -46,7 +46,7 @@ func TestCTReplicatedBitIdenticalAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := []uint64{1, 2, 3, 4, 5}
-	for _, pf := range []PolicyFactory{TimeoutFactory(dev, 8), QDPMFactory(dev)} {
+	for _, pf := range []PolicyFactory{Factory("timeout", dev, 8), Factory("q-dpm", dev, 0)} {
 		serial, err := RunCTReplicatedCtx(context.Background(), sc, pf, seeds, Parallel{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestRunCTOneCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunCTOneCtx(ctx, sc, TimeoutFactory(dev, 8), 1); err != context.Canceled {
+	if _, err := RunCTOneCtx(ctx, sc, Factory("timeout", dev, 8), 1); err != context.Canceled {
 		t.Fatalf("cancelled ct run returned %v, want context.Canceled", err)
 	}
 }
@@ -170,7 +170,7 @@ func TestCTReplicaStreamLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf := QDPMFactory(dev)
+	pf := Factory("q-dpm", dev, 0)
 	got, err := RunCTOneCtx(context.Background(), sc, pf, seed)
 	if err != nil {
 		t.Fatal(err)

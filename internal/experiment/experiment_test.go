@@ -79,7 +79,7 @@ func TestRunReplicatedDeterministic(t *testing.T) {
 			return b
 		},
 	}
-	pf := TimeoutFactory(dev, 8)
+	pf := Factory("timeout", dev, 8)
 	a, err := RunReplicatedCtx(context.Background(), sc, pf, []uint64{1, 2, 3}, Parallel{})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestRunReplicatedNoSeeds(t *testing.T) {
 			return b
 		},
 	}
-	if _, err := RunReplicatedCtx(context.Background(), sc, TimeoutFactory(dev, 8), nil, Parallel{}); err == nil {
+	if _, err := RunReplicatedCtx(context.Background(), sc, Factory("timeout", dev, 8), nil, Parallel{}); err == nil {
 		t.Error("no seeds accepted")
 	}
 }
@@ -335,10 +335,10 @@ func TestWindowedSeriesValidation(t *testing.T) {
 		},
 	}
 	ctx := context.Background()
-	if _, _, err := windowedSeries(ctx, sc, TimeoutFactory(dev, 8), 1, 0, 5, slotCost, meanAsIs); err == nil {
+	if _, _, err := windowedSeries(ctx, sc, Factory("timeout", dev, 8), 1, 0, 5, slotCost, meanAsIs); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, _, err := windowedSeries(ctx, sc, TimeoutFactory(dev, 8), 1, 5, 0, slotEnergy, reductionVs(dev.MaxPowerEnergy())); err == nil {
+	if _, _, err := windowedSeries(ctx, sc, Factory("timeout", dev, 8), 1, 5, 0, slotEnergy, reductionVs(dev.MaxPowerEnergy())); err == nil {
 		t.Error("zero stride accepted")
 	}
 }

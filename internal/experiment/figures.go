@@ -88,10 +88,10 @@ func Fig1Ctx(ctx context.Context, cfg Fig1Config, par Parallel) (*Figure, error)
 	}
 
 	fig.Series, err = meanSeriesGrid(ctx, par, []PolicyFactory{
-		QDPMFactory(dev),
+		Factory("q-dpm", dev, 0),
 		optFactory,
-		TimeoutFactory(dev, 20),
-		GreedyOffFactory(dev),
+		Factory("timeout", dev, 20),
+		Factory("greedy-off", dev, 0),
 	}, cfg.Seeds, func(ctx context.Context, pf PolicyFactory, seed uint64) (*stats.Series, error) {
 		series, _, err := windowedSeries(ctx, sc, pf, seed, cfg.Window, cfg.Stride, slotCost, meanAsIs)
 		return series, err
@@ -188,7 +188,7 @@ func Fig2Ctx(ctx context.Context, cfg Fig2Config, par Parallel) (*Figure, error)
 	fig.Series, err = meanSeriesGrid(ctx, par, []PolicyFactory{
 		QDPMTrackingFactory(dev),
 		AdaptiveLPFactory(dev, cfg.Rates[0], cfg.OptimizeLatencySlots),
-		TimeoutFactory(dev, 8),
+		Factory("timeout", dev, 8),
 	}, cfg.Seeds, func(ctx context.Context, pf PolicyFactory, seed uint64) (*stats.Series, error) {
 		series, _, err := windowedSeries(ctx, sc, pf, seed, cfg.Window, cfg.Stride, slotEnergy, reduction)
 		return series, err

@@ -47,7 +47,7 @@ func summariesEqual(a, b *Summary) bool {
 // pool sizes 1, 4, and GOMAXPROCS.
 func TestPooledBitIdenticalToSerial(t *testing.T) {
 	sc := detScenario(20000)
-	pf := QDPMFactory(sc.Device)
+	pf := Factory("q-dpm", sc.Device, 0)
 	seeds := []uint64{1, 2, 3, 4, 5}
 
 	// The legacy serial reduction, inlined: one Add per replica in seed
@@ -116,7 +116,7 @@ func TestFig1PooledDeterministic(t *testing.T) {
 func TestRunReplicatedCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	sc := detScenario(50_000_000) // far too long to finish
-	pf := TimeoutFactory(sc.Device, 8)
+	pf := Factory("timeout", sc.Device, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
@@ -148,7 +148,7 @@ func TestRunOneCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	observed := 0
-	_, err := RunOneCtx(ctx, sc, TimeoutFactory(sc.Device, 8), 1, func(slotsim.SlotRecord) { observed++ })
+	_, err := RunOneCtx(ctx, sc, Factory("timeout", sc.Device, 8), 1, func(slotsim.SlotRecord) { observed++ })
 	if err == nil {
 		t.Fatal("pre-cancelled context accepted")
 	}

@@ -248,13 +248,13 @@ func TableR2Ctx(ctx context.Context, rates []float64, slots int64, seeds []uint6
 			},
 		}
 		for _, pf := range []PolicyFactory{
-			AlwaysOnFactory(dev),
-			GreedyOffFactory(dev),
-			TimeoutFactory(dev, 8),
-			AdaptiveTimeoutFactory(dev),
-			PredictiveFactory(dev),
+			Factory("always-on", dev, 0),
+			Factory("greedy-off", dev, 0),
+			Factory("timeout", dev, 8),
+			Factory("adaptive-timeout", dev, 8),
+			Factory("predictive", dev, 0),
 			AdaptiveLPFactory(dev, rate, 0),
-			QDPMFactory(dev),
+			Factory("q-dpm", dev, 0),
 			optFactories[ri],
 		} {
 			cells = append(cells, r2Cell{rate: rate, sc: sc, pf: pf})
@@ -356,8 +356,8 @@ func TableR3Ctx(ctx context.Context, cfg Fig2Config, par Parallel) (*Table, erro
 	pfs := []PolicyFactory{
 		QDPMTrackingFactory(dev),
 		AdaptiveLPFactory(dev, cfg.Rates[0], cfg.OptimizeLatencySlots),
-		TimeoutFactory(dev, 8),
-		GreedyOffFactory(dev),
+		Factory("timeout", dev, 8),
+		Factory("greedy-off", dev, 0),
 	}
 	reduction := reductionVs(dev.MaxPowerEnergy())
 	rows, err := engine.Map(ctx, par.pool(), len(pfs),
@@ -463,7 +463,7 @@ func TableR4Ctx(ctx context.Context, base, amp float64, period int64, slots int6
 		QDPMTrackingFactory(dev),
 		AdaptiveLPFactory(dev, base, 2000),
 		optFactory,
-		TimeoutFactory(dev, 8),
+		Factory("timeout", dev, 8),
 	}
 	sums, err := replicaGrid(ctx, par, len(pfs), seeds,
 		func(ctx context.Context, _ *struct{}, pi int, seed uint64) (*Summary, error) {

@@ -76,6 +76,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/eventq"
+	"repro/internal/registry"
 	"repro/internal/rng"
 	"repro/internal/shared"
 	"repro/internal/slotsim"
@@ -146,8 +147,8 @@ type Class struct {
 	Dist string
 	// RatePerSec is the long-run arrival rate in requests per second.
 	RatePerSec float64
-	// Policy names the power-management policy (a Policies key, e.g.
-	// "timeout=8" or "q-dpm").
+	// Policy names the power-management policy, one of the registry
+	// policies a mix accepts (see ParseMix), e.g. "timeout=8" or "q-dpm".
 	Policy string
 	// Weight is the class's share of instances (>= 1; default 1).
 	Weight int
@@ -381,9 +382,10 @@ type compiledClass struct {
 	name     string
 	slotted  *device.Slotted
 	maxPower float64
-	polName  string
-	polParam float64
-	arrDist  dist.Continuous
+	// polName and timeoutSlots are the class's parsed policy token.
+	polName      string
+	timeoutSlots int64
+	arrDist      dist.Continuous
 }
 
 // runner holds the per-run immutable state shared by every shard. It is
@@ -538,7 +540,8 @@ type classScratch struct {
 // resets.
 func (cs *classScratch) build(r *runner, ci int, polStream, simStream, faultStream *rng.Stream, res ctsim.Resource) error {
 	cc := &r.classes[ci]
-	pol, err := buildSlotPolicy(cc, r.spec.QueueCap, r.spec.LatencyWeight, polStream)
+	pol, err := registry.New(cc.polName, registry.Args{Device: cc.slotted, QueueCap: r.spec.QueueCap,
+		LatencyWeight: r.spec.LatencyWeight, TimeoutSlots: cc.timeoutSlots, Stream: polStream})
 	if err != nil {
 		return err
 	}
@@ -590,7 +593,7 @@ func newRunner(spec Spec) (*runner, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: class %d (%s): %w", ci, c.Name(), err)
 		}
-		name, param, err := parsePolicy(c.Policy)
+		name, timeoutSlots, err := parsePolicy(c.Policy)
 		if err != nil {
 			return nil, err
 		}
@@ -599,13 +602,13 @@ func newRunner(spec Spec) (*runner, error) {
 			return nil, fmt.Errorf("fleet: class %d (%s): %w", ci, c.Name(), err)
 		}
 		r.classes = append(r.classes, compiledClass{
-			src:      c,
-			name:     c.Name(),
-			slotted:  sl,
-			maxPower: c.Device.MaxPower(),
-			polName:  name,
-			polParam: param,
-			arrDist:  arrDist,
+			src:          c,
+			name:         c.Name(),
+			slotted:      sl,
+			maxPower:     c.Device.MaxPower(),
+			polName:      name,
+			timeoutSlots: timeoutSlots,
+			arrDist:      arrDist,
 		})
 		for w := 0; w < c.Weight; w++ {
 			r.pattern = append(r.pattern, ci)

@@ -183,11 +183,11 @@ func TestInstanceMatchesExperimentCTReplica(t *testing.T) {
 		faults *fleet.FaultSpec
 		ct     *ctsim.Faults
 	}{
-		{name: "timeout", policy: "timeout=8", pf: experiment.TimeoutFactory(dev, 8)},
+		{name: "timeout", policy: "timeout=8", pf: experiment.Factory("timeout", dev, 8)},
 		{
 			name:   "q-dpm-faulted",
 			policy: "q-dpm",
-			pf:     experiment.QDPMFactory(dev),
+			pf:     experiment.Factory("q-dpm", dev, 0),
 			faults: &fleet.FaultSpec{CrashMTBF: 300, RepairMean: 5, FailProb: 0.05},
 			ct:     &ctsim.Faults{CrashMTBF: 300, RepairMean: 5, FailProb: 0.05, RetryMax: 3, Backoff: 0.5},
 		},

@@ -2,95 +2,45 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/policy"
-	"repro/internal/qlearn"
+	"repro/internal/registry"
 	"repro/internal/rng"
 	"repro/internal/slotsim"
 )
 
-// Policies lists the policy names a Class may use. "timeout" and
+// policies lists the policy names a Class may use. "timeout" and
 // "adaptive-timeout" accept a numeric parameter after '=' (slots):
 // timeout=8 parks after 8 idle slots.
-func Policies() []string {
-	return []string{"always-on", "greedy-off", "timeout", "adaptive-timeout", "predictive", "q-dpm"}
-}
-
-// The adaptive timeout's bounds in slots; its initial value must lie
-// within them.
-const (
-	adaptiveMinSlots = 1
-	adaptiveMaxSlots = 128
-)
+var policies = []string{"always-on", "greedy-off", "timeout", "adaptive-timeout", "predictive", "q-dpm"}
 
 // parsePolicy splits a policy token into name and optional '=' parameter
-// and validates both. A parameter is a slot count: it must be finite and
-// fit in an int64 (and, for adaptive-timeout, lie within the adaptive
-// bounds once truncated), so every accepted token builds a policy.
-func parsePolicy(tok string) (name string, param float64, err error) {
-	name = tok
-	param = -1
+// and validates both. The parameter is timeout's idle timeout or
+// adaptive-timeout's initial one in slots (registry.DefaultTimeoutSlots
+// when absent): it must be finite and fit in an int64 (and, for
+// adaptive-timeout, lie within the adaptive bounds once truncated), so
+// every accepted token builds a policy.
+func parsePolicy(tok string) (name string, timeoutSlots int64, err error) {
+	name, slots := tok, float64(registry.DefaultTimeoutSlots)
 	if i := strings.IndexByte(tok, '='); i >= 0 {
 		name = tok[:i]
-		param, err = strconv.ParseFloat(tok[i+1:], 64)
-		if err != nil || !(param >= 0 && param < 1<<63) {
+		slots, err = strconv.ParseFloat(tok[i+1:], 64)
+		if err != nil || !(slots >= 0 && slots < 1<<63) {
 			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want a slot count in [0, 2^63))", tok)
 		}
-	}
-	switch name {
-	case "adaptive-timeout":
-		if param >= 0 && (param < adaptiveMinSlots || param >= adaptiveMaxSlots+1) {
-			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want an initial timeout in [%d, %d] slots)", tok, adaptiveMinSlots, adaptiveMaxSlots)
+		if name == "adaptive-timeout" && (slots < registry.AdaptiveMinSlots || slots >= registry.AdaptiveMaxSlots+1) {
+			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want an initial timeout in [%d, %d] slots)",
+				tok, registry.AdaptiveMinSlots, registry.AdaptiveMaxSlots)
 		}
-		return name, param, nil
-	case "always-on", "greedy-off", "timeout", "predictive", "q-dpm":
-		return name, param, nil
-	default:
-		return "", 0, fmt.Errorf("fleet: unknown policy %q (want %s)", tok, strings.Join(Policies(), ", "))
 	}
-}
-
-// buildSlotPolicy constructs one slotted policy for the class's slotted
-// device. The Q-DPM learner uses the canonical converging configuration
-// (decaying exploration, polynomial rate). Every returned policy is
-// resettable (see policyReset): one policy per (worker, class) serves
-// every instance of that class, reset per instance.
-func buildSlotPolicy(cc *compiledClass, queueCap int, latencyWeight float64, stream *rng.Stream) (slotsim.Policy, error) {
-	switch cc.polName {
-	case "always-on":
-		return policy.NewAlwaysOn(cc.slotted)
-	case "greedy-off":
-		return policy.NewGreedyOff(cc.slotted)
-	case "timeout":
-		slots := int64(8)
-		if cc.polParam >= 0 {
-			slots = int64(cc.polParam)
-		}
-		return policy.NewFixedTimeout(cc.slotted, slots)
-	case "adaptive-timeout":
-		initial := int64(8)
-		if cc.polParam >= 0 {
-			initial = int64(cc.polParam)
-		}
-		return policy.NewAdaptiveTimeout(cc.slotted, initial, adaptiveMinSlots, adaptiveMaxSlots)
-	case "predictive":
-		return policy.NewPredictive(cc.slotted, 0.5)
-	case "q-dpm":
-		return core.New(core.Config{
-			Device:        cc.slotted,
-			QueueCap:      queueCap,
-			LatencyWeight: latencyWeight,
-			Explore:       qlearn.EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000},
-			Alpha:         qlearn.Polynomial{Scale: 0.5, Omega: 0.65},
-			Stream:        stream,
-		})
-	default:
-		return nil, fmt.Errorf("fleet: unknown policy %q", cc.polName)
+	if !slices.Contains(policies, name) {
+		return "", 0, fmt.Errorf("fleet: unknown policy %q (want %s)", tok, strings.Join(policies, ", "))
 	}
+	return name, int64(slots), nil
 }
 
 // policyReset derives the per-instance reset for a pooled policy: the
@@ -115,9 +65,10 @@ func policyReset(pol slotsim.Policy) (func(*rng.Stream), error) {
 //	device:dist:rate:policy[:weight]
 //
 // where device is a catalog name (device.Lookup), dist a dist.ByName
-// key, rate the arrival rate in requests/second, policy a Policies
-// entry (optionally parameterized, e.g. timeout=8), and weight the
-// class's integer share of instances (default 1). Example:
+// key, rate the arrival rate in requests/second, policy one of
+// always-on, greedy-off, timeout, adaptive-timeout, predictive and q-dpm
+// (optionally parameterized, e.g. timeout=8), and weight the class's
+// integer share of instances (default 1). Example:
 //
 //	hdd:exp:0.08:timeout=8:2,wlan:hyperexp:2:q-dpm:1
 func ParseMix(s string) ([]Class, error) {

@@ -367,19 +367,6 @@ func NewOptimal(d *mdp.DPM, pol mdp.Policy) (*Optimal, error) {
 	return &Optimal{d: d, pol: pol}, nil
 }
 
-// NewOptimalFromModel solves the average-cost problem and wraps the
-// resulting policy.
-func NewOptimalFromModel(d *mdp.DPM) (*Optimal, error) {
-	if d == nil {
-		return nil, fmt.Errorf("policy: nil model")
-	}
-	res, err := d.AverageCostRVI(1e-8, 500000)
-	if err != nil {
-		return nil, err
-	}
-	return NewOptimal(d, res.Policy)
-}
-
 // Name identifies the policy.
 func (p *Optimal) Name() string { return "optimal" }
 

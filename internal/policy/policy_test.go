@@ -256,7 +256,11 @@ func TestOptimalPolicyBeatsHeuristics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := NewOptimalFromModel(d)
+	res, err := d.AverageCostRVI(1e-8, 500000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := NewOptimal(d, res.Policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +310,6 @@ func TestNewOptimalValidation(t *testing.T) {
 	}
 	if _, err := NewOptimal(d, mdp.Policy{0}); err == nil {
 		t.Error("short policy accepted")
-	}
-	if _, err := NewOptimalFromModel(nil); err == nil {
-		t.Error("nil model accepted by NewOptimalFromModel")
 	}
 }
 

@@ -463,17 +463,6 @@ func (a *Agent) Q(s, act int) float64 {
 	return a.q[i]
 }
 
-// SetQ overwrites the estimate; exported for fuzzy-aggregation updates and
-// tests.
-func (a *Agent) SetQ(s, act int, v float64) {
-	i := a.idx(s, act)
-	a.mark(i)
-	a.q[i] = v
-	if a.q2 != nil {
-		a.q2[i] = v
-	}
-}
-
 // Visits returns the visit count of (s, act).
 func (a *Agent) Visits(s, act int) int64 { return a.visits[a.idx(s, act)] }
 
@@ -615,6 +604,22 @@ func (a *Agent) UpdateSARSA(s, act int, reward float64, next, nextAct int, elaps
 	a.updates++
 	target := reward + g*a.Q(next, nextAct)
 	a.q[i] += alpha * (target - a.q[i])
+}
+
+// UpdateComponent applies one component's share of a blended update
+// (fuzzy aggregation computes one TD error delta for the blended state
+// and spreads it over the components by weight): it counts a visit of
+// (s, act) and moves Q(s, act) by that pair's own learning rate times
+// weight·delta. Watkins rule only, like fuzzy aggregation itself.
+func (a *Agent) UpdateComponent(s, act int, weight, delta float64) {
+	if a.cfg.Rule != Watkins {
+		panic("qlearn: UpdateComponent on a non-Watkins agent")
+	}
+	i := a.idx(s, act)
+	a.mark(i)
+	a.visits[i]++
+	a.updates++
+	a.q[i] += a.alpha(a.visits[i]) * weight * delta
 }
 
 // Rule reports the configured update rule.

@@ -310,7 +310,7 @@ func TestSMDPElapsedDiscount(t *testing.T) {
 		Explore: EpsGreedy{Eps: 0},
 	}
 	agent, _ := NewAgent(cfg)
-	agent.SetQ(1, 0, 8)
+	agent.q[agent.idx(1, 0)] = 8
 	s := rng.New(11)
 	agent.Update(0, 0, 2, 1, []int{0}, 3, s)
 	// target = 2 + 0.5³·8 = 3.
@@ -327,6 +327,36 @@ func TestUpdateSARSAOnWrongRulePanics(t *testing.T) {
 		}
 	}()
 	agent.UpdateSARSA(0, 0, 0, 0, 0, 1)
+}
+
+func TestUpdateComponentUsesOwnVisitRate(t *testing.T) {
+	// Harmonic 1/n: the pair's first share moves Q by weight·delta, its
+	// second by half of that; another pair starts again at its first.
+	agent, _ := NewAgent(Config{
+		NumStates: 2, NumActions: 1, Gamma: 0.5,
+		Alpha: Harmonic{Scale: 1}, Explore: EpsGreedy{Eps: 0},
+	})
+	agent.UpdateComponent(0, 0, 0.5, 4)
+	agent.UpdateComponent(0, 0, 0.5, 4)
+	agent.UpdateComponent(1, 0, 0.25, 4)
+	if got := agent.Q(0, 0); got != 2+1 {
+		t.Errorf("Q(0,0) = %v, want 3", got)
+	}
+	if got := agent.Q(1, 0); got != 1 {
+		t.Errorf("Q(1,0) = %v, want 1", got)
+	}
+	if agent.Visits(0, 0) != 2 || agent.Visits(1, 0) != 1 || agent.Updates() != 3 {
+		t.Errorf("visits %d/%d, updates %d; want 2/1, 3", agent.Visits(0, 0), agent.Visits(1, 0), agent.Updates())
+	}
+	sarsa := defaultCfg()
+	sarsa.Rule = SARSA
+	other, _ := NewAgent(sarsa)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("UpdateComponent on a SARSA agent did not panic")
+		}
+	}()
+	other.UpdateComponent(0, 0, 1, 1)
 }
 
 func TestSelectActionEmptyLegalPanics(t *testing.T) {
