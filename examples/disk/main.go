@@ -67,8 +67,11 @@ func main() {
 		},
 	}
 
+	// Not the registry's "q-dpm": it adds an idle-time feature (with a
+	// coarser queue) and decays exploration from 0.25 over 40k
+	// decisions, so the label says so.
 	qdpm := experiment.PolicyFactory{
-		Name: "q-dpm",
+		Name: "q-dpm-idle",
 		New: func(stream *rng.Stream) (slotsim.Policy, error) {
 			return core.New(core.Config{
 				Device:        dev,

@@ -62,8 +62,10 @@ func main() {
 	}
 
 	var mgr *core.Manager
+	// Not the registry's "q-dpm": three queue buckets and constant
+	// exploration and learning rates, so the label says so.
 	qdpm := experiment.PolicyFactory{
-		Name: "q-dpm",
+		Name: "q-dpm-coarse-const",
 		New: func(stream *rng.Stream) (slotsim.Policy, error) {
 			m, err := core.New(core.Config{
 				Device:        dev,

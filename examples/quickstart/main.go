@@ -17,11 +17,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiment"
-	"repro/internal/rng"
-	"repro/internal/slotsim"
 	"repro/internal/workload"
 )
 
@@ -42,12 +39,13 @@ func main() {
 	}
 
 	// 2. A scenario: the device under one request with probability 0.1
-	//    per slot, backlog weighed at 0.3 J per request-slot.
+	//    per slot, at the canonical queue cap (8) and backlog weight
+	//    (0.3 J per request-slot) the registered policies are built for.
 	sc := experiment.Scenario{
 		Name:          "quickstart",
 		Device:        dev,
-		QueueCap:      8,
-		LatencyWeight: 0.3,
+		QueueCap:      experiment.CanonQueueCap,
+		LatencyWeight: experiment.CanonLatencyWeight,
 		Slots:         *slots,
 		Workload: func() workload.Arrivals {
 			b, err := workload.NewBernoulli(0.1)
@@ -58,19 +56,10 @@ func main() {
 		},
 	}
 
-	// 3. Two policies: the Q-DPM power manager (defaults: Watkins
-	//    Q-learning, ε-greedy exploration) and the always-on baseline.
-	qdpm := experiment.PolicyFactory{
-		Name: "q-dpm",
-		New: func(stream *rng.Stream) (slotsim.Policy, error) {
-			return core.New(core.Config{
-				Device:        dev,
-				QueueCap:      8,
-				LatencyWeight: 0.3,
-				Stream:        stream,
-			})
-		},
-	}
+	// 3. Two registered policies: the Q-DPM power manager (Watkins
+	//    Q-learning, decaying ε-greedy exploration, polynomial learning
+	//    rate) and the always-on baseline.
+	qdpm := experiment.Factory("q-dpm", dev, 0)
 	alwaysOn := experiment.Factory("always-on", dev, 0)
 
 	// 4. Replicated runs on the worker pool. Seeds derive from the base

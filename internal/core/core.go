@@ -43,9 +43,10 @@ type QoSConfig struct {
 	Eta float64
 	// AdaptEvery is the adaptation period in slots (default 1000).
 	AdaptEvery int64
-	// MaxLambda caps the multiplier (default 10).
-	MaxLambda float64
 }
+
+// qosMaxLambda caps the QoS multiplier.
+const qosMaxLambda = 10
 
 // Config assembles a Q-DPM power manager.
 type Config struct {
@@ -103,9 +104,6 @@ func (c Config) withDefaults() Config {
 		if q.AdaptEvery == 0 {
 			q.AdaptEvery = 1000
 		}
-		if q.MaxLambda == 0 {
-			q.MaxLambda = 10
-		}
 		c.QoS = &q
 	}
 	return c
@@ -130,7 +128,7 @@ type Manager struct {
 	pending    pendingExp
 	hasPending bool
 	// SARSA: completed experience awaiting the next action choice.
-	sarsaReady completedExp
+	sarsaReady pendingExp
 	hasSarsa   bool
 
 	// Fuzzy encodings of the pending decision state.
@@ -158,11 +156,6 @@ type pendingExp struct {
 	reward  float64 // discounted accumulated payoff
 	gpow    float64 // γ^elapsed so far
 	elapsed int
-}
-
-type completedExp struct {
-	pendingExp
-	nextState int
 }
 
 var _ slotsim.Learner = (*Manager)(nil)
@@ -256,7 +249,7 @@ func (m *Manager) Reset(stream *rng.Stream) {
 	m.hasPending = false
 	m.pending = pendingExp{}
 	m.hasSarsa = false
-	m.sarsaReady = completedExp{}
+	m.sarsaReady = pendingExp{}
 	m.fuzzyStates = nil
 	m.fuzzyWeights = nil
 	m.qosLambda = 0
@@ -402,8 +395,8 @@ func (m *Manager) Observe(fb *slotsim.Feedback) {
 			if m.qosLambda < 0 {
 				m.qosLambda = 0
 			}
-			if m.qosLambda > m.cfg.QoS.MaxLambda {
-				m.qosLambda = m.cfg.QoS.MaxLambda
+			if m.qosLambda > qosMaxLambda {
+				m.qosLambda = qosMaxLambda
 			}
 			m.backlogAcc, m.backlogN = 0, 0
 			m.lastAdaptAt = fb.Next.Slot
@@ -461,8 +454,7 @@ func (m *Manager) Observe(fb *slotsim.Feedback) {
 			m.agent.UpdateComponent(s, int(p.action), p.weights[i], delta)
 		}
 	case m.cfg.Rule == qlearn.SARSA:
-		m.sarsaReady = completedExp{pendingExp: *p,
-			nextState: m.encode(fb.Next.Phase, fb.Next.Queue, fb.Next.IdleSlots)}
+		m.sarsaReady = *p
 		m.hasSarsa = true
 	default:
 		next := m.encode(fb.Next.Phase, fb.Next.Queue, fb.Next.IdleSlots)

@@ -73,13 +73,11 @@ type Config struct {
 	DecisionPeriod float64
 	// SlotCompatible selects batch service at governor ticks (requires
 	// DecisionPeriod > 0): while the device is settled in a servicing
-	// state for a full period, up to BatchServe queued requests complete
-	// instantly at the tick. This reproduces the slotted simulator's
-	// service law exactly. Default (false): sequential service.
+	// state for a full period, up to floor(DecisionPeriod/ServiceTime)
+	// queued requests complete instantly at the tick, matching
+	// device.Slot. This reproduces the slotted simulator's service law
+	// exactly. Default (false): sequential service.
 	SlotCompatible bool
-	// BatchServe is the per-tick service capacity in slot-compatible mode
-	// (default floor(DecisionPeriod/ServiceTime), matching device.Slot).
-	BatchServe int
 	// ServiceTime is the sequential per-request service duration in
 	// seconds (default Device.ServiceTime). Ignored in slot-compatible
 	// mode.
@@ -158,10 +156,7 @@ func (c *Config) validate() error {
 	if !(c.ServiceTime > 0) || math.IsInf(c.ServiceTime, 0) {
 		return fmt.Errorf("ctsim: service time %v must be positive and finite", c.ServiceTime)
 	}
-	if c.SlotCompatible && c.BatchServe == 0 {
-		c.BatchServe = int(math.Floor(c.DecisionPeriod/c.ServiceTime + 1e-9))
-	}
-	if c.SlotCompatible && c.BatchServe < 1 {
+	if c.SlotCompatible && batchServe(c) < 1 {
 		return fmt.Errorf("ctsim: decision period %v shorter than service time %v", c.DecisionPeriod, c.ServiceTime)
 	}
 	if c.ServiceDist != nil {
@@ -175,6 +170,12 @@ func (c *Config) validate() error {
 	return c.validateFaults()
 }
 
+// batchServe is the per-tick service capacity in slot-compatible mode,
+// matching device.Slot's ServePerSlot.
+func batchServe(c *Config) int {
+	return int(math.Floor(c.DecisionPeriod/c.ServiceTime + 1e-9))
+}
+
 // Observation is what a policy sees at a decision point.
 type Observation struct {
 	// Phase is the current power state (the source state while a
@@ -183,12 +184,6 @@ type Observation struct {
 	// Transitioning reports whether the device is mid-transition; while
 	// true, Decide is not consulted.
 	Transitioning bool
-	// TransTarget is the destination of the in-progress (or most recent)
-	// transition.
-	TransTarget device.StateID
-	// TransRemaining is the time in seconds until the transition settles
-	// (0 when settled).
-	TransRemaining float64
 	// Queue is the number of buffered requests (including one in service).
 	Queue int
 	// IdleTime is the time in seconds since the last arrival.
@@ -207,17 +202,13 @@ type Feedback struct {
 	// Action is the state commanded for the interval (after clamping; the
 	// transition target while switching).
 	Action device.StateID
-	// Sojourn is the interval length in seconds.
-	Sojourn float64
 	// Energy is the joules consumed during the interval. Instantaneous
 	// transition energy charged by a zero-latency switch at the interval's
 	// opening decision is excluded, mirroring the slotted simulator's
 	// per-slot feedback.
 	Energy float64
-	// Cost is Energy plus LatencyWeight × the interval's backlog-seconds.
-	Cost float64
-	// Served, Arrived, and Lost count the interval's requests.
-	Served, Arrived, Lost int
+	// Arrived counts the interval's arrivals.
+	Arrived int
 	// Next is the observation at the end of the interval.
 	Next Observation
 }
@@ -350,6 +341,7 @@ type Sim struct {
 	transEnd    float64
 	transPower  float64 // W drawn while transitioning (energy/latency)
 	settledAt   float64 // time the device last became settled
+	batchServe  int     // per-tick capacity in slot-compatible mode
 
 	// Accrual clocks.
 	accrueT  float64 // energy + state-time integrated up to here
@@ -408,10 +400,7 @@ type Sim struct {
 	// Learner epoch bases. The opening observation is fb.Prev.
 	haveEpoch   bool
 	epochEnergy float64
-	epochCost   float64
 	epochArr    int64
-	epochSrv    int64
-	epochLost   int64
 
 	// fb is the per-interval feedback record, passed to the learner by
 	// pointer (the Learner contract: receivers copy what they keep and
@@ -489,6 +478,10 @@ func (s *Sim) init(cfg Config) error {
 // schedules the initial events.
 func (s *Sim) apply(cfg Config) error {
 	s.cfg = cfg
+	s.batchServe = 0
+	if cfg.SlotCompatible {
+		s.batchServe = batchServe(&cfg)
+	}
 	if cfg.Resource != s.resBound {
 		s.resBound = cfg.Resource
 		if cfg.Resource != nil {
@@ -543,10 +536,7 @@ func (s *Sim) apply(cfg Config) error {
 	s.haveEpoch = false
 	s.fb = Feedback{}
 	s.epochEnergy = 0
-	s.epochCost = 0
 	s.epochArr = 0
-	s.epochSrv = 0
-	s.epochLost = 0
 	s.learner = nil
 	if l, ok := cfg.Policy.(Learner); ok {
 		s.learner = l
@@ -675,11 +665,6 @@ func (s *Sim) MetricsView() *Metrics {
 func (s *Sim) observe(o *Observation, now float64) {
 	o.Phase = s.phase
 	o.Transitioning = s.transInProg
-	o.TransTarget = s.transTarget
-	o.TransRemaining = 0
-	if s.transInProg {
-		o.TransRemaining = s.transEnd - now
-	}
 	o.Queue = s.q.Len()
 	o.IdleTime = now - s.lastArrival
 	o.Now = now
@@ -933,7 +918,7 @@ func (s *Sim) tick(now float64) {
 	s.advance(now)
 	if eligible {
 		s.accrueBacklog(now)
-		for n := 0; n < s.cfg.BatchServe && s.q.Len() > 0; n++ {
+		for n := 0; n < s.batchServe && s.q.Len() > 0; n++ {
 			stamp := s.q.Pop()
 			s.metrics.Served++
 			s.metrics.WaitSeconds += now - stamp
@@ -953,7 +938,7 @@ func (s *Sim) tick(now float64) {
 	}
 	obs := &s.fb.Next
 	s.observe(obs, now)
-	s.emitFeedback(now)
+	s.emitFeedback()
 	if s.transInProg {
 		s.lastAction = s.transTarget
 	} else if s.faulted {
@@ -969,7 +954,7 @@ func (s *Sim) tick(now float64) {
 			s.maybeStartService(now)
 		}
 	}
-	s.openEpoch(now, obs)
+	s.openEpoch(obs)
 	if next := now + per; next <= s.hardHorizon {
 		s.k.Schedule(next, s.hTick)
 	}
@@ -985,34 +970,24 @@ func (s *Sim) decisionPoint(now float64) {
 	s.advance(now)
 	obs := &s.fb.Next
 	s.observe(obs, now)
-	s.emitFeedback(now)
+	s.emitFeedback()
 	s.decide(now, obs)
 	s.maybeStartService(now)
-	s.openEpoch(now, obs)
+	s.openEpoch(obs)
 }
 
 // emitFeedback closes the current learner epoch against the observation
 // just built in s.fb.Next; s.fb.Prev holds the epoch's opening one.
-func (s *Sim) emitFeedback(now float64) {
+func (s *Sim) emitFeedback() {
 	if s.learner == nil || !s.haveEpoch {
 		return
 	}
-	backlog := s.metrics.BacklogSeconds
-	if dt := now - s.backlogT; dt > 0 {
-		backlog += float64(s.q.Len()) * dt
-	}
-	energy := s.metrics.EnergyJ - s.epochEnergy
-	cost := energy + s.cfg.LatencyWeight*(backlog-s.epochCost)
 	// Filled field by field: a composite literal would build a temporary
 	// Feedback and block-copy it into the scratch. Prev and Next are
 	// already in place.
 	s.fb.Action = s.lastAction
-	s.fb.Sojourn = now - s.fb.Prev.Now
-	s.fb.Energy = energy
-	s.fb.Cost = cost
-	s.fb.Served = int(s.metrics.Served - s.epochSrv)
+	s.fb.Energy = s.metrics.EnergyJ - s.epochEnergy
 	s.fb.Arrived = int(s.metrics.Arrived - s.epochArr)
-	s.fb.Lost = int(s.metrics.Lost - s.epochLost)
 	s.learner.Observe(&s.fb)
 }
 
@@ -1023,21 +998,14 @@ func (s *Sim) emitFeedback(now float64) {
 // Without a learner there is no feedback consumer, so the snapshot is
 // skipped entirely — baseline policies pay nothing for the epoch
 // machinery.
-func (s *Sim) openEpoch(now float64, obs *Observation) {
+func (s *Sim) openEpoch(obs *Observation) {
 	if s.learner == nil {
 		return
 	}
 	s.haveEpoch = true
 	s.fb.Prev = *obs
 	s.epochEnergy = s.metrics.EnergyJ
-	backlog := s.metrics.BacklogSeconds
-	if dt := now - s.backlogT; dt > 0 {
-		backlog += float64(s.q.Len()) * dt
-	}
-	s.epochCost = backlog
 	s.epochArr = s.metrics.Arrived
-	s.epochSrv = s.metrics.Served
-	s.epochLost = s.metrics.Lost
 }
 
 // decide consults the policy and executes its command.

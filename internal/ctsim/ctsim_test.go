@@ -277,8 +277,8 @@ func TestAdapterIdleQuantization(t *testing.T) {
 		t.Errorf("now 1.0 s → slot %d, want 2", probe.last.Slot)
 	}
 	ad.Decide(ctsim.Observation{IdleTime: 1e6, Now: 0})
-	if probe.last.IdleSlots != 1024 {
-		t.Errorf("idle saturation → %d, want 1024", probe.last.IdleSlots)
+	if probe.last.IdleSlots != slotsim.IdleSaturation {
+		t.Errorf("idle saturation → %d, want %d", probe.last.IdleSlots, slotsim.IdleSaturation)
 	}
 }
 

@@ -136,12 +136,12 @@ func (p *Timeout) Decide(obs Observation) Decision {
 
 // slotAdapter exposes a slotsim.Policy as a ctsim.Policy under a periodic
 // governor: continuous observations are quantized onto the reference slot
-// (idle seconds → saturating idle-slot count, clock → slot index), so the
-// slotted policy sees exactly the observation stream it was written for.
+// (idle seconds → idle-slot count saturating at slotsim.IdleSaturation,
+// clock → slot index), so the slotted policy sees exactly the observation
+// stream it was written for.
 type slotAdapter struct {
 	p    slotsim.Policy
 	slot float64
-	sat  int64
 
 	// invSlot is 1/slot when slot is a power of two, else 0. For a
 	// power-of-two slot, x/slot and x*(1/slot) are the same exponent
@@ -157,7 +157,7 @@ type slotAdapter struct {
 	// output) pair turns two of the three into an equality check.
 	// Non-learner adapters quantize once per tick and would only pay
 	// the memo store. sObs is a pure function of its input for a given
-	// slot/sat, so replaying the memo is bit-identical to recomputing.
+	// slot, so replaying the memo is bit-identical to recomputing.
 	memoize bool
 	memoIn  Observation
 	memoOut slotsim.Observation
@@ -189,7 +189,7 @@ func Adapt(p slotsim.Policy, refSlot float64) Policy {
 	if !(refSlot > 0) || math.IsInf(refSlot, 0) {
 		panic(fmt.Sprintf("ctsim: Adapt requires a positive finite reference slot, got %v", refSlot))
 	}
-	a := slotAdapter{p: p, slot: refSlot, sat: 1024}
+	a := slotAdapter{p: p, slot: refSlot}
 	if frac, _ := math.Frexp(refSlot); frac == 0.5 {
 		a.invSlot = 1 / refSlot
 	}
@@ -220,16 +220,11 @@ func (a *slotAdapter) sObs(in *Observation, out *slotsim.Observation) {
 		idleSlots, now = in.IdleTime/a.slot, in.Now/a.slot
 	}
 	idle := int64(math.Floor(idleSlots + 1e-9))
-	if idle > a.sat {
-		idle = a.sat
+	if idle > slotsim.IdleSaturation {
+		idle = slotsim.IdleSaturation
 	}
 	out.Phase = in.Phase
 	out.Transitioning = in.Transitioning
-	out.TransTarget = in.TransTarget
-	out.TransRemaining = 0
-	if in.Transitioning {
-		out.TransRemaining = int(math.Ceil(in.TransRemaining/a.slot - 1e-9))
-	}
 	out.Queue = in.Queue
 	out.IdleSlots = idle
 	out.Slot = int64(math.Round(now))
@@ -253,10 +248,7 @@ func (a *slotLearnerAdapter) Observe(fb *Feedback) {
 	a.sObs(&fb.Prev, &a.sfb.Prev)
 	a.sfb.Action = fb.Action
 	a.sfb.Energy = fb.Energy
-	a.sfb.Cost = fb.Cost
-	a.sfb.Served = fb.Served
 	a.sfb.Arrived = fb.Arrived
-	a.sfb.Lost = fb.Lost
 	a.sObs(&fb.Next, &a.sfb.Next)
 	a.l.Observe(&a.sfb)
 }

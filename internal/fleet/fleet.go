@@ -400,7 +400,7 @@ type runner struct {
 	// sumFree recycles shard summaries between runShard (producer) and
 	// the serialized reducer in Run (consumer, which returns each part
 	// after merging it). A free list — rather than one summary per worker
-	// — is required because MapReduceWorkersKeepGoing buffers a window of
+	// — is required because engine.MapReduce buffers a window of
 	// completed summaries per worker for the in-order fold, so a worker
 	// may start its next shard while earlier summaries are still queued.
 	// With recycling, summary construction cost scales with the in-flight

@@ -290,9 +290,10 @@ type Config struct {
 	// (Watkins rule only). Traces are replacing and are cut on
 	// exploratory actions.
 	TraceLambda float64
-	// TraceCutoff drops trace entries below this weight (default 1e-4).
-	TraceCutoff float64
 }
+
+// traceCutoff drops eligibility-trace entries below this weight.
+const traceCutoff = 1e-4
 
 // Agent is a tabular Q-learner. Not safe for concurrent use.
 type Agent struct {
@@ -365,9 +366,6 @@ func NewAgent(cfg Config) (*Agent, error) {
 	}
 	if cfg.TraceLambda > 0 && cfg.Rule != Watkins {
 		return nil, fmt.Errorf("qlearn: eligibility traces require the Watkins rule")
-	}
-	if cfg.TraceCutoff == 0 {
-		cfg.TraceCutoff = 1e-4
 	}
 	// A decaying ε-greedy explorer pays one math.Exp per decision;
 	// memoize it by step (value-exact — ε is a pure function of the
@@ -575,7 +573,7 @@ func (a *Agent) Update(s, act int, reward float64, next int, legalNext []int, el
 		for k, e := range a.traces {
 			a.q[k] += alpha * delta * e
 			e *= a.cfg.Gamma * a.cfg.TraceLambda
-			if e < a.cfg.TraceCutoff {
+			if e < traceCutoff {
 				delete(a.traces, k)
 			} else {
 				a.traces[k] = e
@@ -621,9 +619,3 @@ func (a *Agent) UpdateComponent(s, act int, weight, delta float64) {
 	a.updates++
 	a.q[i] += a.alpha(a.visits[i]) * weight * delta
 }
-
-// Rule reports the configured update rule.
-func (a *Agent) Rule() Rule { return a.cfg.Rule }
-
-// Gamma reports the configured discount.
-func (a *Agent) Gamma() float64 { return a.cfg.Gamma }

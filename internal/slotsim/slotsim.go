@@ -29,7 +29,6 @@ package slotsim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/device"
 	"repro/internal/queue"
@@ -45,15 +44,10 @@ type Observation struct {
 	// Transitioning reports whether the device is mid-transition; while
 	// true, Decide is not consulted.
 	Transitioning bool
-	// TransTarget is the destination state of the in-progress transition.
-	TransTarget device.StateID
-	// TransRemaining is the number of transition slots left (including
-	// the current slot).
-	TransRemaining int
 	// Queue is the number of buffered requests.
 	Queue int
-	// IdleSlots counts slots since the last arrival, saturating at the
-	// simulator's IdleSaturation.
+	// IdleSlots counts slots since the last arrival, saturating at
+	// IdleSaturation.
 	IdleSlots int64
 	// Slot is the absolute slot index.
 	Slot int64
@@ -67,14 +61,15 @@ type Feedback struct {
 	Action device.StateID
 	// Energy is the joules consumed this slot.
 	Energy float64
-	// Cost is energy + LatencyWeight×backlog, the scalar the system
-	// optimizes.
-	Cost float64
-	// Served, Arrived, and Lost count this slot's requests.
-	Served, Arrived, Lost int
+	// Arrived counts this slot's arrivals.
+	Arrived int
 	// Next is the observation at the start of the following slot.
 	Next Observation
 }
+
+// IdleSaturation caps Observation.IdleSlots, in slotsim and in ctsim's
+// slot adapter alike: an idle threshold above it is never reached.
+const IdleSaturation = 1024
 
 // Policy decides power-state commands.
 type Policy interface {
@@ -110,15 +105,11 @@ type Config struct {
 	// Stream supplies all randomness.
 	Stream *rng.Stream
 	// LatencyWeight converts backlog into cost units (joules per
-	// request-slot). Zero is allowed but makes "never serve" optimal, so
-	// Validate warns via error unless AllowZeroLatencyWeight is set.
+	// request-slot). It must be positive: at zero, "never serve" is
+	// optimal.
 	LatencyWeight float64
-	// AllowZeroLatencyWeight permits LatencyWeight == 0 (used by tests).
-	AllowZeroLatencyWeight bool
 	// InitialState is the device state at slot 0 (default: state 0).
 	InitialState device.StateID
-	// IdleSaturation caps the idle-slot counter (default 1024).
-	IdleSaturation int64
 }
 
 // Validate checks the configuration.
@@ -138,17 +129,11 @@ func (c *Config) Validate() error {
 	if c.QueueCap < 0 {
 		return fmt.Errorf("slotsim: negative queue capacity %d", c.QueueCap)
 	}
-	if c.LatencyWeight < 0 || math.IsNaN(c.LatencyWeight) {
-		return fmt.Errorf("slotsim: latency weight %v must be >= 0", c.LatencyWeight)
-	}
-	if c.LatencyWeight == 0 && !c.AllowZeroLatencyWeight {
-		return fmt.Errorf("slotsim: latency weight 0 makes starving the queue optimal; set AllowZeroLatencyWeight to insist")
+	if !(c.LatencyWeight > 0) {
+		return fmt.Errorf("slotsim: latency weight %v must be positive (at 0, starving the queue is optimal)", c.LatencyWeight)
 	}
 	if int(c.InitialState) < 0 || int(c.InitialState) >= c.Device.PSM.NumStates() {
 		return fmt.Errorf("slotsim: initial state %d out of range", c.InitialState)
-	}
-	if c.IdleSaturation < 0 {
-		return fmt.Errorf("slotsim: negative idle saturation %d", c.IdleSaturation)
 	}
 	return nil
 }
@@ -236,16 +221,15 @@ type Sim struct {
 	cfg Config
 	q   queue.Ring[int64] // arrival slot of each pending request
 
-	phase      device.StateID
-	transTo    device.StateID
-	transLeft  int
-	transCost  float64 // per-slot energy while transitioning
-	idleSlots  int64
-	slot       int64
-	metrics    Metrics
-	learner    Learner  // non-nil when cfg.Policy implements Learner
-	fb         Feedback // per-slot feedback scratch, rewritten every slot
-	idleSatCap int64
+	phase     device.StateID
+	transTo   device.StateID
+	transLeft int
+	transCost float64 // per-slot energy while transitioning
+	idleSlots int64
+	slot      int64
+	metrics   Metrics
+	learner   Learner  // non-nil when cfg.Policy implements Learner
+	fb        Feedback // per-slot feedback scratch, rewritten every slot
 }
 
 // New validates cfg and returns a ready simulator.
@@ -254,13 +238,9 @@ func New(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{
-		cfg:        cfg,
-		phase:      cfg.InitialState,
-		metrics:    Metrics{StateSlots: make([]int64, cfg.Device.PSM.NumStates())},
-		idleSatCap: cfg.IdleSaturation,
-	}
-	if s.idleSatCap == 0 {
-		s.idleSatCap = 1024
+		cfg:     cfg,
+		phase:   cfg.InitialState,
+		metrics: Metrics{StateSlots: make([]int64, cfg.Device.PSM.NumStates())},
 	}
 	s.q.Reset(cfg.QueueCap)
 	s.learner, _ = cfg.Policy.(Learner)
@@ -282,8 +262,6 @@ func (s *Sim) Observe() Observation {
 func (s *Sim) observe(o *Observation) {
 	o.Phase = s.phase
 	o.Transitioning = s.transLeft > 0
-	o.TransTarget = s.transTo
-	o.TransRemaining = s.transLeft
 	o.Queue = s.q.Len()
 	o.IdleSlots = s.idleSlots
 	o.Slot = s.slot
@@ -347,7 +325,7 @@ func (s *Sim) step(rec *SlotRecord) {
 	}
 	if arrived > 0 {
 		s.idleSlots = 0
-	} else if s.idleSlots < s.idleSatCap {
+	} else if s.idleSlots < IdleSaturation {
 		s.idleSlots++
 	}
 
@@ -411,10 +389,7 @@ func (s *Sim) step(rec *SlotRecord) {
 		fb.Prev = prev
 		fb.Action = action
 		fb.Energy = slotEnergy
-		fb.Cost = cost
-		fb.Served = served
 		fb.Arrived = arrived
-		fb.Lost = lost
 		s.observe(&fb.Next)
 		s.learner.Observe(fb)
 	}

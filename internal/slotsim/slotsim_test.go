@@ -72,22 +72,14 @@ func TestConfigValidation(t *testing.T) {
 		{"nil stream", func(c Config) Config { c.Stream = nil; return c }},
 		{"negative qcap", func(c Config) Config { c.QueueCap = -1; return c }},
 		{"negative latw", func(c Config) Config { c.LatencyWeight = -1; return c }},
-		{"zero latw unacknowledged", func(c Config) Config { c.LatencyWeight = 0; return c }},
+		{"zero latw", func(c Config) Config { c.LatencyWeight = 0; return c }},
 		{"bad initial state", func(c Config) Config { c.InitialState = 99; return c }},
-		{"negative idle sat", func(c Config) Config { c.IdleSaturation = -1; return c }},
 	}
 	for _, m := range mutations {
 		c := m.mut(valid)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s accepted", m.name)
 		}
-	}
-	// Zero latency weight is allowed when acknowledged.
-	c := valid
-	c.LatencyWeight = 0
-	c.AllowZeroLatencyWeight = true
-	if err := c.Validate(); err != nil {
-		t.Errorf("acknowledged zero latency weight rejected: %v", err)
 	}
 }
 
@@ -282,8 +274,8 @@ func TestLearnerReceivesFeedback(t *testing.T) {
 		if fb.Next.Slot != fb.Prev.Slot+1 {
 			t.Fatalf("feedback %d: slots %d -> %d", i, fb.Prev.Slot, fb.Next.Slot)
 		}
-		if fb.Energy < 0 || fb.Cost < fb.Energy {
-			t.Fatalf("feedback %d: energy %v cost %v", i, fb.Energy, fb.Cost)
+		if fb.Energy < 0 {
+			t.Fatalf("feedback %d: energy %v", i, fb.Energy)
 		}
 	}
 }
@@ -388,7 +380,9 @@ func TestSlotFeedbackChain(t *testing.T) {
 						t.Fatalf("slot %d: Prev = %+v, Observe() before the step was %+v", i, fb.Prev, before)
 					}
 					latent++
-					if before.TransRemaining > 1 {
+					// A latent slot after another latent slot lies
+					// inside a transition of three or more slots.
+					if i > 0 && !l.decides[i-1] {
 						wakeups++
 					}
 				}
@@ -408,15 +402,13 @@ func TestSlotFeedbackChain(t *testing.T) {
 
 func TestIdleSlotsTracking(t *testing.T) {
 	// Rate-0 arrivals: idle counter grows and saturates.
-	cfg := baseConfig(stayPolicy{}, 0, 11)
-	cfg.IdleSaturation = 5
-	sim, err := New(cfg)
+	sim, err := New(baseConfig(stayPolicy{}, 0, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run(100, nil)
-	if got := sim.Observe().IdleSlots; got != 5 {
-		t.Errorf("idle slots %d, want saturation 5", got)
+	sim.Run(IdleSaturation+100, nil)
+	if got := sim.Observe().IdleSlots; got != IdleSaturation {
+		t.Errorf("idle slots %d, want saturation %d", got, IdleSaturation)
 	}
 	// Rate-1 arrivals: idle counter pinned at 0.
 	sim2, _ := New(baseConfig(stayPolicy{}, 1, 12))
