@@ -215,3 +215,29 @@ func TestQueueCapBoundedPerPolicy(t *testing.T) {
 		}
 	}
 }
+
+// TestTimeoutAboveIdleCapRejected runs -policy timeout with a -timeout
+// above the idle-slot cap (slotsim.IdleSaturation), in both modes, and
+// expects exit 1 naming the cap: such a timeout never fires, so the run
+// would silently never sleep deep. It re-executes the test binary as the
+// command, like TestReplicasBelowOneRejected.
+func TestTimeoutAboveIdleCapRejected(t *testing.T) {
+	if args, ok := os.LookupEnv("QDPM_SIM_TEST_ARGS"); ok {
+		os.Args = append([]string{"qdpm-sim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, mode := range []string{"slot", "ct"} {
+		args := "-mode " + mode + " -policy timeout -timeout 2000 -slots 100"
+		cmd := exec.Command(os.Args[0], "-test.run=^TestTimeoutAboveIdleCapRejected$")
+		cmd.Env = append(os.Environ(), "QDPM_SIM_TEST_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%s: want exit 1, got %v\n%s", args, err, out)
+		}
+		if want := "timeout 2000 slots above the idle-slot cap 1024"; !strings.Contains(string(out), want) {
+			t.Errorf("%s: output %q lacks %q", args, out, want)
+		}
+	}
+}

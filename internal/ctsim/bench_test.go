@@ -41,6 +41,12 @@ func (p benchTimeout) Decide(o slotsim.Observation) device.StateID {
 // view and adapts it to the periodic governor at that slot.
 func adaptedQDPM(tb testing.TB, psm *device.PSM, slot float64, queueCap int, latencyWeight float64, stream *rng.Stream) ctsim.Policy {
 	tb.Helper()
+	return ctsim.Adapt(qdpmManager(tb, psm, slot, queueCap, latencyWeight, stream), slot)
+}
+
+// qdpmManager builds adaptedQDPM's learner without the adapter.
+func qdpmManager(tb testing.TB, psm *device.PSM, slot float64, queueCap int, latencyWeight float64, stream *rng.Stream) *core.Manager {
+	tb.Helper()
 	dev, err := psm.Slot(slot)
 	if err != nil {
 		tb.Fatal(err)
@@ -56,7 +62,7 @@ func adaptedQDPM(tb testing.TB, psm *device.PSM, slot float64, queueCap int, lat
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ctsim.Adapt(mgr, slot)
+	return mgr
 }
 
 // benchRegime selects a benchmark replica's decision regime and policy.
@@ -66,9 +72,6 @@ const (
 	// governorTimeout: a slotted fixed timeout behind the adapter at a
 	// 0.5 s period (the Table CT path).
 	governorTimeout benchRegime = iota
-	// governorLearner: the adapted Q-DPM learner at a 0.5 s period (the
-	// fleet's q-dpm class), so every tick also runs the feedback path.
-	governorLearner
 	// eventDriven: the native continuous-time timeout with its wake
 	// timers, which exercises Schedule + Cancel on every decision.
 	eventDriven
@@ -89,9 +92,6 @@ func benchSim(b *testing.B, src ctsim.Source, regime benchRegime) *ctsim.Sim {
 	case governorTimeout:
 		cfg.DecisionPeriod = 0.5
 		cfg.Policy = ctsim.Adapt(benchTimeout{deep: device.StateID(psm.NumStates() - 1), slots: 8}, 0.5)
-	case governorLearner:
-		cfg.DecisionPeriod = 0.5
-		cfg.Policy = adaptedQDPM(b, psm, 0.5, cfg.QueueCap, cfg.LatencyWeight, rng.New(3))
 	default:
 		pol, err := ctsim.NewTimeout(psm, 4)
 		if err != nil {
@@ -108,15 +108,20 @@ func benchSim(b *testing.B, src ctsim.Source, regime benchRegime) *ctsim.Sim {
 
 func benchExpSource(b *testing.B, rate float64) ctsim.Source {
 	b.Helper()
-	d, err := dist.NewExponential(rate)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := ctsim.NewRenewalSource(d)
+	src, err := ctsim.NewRenewalSource(mustExp(b, rate))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return src
+}
+
+func mustExp(b *testing.B, rate float64) dist.Continuous {
+	b.Helper()
+	d, err := dist.NewExponential(rate)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
 }
 
 // benchTraceSource replays a deterministic arrival every gap seconds,
@@ -161,11 +166,73 @@ func BenchmarkCTReplicaRenewalGovernor(b *testing.B) {
 	benchRun(b, benchSim(b, benchExpSource(b, 2), governorTimeout))
 }
 
+// learnerReplicaSeconds is the learner rung's replica length, a fleet
+// instance's default horizon. A learner's ε and α schedules are memoized
+// for its first 4096 decisions and visits; one unbounded replica runs
+// past them and then times math.Exp and math.Pow, not the learner path.
+const learnerReplicaSeconds = 400
+
 // BenchmarkCTReplicaLearnerGovernor: the governor rung with the fleet's
 // adapted Q-DPM learner in place of the timeout, so every tick also
-// closes a feedback interval and quantizes both of its observations.
+// closes a feedback interval. An op is still one simulated second, but
+// the seconds run as back-to-back fixed 400 s replicas of a fleet
+// instance: at each replica's end the simulator, learner, arrival source
+// and streams are reset in place (timed, as in the fleet's instance
+// loop) and the next replica repeats the first bit for bit.
 func BenchmarkCTReplicaLearnerGovernor(b *testing.B) {
-	benchRun(b, benchSim(b, benchExpSource(b, 2), governorLearner))
+	psm := device.Synthetic3()
+	src, err := ctsim.NewRenewalSource(mustExp(b, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src.SetLimit(learnerReplicaSeconds)
+	polStream, simStream := rng.New(3), rng.New(2)
+	mgr := qdpmManager(b, psm, 0.5, 8, 0.6, polStream)
+	cfg := ctsim.Config{
+		Device: psm, QueueCap: 8, LatencyWeight: 0.6,
+		Policy: ctsim.Adapt(mgr, 0.5), Source: src, Stream: simStream,
+		DecisionPeriod: 0.5,
+	}
+	if err := cfg.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	sim, err := ctsim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim.SetHorizonHint(learnerReplicaSeconds)
+	reset := func() {
+		polStream.Reseed(3)
+		simStream.Reseed(2)
+		mgr.Reset(polStream)
+		src.Reset()
+		if err := sim.ResetValidated(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One full replica grows the kernel arena and the queue ring.
+	if err := sim.Run(learnerReplicaSeconds); err != nil {
+		b.Fatal(err)
+	}
+	reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	for left := b.N; left > 0; {
+		now := sim.Now()
+		n := min(left, learnerReplicaSeconds-int(now))
+		if err := sim.Run(now + float64(n)); err != nil {
+			b.Fatal(err)
+		}
+		if left -= n; sim.Now() == learnerReplicaSeconds {
+			events += sim.FiredEvents()
+			reset()
+		}
+	}
+	events += sim.FiredEvents()
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 // BenchmarkCTReplicaRenewalEventDriven: Poisson arrivals with native

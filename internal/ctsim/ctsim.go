@@ -45,6 +45,7 @@ import (
 	"repro/internal/eventq"
 	"repro/internal/queue"
 	"repro/internal/rng"
+	"repro/internal/slotsim"
 )
 
 // Config assembles a continuous-time simulation.
@@ -318,8 +319,13 @@ type Sim struct {
 	// q holds the arrival time of each pending request. It sits behind a
 	// pointer because inline it would grow Sim from the 896-byte
 	// allocation size class to the 1024-byte one.
-	q       *queue.Ring[float64]
+	q *queue.Ring[float64]
+	// learner is cfg.Policy as a native Learner; nil when the policy does
+	// not learn or is driven through slot.
 	learner Learner
+	// slot is non-nil when cfg.Policy was built by Adapt: the simulator
+	// then drives the slotted policy (and learner) itself, through sfb.
+	slot *slotAdapter
 
 	// Pre-bound event handlers: method values are closures, so binding
 	// them once here keeps every Schedule call on the hot path from
@@ -374,7 +380,6 @@ type Sim struct {
 	// A cached method value costs one closure load per call instead of
 	// an itab lookup plus method-table load on every service event; nil
 	// resRequest doubles as the "no resource" fast-path check.
-	resBound   Resource
 	resRequest func(now float64, g ResourceClient) Verdict
 	resRelease func(now float64, g ResourceClient)
 	resCancel  func(now float64, g ResourceClient)
@@ -397,7 +402,10 @@ type Sim struct {
 	// Policy wake timer (event-driven mode).
 	wakeEv eventq.Ref
 
-	// Learner epoch bases. The opening observation is fb.Prev.
+	// Learner epoch bases. The opening observation is fb.Prev (sfb.Prev
+	// under the direct drive). learns reports a feedback consumer: a
+	// native learner, or an adapted slotted one.
+	learns      bool
 	haveEpoch   bool
 	epochEnergy float64
 	epochArr    int64
@@ -407,8 +415,11 @@ type Sim struct {
 	// modify nothing). Each decision point builds its observation once,
 	// in fb.Next; the policy decides on it, and openEpoch copies it into
 	// fb.Prev, where it waits as the opening observation of the next
-	// interval.
-	fb Feedback
+	// interval. sfb is the same record in slotted form for an adapted
+	// policy (slot != nil), which never touches fb: observe quantizes
+	// each decision point's observation once, straight into sfb.Next.
+	fb  Feedback
+	sfb slotsim.Feedback
 
 	metrics Metrics
 }
@@ -477,13 +488,7 @@ func (s *Sim) init(cfg Config) error {
 // apply (re)sets every piece of run state from a validated cfg, then
 // schedules the initial events.
 func (s *Sim) apply(cfg Config) error {
-	s.cfg = cfg
-	s.batchServe = 0
-	if cfg.SlotCompatible {
-		s.batchServe = batchServe(&cfg)
-	}
-	if cfg.Resource != s.resBound {
-		s.resBound = cfg.Resource
+	if cfg.Resource != s.cfg.Resource {
 		if cfg.Resource != nil {
 			s.resRequest = cfg.Resource.RequestService
 			s.resRelease = cfg.Resource.ReleaseService
@@ -495,6 +500,11 @@ func (s *Sim) apply(cfg Config) error {
 			s.resCancel = nil
 			s.resAllow = nil
 		}
+	}
+	s.cfg = cfg
+	s.batchServe = 0
+	if cfg.SlotCompatible {
+		s.batchServe = batchServe(&cfg)
 	}
 	if !s.kernelShared {
 		s.k.Reset()
@@ -535,12 +545,19 @@ func (s *Sim) apply(cfg Config) error {
 	s.wakeEv = eventq.Ref{}
 	s.haveEpoch = false
 	s.fb = Feedback{}
+	s.sfb = slotsim.Feedback{}
 	s.epochEnergy = 0
 	s.epochArr = 0
-	s.learner = nil
-	if l, ok := cfg.Policy.(Learner); ok {
-		s.learner = l
+	s.learner, s.slot = nil, nil
+	switch p := cfg.Policy.(type) {
+	case *slotAdapter:
+		s.slot = p
+	case *slotLearnerAdapter:
+		s.slot = &p.slotAdapter
+	case Learner:
+		s.learner = p
 	}
+	s.learns = s.learner != nil || s.slot != nil && s.slot.l != nil
 	// The first decision fires before any time-0 arrival: it is scheduled
 	// first, and the kernel breaks ties FIFO.
 	if s.periodic() {
@@ -660,9 +677,16 @@ func (s *Sim) MetricsView() *Metrics {
 	return &s.metrics
 }
 
-// observe fills o with the observation at now. Every field is written,
-// so o needs no clearing first.
-func (s *Sim) observe(o *Observation, now float64) {
+// observe builds the decision point's observation at now, once: in
+// fb.Next, or quantized onto the reference slot in sfb.Next for an
+// adapted policy. Every field is written, so neither needs clearing
+// first.
+func (s *Sim) observe(now float64) {
+	if a := s.slot; a != nil {
+		a.quantize(&s.sfb.Next, s.phase, s.transInProg, s.q.Len(), now-s.lastArrival, now)
+		return
+	}
+	o := &s.fb.Next
 	o.Phase = s.phase
 	o.Transitioning = s.transInProg
 	o.Queue = s.q.Len()
@@ -936,8 +960,7 @@ func (s *Sim) tick(now float64) {
 		// when the next tick falls beyond it.)
 		return
 	}
-	obs := &s.fb.Next
-	s.observe(obs, now)
+	s.observe(now)
 	s.emitFeedback()
 	if s.transInProg {
 		s.lastAction = s.transTarget
@@ -947,14 +970,14 @@ func (s *Sim) tick(now float64) {
 		// growing queue, no service, no progress).
 		s.lastAction = s.phase
 	} else {
-		s.decide(now, obs)
+		s.decide(now)
 		if !s.cfg.SlotCompatible {
 			// In slot-compatible mode service is batched above, so the
 			// call would bail on its first test; skip the call outright.
 			s.maybeStartService(now)
 		}
 	}
-	s.openEpoch(obs)
+	s.openEpoch()
 	if next := now + per; next <= s.hardHorizon {
 		s.k.Schedule(next, s.hTick)
 	}
@@ -968,26 +991,34 @@ func (s *Sim) decisionPoint(now float64) {
 		return
 	}
 	s.advance(now)
-	obs := &s.fb.Next
-	s.observe(obs, now)
+	s.observe(now)
 	s.emitFeedback()
-	s.decide(now, obs)
+	s.decide(now)
 	s.maybeStartService(now)
-	s.openEpoch(obs)
+	s.openEpoch()
 }
 
 // emitFeedback closes the current learner epoch against the observation
-// just built in s.fb.Next; s.fb.Prev holds the epoch's opening one.
+// just built in Next; Prev holds the epoch's opening one.
 func (s *Sim) emitFeedback() {
-	if s.learner == nil || !s.haveEpoch {
+	if !s.haveEpoch {
 		return
 	}
 	// Filled field by field: a composite literal would build a temporary
 	// Feedback and block-copy it into the scratch. Prev and Next are
 	// already in place.
+	energy := s.metrics.EnergyJ - s.epochEnergy
+	arrived := int(s.metrics.Arrived - s.epochArr)
+	if a := s.slot; a != nil {
+		s.sfb.Action = s.lastAction
+		s.sfb.Energy = energy
+		s.sfb.Arrived = arrived
+		a.l.Observe(&s.sfb)
+		return
+	}
 	s.fb.Action = s.lastAction
-	s.fb.Energy = s.metrics.EnergyJ - s.epochEnergy
-	s.fb.Arrived = int(s.metrics.Arrived - s.epochArr)
+	s.fb.Energy = energy
+	s.fb.Arrived = arrived
 	s.learner.Observe(&s.fb)
 }
 
@@ -998,20 +1029,30 @@ func (s *Sim) emitFeedback() {
 // Without a learner there is no feedback consumer, so the snapshot is
 // skipped entirely — baseline policies pay nothing for the epoch
 // machinery.
-func (s *Sim) openEpoch(obs *Observation) {
-	if s.learner == nil {
+func (s *Sim) openEpoch() {
+	if !s.learns {
 		return
 	}
 	s.haveEpoch = true
-	s.fb.Prev = *obs
+	if s.slot != nil {
+		s.sfb.Prev = s.sfb.Next
+	} else {
+		s.fb.Prev = s.fb.Next
+	}
 	s.epochEnergy = s.metrics.EnergyJ
 	s.epochArr = s.metrics.Arrived
 }
 
-// decide consults the policy and executes its command.
-func (s *Sim) decide(now float64, obs *Observation) {
+// decide consults the policy on the observation just built and executes
+// its command.
+func (s *Sim) decide(now float64) {
 	s.metrics.Decisions++
-	d := s.cfg.Policy.Decide(*obs)
+	var d Decision
+	if a := s.slot; a != nil {
+		d.Target = a.p.Decide(s.sfb.Next)
+	} else {
+		d = s.cfg.Policy.Decide(s.fb.Next)
+	}
 	target := d.Target
 	s.lastAction = s.phase
 	dev := s.cfg.Device
@@ -1031,12 +1072,15 @@ func (s *Sim) decide(now float64, obs *Observation) {
 			s.metrics.Clamped++
 		}
 	}
+	if s.periodic() {
+		return // the governor never arms a wake timer
+	}
 	// Wake timer: at most one outstanding; each decision replaces it.
 	// Cancel tolerates the zero Ref and already-fired events, so no guard
 	// is needed — the canceled slot is recycled by the next Schedule.
 	s.k.Cancel(s.wakeEv)
 	s.wakeEv = eventq.Ref{}
-	if d.Wake > 0 && !s.periodic() && !math.IsInf(d.Wake, 1) {
+	if d.Wake > 0 && !math.IsInf(d.Wake, 1) {
 		// A wake must strictly advance the clock. A threshold-style policy
 		// re-arms with Wake = threshold - elapsed; when the timer lands an
 		// ulp below its threshold, now + Wake can round back to exactly

@@ -139,8 +139,17 @@ func (p *Timeout) Decide(obs Observation) Decision {
 // (idle seconds → idle-slot count saturating at slotsim.IdleSaturation,
 // clock → slot index), so the slotted policy sees exactly the observation
 // stream it was written for.
+//
+// A Sim whose Config.Policy is an adapter does not call the adapter's
+// Decide and Observe: it drives p and l itself, quantizing each decision
+// point's observation once, straight from its own state (Sim.observe).
+// The methods below serve a caller that wraps the adapted policy, which
+// hides the adapter from the Sim; both paths quantize through the one
+// function, quantize, so they hand the slotted policy the same bits.
 type slotAdapter struct {
-	p    slotsim.Policy
+	p slotsim.Policy
+	// l is p as a learner, nil when p does not learn.
+	l    slotsim.Learner
 	slot float64
 
 	// invSlot is 1/slot when slot is a power of two, else 0. For a
@@ -148,20 +157,6 @@ type slotAdapter struct {
 	// shift — bit-identical for every x — and the multiply avoids two
 	// hardware divides per quantization on the canonical 0.5 s grid.
 	invSlot float64
-
-	// Single-entry quantization memo, armed only for learner adapters.
-	// Under the periodic governor each learner tick quantizes the same
-	// observation up to three times — once as the closing feedback's
-	// Next, once as the decision input, and once more next tick as the
-	// following feedback's Prev — so remembering the last (input,
-	// output) pair turns two of the three into an equality check.
-	// Non-learner adapters quantize once per tick and would only pay
-	// the memo store. sObs is a pure function of its input for a given
-	// slot, so replaying the memo is bit-identical to recomputing.
-	memoize bool
-	memoIn  Observation
-	memoOut slotsim.Observation
-	memoOK  bool
 }
 
 // slotLearnerAdapter additionally forwards per-interval feedback, so
@@ -171,11 +166,10 @@ type slotAdapter struct {
 // time k·slot seconds.
 type slotLearnerAdapter struct {
 	slotAdapter
-	l slotsim.Learner
 
-	// sfb is the quantized-feedback scratch forwarded by pointer each
-	// interval (the slotsim.Learner contract: receivers copy what they
-	// keep), so the two-observation record is not copied twice per tick.
+	// sfb is the quantized-feedback scratch of the wrapped path,
+	// forwarded by pointer each interval (the slotsim.Learner contract:
+	// receivers copy what they keep).
 	sfb slotsim.Feedback
 }
 
@@ -183,8 +177,11 @@ type slotLearnerAdapter struct {
 // reference slot duration (seconds). The result implements Learner when p
 // does. Use it with Config.DecisionPeriod == refSlot: slotted policies
 // expect a decision per slot, so the periodic governor supplies their
-// cadence; event-driven mode would starve them. A non-positive or
-// non-finite refSlot is a programming error and panics.
+// cadence; event-driven mode would starve them. A Sim configured with the
+// result drives p directly, one quantized observation per decision point;
+// the result's own Decide and Observe run only when another Policy wraps
+// it. A non-positive or non-finite refSlot is a programming error and
+// panics.
 func Adapt(p slotsim.Policy, refSlot float64) Policy {
 	if !(refSlot > 0) || math.IsInf(refSlot, 0) {
 		panic(fmt.Sprintf("ctsim: Adapt requires a positive finite reference slot, got %v", refSlot))
@@ -194,8 +191,8 @@ func Adapt(p slotsim.Policy, refSlot float64) Policy {
 		a.invSlot = 1 / refSlot
 	}
 	if l, ok := p.(slotsim.Learner); ok {
-		a.memoize = true
-		return &slotLearnerAdapter{slotAdapter: a, l: l}
+		a.l = l
+		return &slotLearnerAdapter{slotAdapter: a}
 	}
 	return &a
 }
@@ -203,34 +200,31 @@ func Adapt(p slotsim.Policy, refSlot float64) Policy {
 // Name identifies the wrapped policy.
 func (a *slotAdapter) Name() string { return a.p.Name() }
 
-// sObs quantizes a continuous observation onto the reference slot grid,
-// writing every field of out in place (a composite literal would build
-// a temporary and block-copy it).
-func (a *slotAdapter) sObs(in *Observation, out *slotsim.Observation) {
-	// Now advances between ticks, so comparing it first short-circuits
-	// almost every miss before the full struct equality.
-	if a.memoOK && in.Now == a.memoIn.Now && *in == a.memoIn {
-		*out = a.memoOut
-		return
-	}
-	var idleSlots, now float64
+// quantize writes the slotted view of a continuous observation into out,
+// every field in place (a composite literal would build a temporary and
+// block-copy it): idle seconds floor to idle slots, saturating at
+// slotsim.IdleSaturation, and the clock rounds to the slot index.
+func (a *slotAdapter) quantize(out *slotsim.Observation, phase device.StateID, transitioning bool, queue int, idleTime, now float64) {
+	var idleSlots float64
 	if a.invSlot != 0 {
-		idleSlots, now = in.IdleTime*a.invSlot, in.Now*a.invSlot
+		idleSlots, now = idleTime*a.invSlot, now*a.invSlot
 	} else {
-		idleSlots, now = in.IdleTime/a.slot, in.Now/a.slot
+		idleSlots, now = idleTime/a.slot, now/a.slot
 	}
 	idle := int64(math.Floor(idleSlots + 1e-9))
 	if idle > slotsim.IdleSaturation {
 		idle = slotsim.IdleSaturation
 	}
-	out.Phase = in.Phase
-	out.Transitioning = in.Transitioning
-	out.Queue = in.Queue
+	out.Phase = phase
+	out.Transitioning = transitioning
+	out.Queue = queue
 	out.IdleSlots = idle
 	out.Slot = int64(math.Round(now))
-	if a.memoize {
-		a.memoIn, a.memoOut, a.memoOK = *in, *out, true
-	}
+}
+
+// sObs quantizes a continuous observation onto the reference slot grid.
+func (a *slotAdapter) sObs(in *Observation, out *slotsim.Observation) {
+	a.quantize(out, in.Phase, in.Transitioning, in.Queue, in.IdleTime, in.Now)
 }
 
 // Decide forwards the quantized observation.

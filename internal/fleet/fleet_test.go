@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/fleet"
+	"repro/internal/slotsim"
 	"repro/internal/stats"
 )
 
@@ -472,6 +474,30 @@ func TestParseMix(t *testing.T) {
 		if _, err := fleet.ParseMix(bad); err == nil {
 			t.Fatalf("ParseMix(%q) accepted invalid mix", bad)
 		}
+	}
+}
+
+// TestTimeoutAboveIdleCapRejected: a fixed timeout longer than the
+// idle-slot cap (slotsim.IdleSaturation) never fires, so a mix asking for
+// one is rejected naming the cap — by ParseMix and, for a class built in
+// code, by Run — while a timeout at the cap runs.
+func TestTimeoutAboveIdleCapRejected(t *testing.T) {
+	const mix = "synthetic3:exp:0.0004:timeout=2000"
+	want := fmt.Sprintf("at most %d slots", slotsim.IdleSaturation)
+	if _, err := fleet.ParseMix(mix); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ParseMix(%q): err = %v, want one containing %q", mix, err, want)
+	}
+	atCap, err := fleet.ParseMix(fmt.Sprintf("synthetic3:exp:0.0004:timeout=%d", slotsim.IdleSaturation))
+	if err != nil {
+		t.Fatalf("timeout at the cap rejected: %v", err)
+	}
+	spec := fleet.Spec{Devices: 4, Classes: atCap, Horizon: 10}
+	if _, err := fleet.Run(context.Background(), spec, nil); err != nil {
+		t.Fatalf("timeout at the cap: %v", err)
+	}
+	spec.Classes[0].Policy = "timeout=2000"
+	if _, err := fleet.Run(context.Background(), spec, nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Run with timeout=2000: err = %v, want one containing %q", err, want)
 	}
 }
 

@@ -21,9 +21,10 @@ var policies = []string{"always-on", "greedy-off", "timeout", "adaptive-timeout"
 // parsePolicy splits a policy token into name and optional '=' parameter
 // and validates both. The parameter is timeout's idle timeout or
 // adaptive-timeout's initial one in slots (registry.DefaultTimeoutSlots
-// when absent): it must be finite and fit in an int64 (and, for
-// adaptive-timeout, lie within the adaptive bounds once truncated), so
-// every accepted token builds a policy.
+// when absent): it must be finite and fit in an int64 (and, once
+// truncated, lie within the adaptive bounds for adaptive-timeout and at
+// most slotsim.IdleSaturation for timeout), so every accepted token
+// builds a policy.
 func parsePolicy(tok string) (name string, timeoutSlots int64, err error) {
 	name, slots := tok, float64(registry.DefaultTimeoutSlots)
 	if i := strings.IndexByte(tok, '='); i >= 0 {
@@ -35,6 +36,10 @@ func parsePolicy(tok string) (name string, timeoutSlots int64, err error) {
 		if name == "adaptive-timeout" && (slots < registry.AdaptiveMinSlots || slots >= registry.AdaptiveMaxSlots+1) {
 			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want an initial timeout in [%d, %d] slots)",
 				tok, registry.AdaptiveMinSlots, registry.AdaptiveMaxSlots)
+		}
+		if name == "timeout" && slots >= slotsim.IdleSaturation+1 {
+			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want a timeout of at most %d slots, the idle-slot cap: a longer one never fires)",
+				tok, slotsim.IdleSaturation)
 		}
 	}
 	if !slices.Contains(policies, name) {

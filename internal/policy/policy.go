@@ -147,10 +147,15 @@ type FixedTimeout struct {
 
 var _ slotsim.Policy = (*FixedTimeout)(nil)
 
-// NewFixedTimeout validates the timeout (>= 0; 0 degenerates to greedy).
+// NewFixedTimeout validates the timeout: at least 0 (0 degenerates to
+// greedy) and at most slotsim.IdleSaturation, where the observed idle
+// count stops growing — a longer timeout would never fire.
 func NewFixedTimeout(dev *device.Slotted, timeoutSlots int64) (*FixedTimeout, error) {
 	if timeoutSlots < 0 {
 		return nil, fmt.Errorf("policy: negative timeout %d", timeoutSlots)
+	}
+	if err := checkIdleCap("timeout", timeoutSlots); err != nil {
+		return nil, err
 	}
 	r, err := DeriveRoles(dev.PSM)
 	if err != nil {
@@ -183,6 +188,16 @@ func (p *FixedTimeout) Reset() {}
 
 // ---------------------------------------------------------------------------
 
+// checkIdleCap rejects a timeout the idle-slot count can never reach: it
+// saturates at slotsim.IdleSaturation.
+func checkIdleCap(what string, slots int64) error {
+	if slots > slotsim.IdleSaturation {
+		return fmt.Errorf("policy: %s %d slots above the idle-slot cap %d (slotsim.IdleSaturation): it would never fire",
+			what, slots, slotsim.IdleSaturation)
+	}
+	return nil
+}
+
 // AdaptiveTimeout adjusts a FixedTimeout online: a premature shutdown
 // (sleep shorter than the device break-even) doubles the timeout; a
 // well-amortized sleep shortens it by one slot.
@@ -198,10 +213,14 @@ type AdaptiveTimeout struct {
 
 var _ slotsim.Learner = (*AdaptiveTimeout)(nil)
 
-// NewAdaptiveTimeout derives the break-even horizon from the device.
+// NewAdaptiveTimeout derives the break-even horizon from the device. The
+// bounds must satisfy 0 <= min <= initial <= max <= slotsim.IdleSaturation.
 func NewAdaptiveTimeout(dev *device.Slotted, initial, min, max int64) (*AdaptiveTimeout, error) {
 	if min < 0 || max < min || initial < min || initial > max {
 		return nil, fmt.Errorf("policy: adaptive timeout bounds invalid: initial=%d min=%d max=%d", initial, min, max)
+	}
+	if err := checkIdleCap("adaptive timeout max", max); err != nil {
+		return nil, err
 	}
 	r, err := DeriveRoles(dev.PSM)
 	if err != nil {

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -155,6 +157,32 @@ func TestFixedTimeoutBehaviour(t *testing.T) {
 func TestFixedTimeoutValidation(t *testing.T) {
 	if _, err := NewFixedTimeout(synthDev(t), -1); err == nil {
 		t.Error("negative timeout accepted")
+	}
+}
+
+// TestTimeoutAboveIdleCapRejected: the observed idle count saturates at
+// slotsim.IdleSaturation, so a fixed timeout (or an adaptive timeout's
+// max) above it could never fire. Both constructors reject it naming the
+// cap, and accept a timeout exactly at the cap, which does fire.
+func TestTimeoutAboveIdleCapRejected(t *testing.T) {
+	dev := synthDev(t)
+	const limit = slotsim.IdleSaturation
+	want := fmt.Sprintf("above the idle-slot cap %d", limit)
+	if _, err := NewFixedTimeout(dev, limit+1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("fixed timeout %d: err = %v, want one containing %q", limit+1, err, want)
+	}
+	if _, err := NewAdaptiveTimeout(dev, 8, 1, limit+1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("adaptive timeout max %d: err = %v, want one containing %q", limit+1, err, want)
+	}
+	p, err := NewFixedTimeout(dev, limit)
+	if err != nil {
+		t.Fatalf("fixed timeout at the cap rejected: %v", err)
+	}
+	if got := p.Decide(slotsim.Observation{Phase: 1, IdleSlots: limit}); got != 2 {
+		t.Errorf("timeout at the cap with a saturated idle count chose %d, want deep", got)
+	}
+	if _, err := NewAdaptiveTimeout(dev, 8, 1, limit); err != nil {
+		t.Errorf("adaptive timeout max at the cap rejected: %v", err)
 	}
 }
 
