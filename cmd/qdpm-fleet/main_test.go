@@ -84,6 +84,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-devices", "1", "-horizon", "1", "-replicas", "65537"},
 		{"-horizon", "-1"},
 		{"-qcap", "1000000000"},
+		{"-devices", "4", "-horizon", "10", "-mix", "synthetic3:exp:0.1:timeout=8.5"},
 	} {
 		var out bytes.Buffer
 		if err := run(context.Background(), &out, args); err == nil {

@@ -72,7 +72,7 @@ func main() {
 				QueueCap:      queueCap,
 				QueueBuckets:  3, // coarse buckets: smaller table, same policy
 				LatencyWeight: latencyW,
-				Alpha:         qlearn.Constant{C: 0.1},
+				Alpha:         qlearn.Polynomial{Scale: 0.1},
 				Explore:       qlearn.EpsGreedy{Eps: 0.04},
 				Stream:        stream,
 			})

@@ -95,7 +95,7 @@ func main() {
 		New: func(stream *rng.Stream) (slotsim.Policy, error) {
 			return core.New(core.Config{
 				Device: dev, QueueCap: queueCap, LatencyWeight: latencyW,
-				QoS:    &core.QoSConfig{TargetBacklog: target, Eta: 0.05, AdaptEvery: 1000},
+				QoS:    &core.QoSConfig{TargetBacklog: target, Eta: 0.05},
 				Stream: stream,
 			})
 		},

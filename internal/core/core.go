@@ -41,12 +41,14 @@ type QoSConfig struct {
 	TargetBacklog float64
 	// Eta is the multiplier step size per adaptation.
 	Eta float64
-	// AdaptEvery is the adaptation period in slots (default 1000).
-	AdaptEvery int64
 }
 
-// qosMaxLambda caps the QoS multiplier.
-const qosMaxLambda = 10
+// QoS multiplier bounds and period: the multiplier stays within
+// [0, qosMaxLambda] and adapts every qosAdaptEvery slots.
+const (
+	qosMaxLambda  = 10
+	qosAdaptEvery = 1000
+)
 
 // Config assembles a Q-DPM power manager.
 type Config struct {
@@ -70,9 +72,10 @@ type Config struct {
 	// discounted optimum coincides with the average-cost optimum the
 	// model-based solvers compute).
 	Gamma float64
-	// Alpha is the learning-rate schedule (default Constant{0.1} — a
-	// constant rate is what lets Q-DPM track nonstationary input).
-	Alpha qlearn.Schedule
+	// Alpha is the learning-rate schedule (default the constant rate
+	// 0.1 — a constant rate is what lets Q-DPM track nonstationary
+	// input).
+	Alpha qlearn.Polynomial
 	// Explore is the exploration strategy (default EpsGreedy{Eps:0.05}).
 	Explore qlearn.Explorer
 	// Rule selects Watkins (default), SARSA, or DoubleQ.
@@ -93,18 +96,11 @@ func (c Config) withDefaults() Config {
 	if c.Gamma == 0 {
 		c.Gamma = 0.98
 	}
-	if c.Alpha == nil {
-		c.Alpha = qlearn.Constant{C: 0.1}
+	if c.Alpha == (qlearn.Polynomial{}) {
+		c.Alpha = qlearn.Polynomial{Scale: 0.1}
 	}
 	if c.Explore == nil {
 		c.Explore = qlearn.EpsGreedy{Eps: 0.05}
-	}
-	if c.QoS != nil {
-		q := *c.QoS
-		if q.AdaptEvery == 0 {
-			q.AdaptEvery = 1000
-		}
-		c.QoS = &q
 	}
 	return c
 }
@@ -389,7 +385,7 @@ func (m *Manager) Observe(fb *slotsim.Feedback) {
 	if m.cfg.QoS != nil {
 		m.backlogAcc += backlog
 		m.backlogN++
-		if fb.Next.Slot-m.lastAdaptAt >= m.cfg.QoS.AdaptEvery {
+		if fb.Next.Slot-m.lastAdaptAt >= qosAdaptEvery {
 			avg := m.backlogAcc / float64(m.backlogN)
 			m.qosLambda += m.cfg.QoS.Eta * (avg - m.cfg.QoS.TargetBacklog)
 			if m.qosLambda < 0 {

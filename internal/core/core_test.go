@@ -276,26 +276,14 @@ func TestFuzzyVariantLearns(t *testing.T) {
 	}
 }
 
-// maxVisitSchedule is the harmonic rate 1/n that records the largest
-// visit count it is asked for.
-type maxVisitSchedule struct{ maxN *int64 }
-
-func (s maxVisitSchedule) Alpha(n int64) float64 {
-	*s.maxN = max(*s.maxN, n)
-	return 1 / float64(n)
-}
-
-func (s maxVisitSchedule) String() string { return "max-visit" }
-
 // TestFuzzyLearningRateFollowsVisits checks that every fuzzy component
-// update counts a visit of its own pair and takes that pair's learning
-// rate: after a run the table's visits add up to its updates, and the
-// schedule was asked for the rates of later visits, not only the first.
+// update counts a visit of its own pair, whose count picks the pair's
+// learning rate: after a run the table's visits add up to its updates,
+// and some pair has been visited many times, not only once.
 func TestFuzzyLearningRateFollowsVisits(t *testing.T) {
 	cfg := managerConfig(t, 21)
 	cfg.Fuzzy = true
-	var maxN int64
-	cfg.Alpha = maxVisitSchedule{&maxN}
+	cfg.Alpha = qlearn.Polynomial{Scale: 1, Omega: 1}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -305,24 +293,26 @@ func TestFuzzyLearningRateFollowsVisits(t *testing.T) {
 	if updates == 0 {
 		t.Fatal("fuzzy run counted no table updates")
 	}
-	var visits int64
+	var visits, maxN int64
 	for s := 0; s < m.NumStates(); s++ {
 		for a := 0; a < m.nDev; a++ {
-			visits += m.agent.Visits(s, a)
+			n := m.agent.Visits(s, a)
+			visits += n
+			maxN = max(maxN, n)
 		}
 	}
 	if visits != updates {
 		t.Errorf("visits sum to %d, want the %d updates", visits, updates)
 	}
 	if maxN < 100 {
-		t.Errorf("largest visit count asked of the schedule is %d; fuzzy updates are not counting visits", maxN)
+		t.Errorf("largest visit count is %d; fuzzy updates are not counting visits", maxN)
 	}
 }
 
 func TestQoSAdaptsLambda(t *testing.T) {
 	cfg := managerConfig(t, 18)
 	cfg.LatencyWeight = 0.02 // deliberately too soft: QoS must compensate
-	cfg.QoS = &QoSConfig{TargetBacklog: 0.5, Eta: 0.05, AdaptEvery: 500}
+	cfg.QoS = &QoSConfig{TargetBacklog: 0.5, Eta: 0.05}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func TestCrossValidationSlotQuantized(t *testing.T) {
 		{"adaptive-timeout", func(*rng.Stream) (slotsim.Policy, error) {
 			return policy.NewAdaptiveTimeout(dev, 8, 1, 128)
 		}},
-		{"predictive", func(*rng.Stream) (slotsim.Policy, error) { return policy.NewPredictive(dev, 0.5) }},
+		{"predictive", func(*rng.Stream) (slotsim.Policy, error) { return policy.NewPredictive(dev) }},
 		{"q-dpm", func(stream *rng.Stream) (slotsim.Policy, error) {
 			return core.New(core.Config{
 				Device: dev, QueueCap: qcap, LatencyWeight: latW, Stream: stream,

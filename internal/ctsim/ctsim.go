@@ -74,21 +74,17 @@ type Config struct {
 	DecisionPeriod float64
 	// SlotCompatible selects batch service at governor ticks (requires
 	// DecisionPeriod > 0): while the device is settled in a servicing
-	// state for a full period, up to floor(DecisionPeriod/ServiceTime)
-	// queued requests complete instantly at the tick, matching
-	// device.Slot. This reproduces the slotted simulator's service law
-	// exactly. Default (false): sequential service.
+	// state for a full period, up to
+	// floor(DecisionPeriod/Device.ServiceTime) queued requests complete
+	// instantly at the tick, matching device.Slot. This reproduces the
+	// slotted simulator's service law exactly. Default (false):
+	// sequential service.
 	SlotCompatible bool
-	// ServiceTime is the sequential per-request service duration in
-	// seconds (default Device.ServiceTime). Ignored in slot-compatible
-	// mode.
-	ServiceTime float64
 	// ServiceDist, when non-nil, draws each sequential service duration
-	// i.i.d. from this law instead of the fixed ServiceTime (which then
-	// only seeds defaults). Requires sequential service and a dedicated
-	// ServiceStream. nil keeps deterministic service and makes no
-	// service-stream draws — bit-identical to a build without this
-	// field. The analytic conformance harness uses an exponential law
+	// i.i.d. from this law instead of the fixed Device.ServiceTime.
+	// Requires sequential service and a dedicated ServiceStream. nil
+	// keeps deterministic service and makes no service-stream draws —
+	// bit-identical to a build without this field. The analytic conformance harness uses an exponential law
 	// here to pin ctsim against M/M/1 and M/M/1/K closed forms.
 	ServiceDist dist.Continuous
 	// ServiceStream supplies ServiceDist's randomness. Required when
@@ -112,15 +108,12 @@ type Config struct {
 	Faults *Faults
 }
 
-// Validate checks the configuration and fills its defaults in place.
-// New and Reset call it implicitly; callers that reuse one Config value
-// across many instances (the fleet layer runs millions of Resets against
+// Validate checks the configuration; it does not modify it. New and
+// Reset call it implicitly; callers that reuse one Config value across
+// many instances (the fleet layer runs millions of Resets against
 // per-class configs that never change) validate once up front and take
 // the Sim.ResetValidated fast path thereafter.
-func (c *Config) Validate() error { return c.validate() }
-
-// validate checks the configuration and fills defaults.
-func (c *Config) validate() error {
+func (c *Config) Validate() error {
 	if c.Device == nil {
 		return fmt.Errorf("ctsim: config needs a device")
 	}
@@ -151,14 +144,11 @@ func (c *Config) validate() error {
 	if c.Resource != nil && c.SlotCompatible {
 		return fmt.Errorf("ctsim: a shared resource requires sequential service (slot-compatible batching bypasses the service-start hook)")
 	}
-	if c.ServiceTime == 0 {
-		c.ServiceTime = c.Device.ServiceTime
-	}
-	if !(c.ServiceTime > 0) || math.IsInf(c.ServiceTime, 0) {
-		return fmt.Errorf("ctsim: service time %v must be positive and finite", c.ServiceTime)
+	if st := c.Device.ServiceTime; !(st > 0) || math.IsInf(st, 0) {
+		return fmt.Errorf("ctsim: service time %v must be positive and finite", st)
 	}
 	if c.SlotCompatible && batchServe(c) < 1 {
-		return fmt.Errorf("ctsim: decision period %v shorter than service time %v", c.DecisionPeriod, c.ServiceTime)
+		return fmt.Errorf("ctsim: decision period %v shorter than service time %v", c.DecisionPeriod, c.Device.ServiceTime)
 	}
 	if c.ServiceDist != nil {
 		if c.SlotCompatible {
@@ -174,7 +164,7 @@ func (c *Config) validate() error {
 // batchServe is the per-tick service capacity in slot-compatible mode,
 // matching device.Slot's ServePerSlot.
 func batchServe(c *Config) int {
-	return int(math.Floor(c.DecisionPeriod/c.ServiceTime + 1e-9))
+	return int(math.Floor(c.DecisionPeriod/c.Device.ServiceTime + 1e-9))
 }
 
 // Observation is what a policy sees at a decision point.
@@ -315,7 +305,10 @@ func (m *Metrics) LossRate() float64 {
 // BenchmarkCTReplica* and TestCTHotPathAllocationFree guard this.
 type Sim struct {
 	cfg Config
-	k   *eventq.Kernel
+	// serviceTime is cfg.Device.ServiceTime, copied so a service start
+	// reads it without dereferencing the device.
+	serviceTime float64
+	k           *eventq.Kernel
 	// q holds the arrival time of each pending request. It sits behind a
 	// pointer because inline it would grow Sim from the 896-byte
 	// allocation size class to the 1024-byte one.
@@ -470,16 +463,16 @@ func newSim(k *eventq.Kernel, shared bool, cfg Config) (*Sim, error) {
 func (s *Sim) Reset(cfg Config) error { return s.init(cfg) }
 
 // ResetValidated is Reset minus the validation pass: cfg must already
-// have been checked and default-filled by (*Config).Validate. It exists
-// for callers that reset one simulator millions of times against a small
-// set of immutable per-class configs; passing a config that Validate
-// would reject leads to undefined simulation behavior.
+// have passed (*Config).Validate. It exists for callers that reset one
+// simulator millions of times against a small set of immutable
+// per-class configs; passing a config that Validate would reject leads
+// to undefined simulation behavior.
 func (s *Sim) ResetValidated(cfg Config) error { return s.apply(cfg) }
 
 // init validates cfg and (re)sets every piece of run state, then schedules
 // the initial events.
 func (s *Sim) init(cfg Config) error {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	return s.apply(cfg)
@@ -502,6 +495,7 @@ func (s *Sim) apply(cfg Config) error {
 		}
 	}
 	s.cfg = cfg
+	s.serviceTime = cfg.Device.ServiceTime
 	s.batchServe = 0
 	if cfg.SlotCompatible {
 		s.batchServe = batchServe(&cfg)
@@ -840,10 +834,11 @@ func (s *Sim) maybeStartService(now float64) {
 }
 
 // serviceDraw returns the next sequential service duration: the fixed
-// ServiceTime, or one ServiceDist variate when a law is configured.
+// device service time, or one ServiceDist variate when a law is
+// configured.
 func (s *Sim) serviceDraw() float64 {
 	if s.cfg.ServiceDist == nil {
-		return s.cfg.ServiceTime
+		return s.serviceTime
 	}
 	return s.cfg.ServiceDist.Sample(s.cfg.ServiceStream)
 }

@@ -313,7 +313,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *ctsim.Config) { c.InitialState = 99 },
 		func(c *ctsim.Config) { c.DecisionPeriod = -0.5 },
 		func(c *ctsim.Config) { c.SlotCompatible = true }, // no period
-		func(c *ctsim.Config) { c.ServiceTime = -1 },
+		func(c *ctsim.Config) { d := *psm; d.ServiceTime = -1; c.Device = &d },
 		func(c *ctsim.Config) { c.DecisionPeriod = 0.1; c.SlotCompatible = true }, // period < service
 	}
 	for i, mut := range bad {

@@ -67,12 +67,11 @@ func (e *WindowRate) N() int { return e.ring.Len() }
 // rate; when either one-sided statistic exceeds the threshold h, a change
 // is declared.
 type CUSUM struct {
-	ref    float64 // reference rate the statistics are centred on
-	k      float64 // slack per observation
-	h      float64 // decision threshold
-	gPos   float64
-	gNeg   float64
-	alarms int64
+	ref  float64 // reference rate the statistics are centred on
+	k    float64 // slack per observation
+	h    float64 // decision threshold
+	gPos float64
+	gNeg float64
 }
 
 // NewCUSUM returns a detector centred on rate ref with slack k and
@@ -111,11 +110,7 @@ func (c *CUSUM) Add(arrivals int) bool {
 	c.gNeg = max(0, c.gNeg-d-c.k)
 	if c.gPos > c.h || c.gNeg > c.h {
 		c.gPos, c.gNeg = 0, 0
-		c.alarms++
 		return true
 	}
 	return false
 }
-
-// Alarms returns the number of changes declared so far.
-func (c *CUSUM) Alarms() int64 { return c.alarms }

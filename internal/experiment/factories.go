@@ -56,7 +56,7 @@ func Factory(name string, dev *device.Slotted, timeoutSlots int64) PolicyFactory
 func QDPMTrackingFactory(dev *device.Slotted) PolicyFactory {
 	return QDPMVariantFactory("q-dpm", dev, func(c *core.Config) {
 		c.Explore = qlearn.EpsGreedy{Eps: 0.08}
-		c.Alpha = qlearn.Constant{C: 0.25}
+		c.Alpha = qlearn.Polynomial{Scale: 0.25}
 	})
 }
 

@@ -502,8 +502,8 @@ func DefaultAblations() []AblationSpec {
 		{Name: "boltzmann", Mut: func(c *core.Config) {
 			c.Explore = qlearn.Boltzmann{Temp: 0.2, MinTemp: 0.005, DecayTau: 30000}
 		}},
-		{Name: "alpha=const-0.1", Mut: func(c *core.Config) { c.Alpha = qlearn.Constant{C: 0.1} }},
-		{Name: "alpha=harmonic", Mut: func(c *core.Config) { c.Alpha = qlearn.Harmonic{Scale: 1} }},
+		{Name: "alpha=const-0.1", Mut: func(c *core.Config) { c.Alpha = qlearn.Polynomial{Scale: 0.1} }},
+		{Name: "alpha=harmonic", Mut: func(c *core.Config) { c.Alpha = qlearn.Polynomial{Scale: 1, Omega: 1} }},
 		{Name: "gamma=0.9", Mut: func(c *core.Config) { c.Gamma = 0.9 }},
 		{Name: "gamma=0.995", Mut: func(c *core.Config) { c.Gamma = 0.995 }},
 		{Name: "qbuckets=4", Mut: func(c *core.Config) { c.QueueBuckets = 4 }},

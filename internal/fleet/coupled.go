@@ -97,7 +97,7 @@ func (ws *workerScratch) resource(r *runner, lo, hi int) ctsim.Resource {
 		return ws.channel
 	case CoupleGateway:
 		if ws.gateway == nil {
-			ws.gateway = shared.NewGateway(1, r.spec.GatewayWait)
+			ws.gateway = shared.NewGateway(r.spec.GatewayWait)
 		} else {
 			ws.gateway.Reset()
 		}

@@ -475,6 +475,13 @@ func TestParseMix(t *testing.T) {
 			t.Fatalf("ParseMix(%q) accepted invalid mix", bad)
 		}
 	}
+	// A fractional slot count is rejected, naming its token, rather than
+	// truncated under a label that still shows the fraction.
+	for _, tok := range []string{"timeout=8.5", "adaptive-timeout=4.5"} {
+		if _, err := fleet.ParseMix("synthetic3:exp:0.1:" + tok); err == nil || !strings.Contains(err.Error(), tok) {
+			t.Errorf("ParseMix with %s: err = %v, want one naming the token", tok, err)
+		}
+	}
 }
 
 // TestTimeoutAboveIdleCapRejected: a fixed timeout longer than the

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -21,23 +22,23 @@ var policies = []string{"always-on", "greedy-off", "timeout", "adaptive-timeout"
 // parsePolicy splits a policy token into name and optional '=' parameter
 // and validates both. The parameter is timeout's idle timeout or
 // adaptive-timeout's initial one in slots (registry.DefaultTimeoutSlots
-// when absent): it must be finite and fit in an int64 (and, once
-// truncated, lie within the adaptive bounds for adaptive-timeout and at
-// most slotsim.IdleSaturation for timeout), so every accepted token
-// builds a policy.
+// when absent): it must be a whole number that fits in an int64 (and lie
+// within the adaptive bounds for adaptive-timeout and at most
+// slotsim.IdleSaturation for timeout), so every accepted token builds
+// the policy its label names.
 func parsePolicy(tok string) (name string, timeoutSlots int64, err error) {
 	name, slots := tok, float64(registry.DefaultTimeoutSlots)
 	if i := strings.IndexByte(tok, '='); i >= 0 {
 		name = tok[:i]
 		slots, err = strconv.ParseFloat(tok[i+1:], 64)
-		if err != nil || !(slots >= 0 && slots < 1<<63) {
-			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want a slot count in [0, 2^63))", tok)
+		if err != nil || !(slots >= 0 && slots < 1<<63) || slots != math.Trunc(slots) {
+			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want a whole slot count in [0, 2^63))", tok)
 		}
-		if name == "adaptive-timeout" && (slots < registry.AdaptiveMinSlots || slots >= registry.AdaptiveMaxSlots+1) {
+		if name == "adaptive-timeout" && (slots < registry.AdaptiveMinSlots || slots > registry.AdaptiveMaxSlots) {
 			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want an initial timeout in [%d, %d] slots)",
 				tok, registry.AdaptiveMinSlots, registry.AdaptiveMaxSlots)
 		}
-		if name == "timeout" && slots >= slotsim.IdleSaturation+1 {
+		if name == "timeout" && slots > slotsim.IdleSaturation {
 			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want a timeout of at most %d slots, the idle-slot cap: a longer one never fires)",
 				tok, slotsim.IdleSaturation)
 		}

@@ -297,7 +297,6 @@ func (p *AdaptiveTimeout) Observe(fb *slotsim.Feedback) {
 // prediction exceeds the device break-even.
 type Predictive struct {
 	r              Roles
-	alpha          float64
 	predicted      float64
 	breakEvenSlots float64
 
@@ -306,11 +305,13 @@ type Predictive struct {
 
 var _ slotsim.Learner = (*Predictive)(nil)
 
-// NewPredictive validates the smoothing factor.
-func NewPredictive(dev *device.Slotted, alpha float64) (*Predictive, error) {
-	if !(alpha > 0) || alpha > 1 {
-		return nil, fmt.Errorf("policy: predictive alpha %v out of (0,1]", alpha)
-	}
+// predictiveAlpha is the weight of the latest idle period in the
+// exponential average.
+const predictiveAlpha = 0.5
+
+// NewPredictive returns the predictor for dev, its prediction starting
+// at the break-even time.
+func NewPredictive(dev *device.Slotted) (*Predictive, error) {
 	r, err := DeriveRoles(dev.PSM)
 	if err != nil {
 		return nil, err
@@ -323,7 +324,7 @@ func NewPredictive(dev *device.Slotted, alpha float64) (*Predictive, error) {
 	if be < 1 {
 		be = 1
 	}
-	return &Predictive{r: r, alpha: alpha, breakEvenSlots: be, idleStart: -1, predicted: be}, nil
+	return &Predictive{r: r, breakEvenSlots: be, idleStart: -1, predicted: be}, nil
 }
 
 // Reset restores the freshly-constructed state: the prediction returns
@@ -359,7 +360,7 @@ func (p *Predictive) Observe(fb *slotsim.Feedback) {
 		p.idleStart = fb.Next.Slot
 	case p.idleStart >= 0 && busy:
 		actual := float64(fb.Next.Slot - p.idleStart)
-		p.predicted = p.alpha*actual + (1-p.alpha)*p.predicted
+		p.predicted = predictiveAlpha*actual + (1-predictiveAlpha)*p.predicted
 		p.idleStart = -1
 	}
 }

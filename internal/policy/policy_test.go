@@ -239,18 +239,9 @@ func TestAdaptiveTimeoutShrinksOnLongIdle(t *testing.T) {
 	}
 }
 
-func TestPredictiveValidation(t *testing.T) {
-	dev := synthDev(t)
-	for _, a := range []float64{0, -0.5, 1.5} {
-		if _, err := NewPredictive(dev, a); err == nil {
-			t.Errorf("alpha %v accepted", a)
-		}
-	}
-}
-
 func TestPredictiveSleepsOnLongIdleHistory(t *testing.T) {
 	dev := synthDev(t)
-	p, err := NewPredictive(dev, 0.5)
+	p, err := NewPredictive(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +254,7 @@ func TestPredictiveSleepsOnLongIdleHistory(t *testing.T) {
 
 func TestPredictiveAvoidsSleepUnderDenseTraffic(t *testing.T) {
 	dev := synthDev(t)
-	p, err := NewPredictive(dev, 0.5)
+	p, err := NewPredictive(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +338,7 @@ func TestPolicyNames(t *testing.T) {
 	gr, _ := NewGreedyOff(dev)
 	ft, _ := NewFixedTimeout(dev, 8)
 	at, _ := NewAdaptiveTimeout(dev, 8, 1, 64)
-	pr, _ := NewPredictive(dev, 0.5)
+	pr, _ := NewPredictive(dev)
 	names := map[string]bool{}
 	for _, p := range []slotsim.Policy{ao, gr, ft, at, pr} {
 		if p.Name() == "" {
@@ -464,13 +455,13 @@ func TestResetRestoresAdaptiveState(t *testing.T) {
 		t.Errorf("reset adaptive-timeout replay diverges from fresh")
 	}
 
-	pr, err := NewPredictive(dev, 0.5)
+	pr, err := NewPredictive(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runPolicy(t, dev, pr, 0.002, 40000, 8)
 	pr.Reset()
-	freshPr, err := NewPredictive(dev, 0.5)
+	freshPr, err := NewPredictive(dev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package qlearn implements tabular Q-learning — the algorithmic core of
 // Q-DPM — together with the standard variations the ablation studies
 // exercise: Watkins Q-learning, SARSA, double Q-learning, eligibility
-// traces (Watkins Q(λ)), ε-greedy and Boltzmann exploration, and
-// constant/harmonic/polynomial learning-rate schedules.
+// traces (Watkins Q(λ)), ε-greedy and Boltzmann exploration, and one
+// polynomial learning-rate schedule whose exponent also gives the
+// constant and harmonic rates.
 //
 // The agent is domain-agnostic: states and actions are small integers.
 // internal/core maps power-management observations onto this table. The
@@ -18,52 +19,25 @@ import (
 	"repro/internal/rng"
 )
 
-// Schedule yields the learning rate for the n-th visit of a state-action
-// pair (n >= 1).
-type Schedule interface {
-	// Alpha returns the learning rate for visit n.
-	Alpha(n int64) float64
-	// String describes the schedule.
-	String() string
-}
-
-// Constant is a fixed learning rate; the paper's choice for nonstationary
-// tracking (a constant rate never stops adapting).
-type Constant struct{ C float64 }
-
-// Alpha returns C.
-func (s Constant) Alpha(int64) float64 { return s.C }
-func (s Constant) String() string      { return fmt.Sprintf("const(%g)", s.C) }
-
-// Harmonic is α(n) = Scale/n; classical convergence schedule for
-// stationary problems.
-type Harmonic struct{ Scale float64 }
-
-// Alpha returns Scale/n.
-func (s Harmonic) Alpha(n int64) float64 { return s.Scale / float64(n) }
-func (s Harmonic) String() string        { return fmt.Sprintf("harmonic(%g)", s.Scale) }
-
-// Polynomial is α(n) = Scale/n^Omega with Omega in (0.5, 1]; the standard
-// compromise between adaptation speed and convergence.
+// Polynomial is the learning-rate schedule α(n) = Scale/n^Omega for the
+// n-th visit of a state-action pair (n >= 1). Omega 0 is the constant
+// rate Scale, the paper's choice for nonstationary tracking (a constant
+// rate never stops adapting); Omega 1 is the harmonic rate Scale/n, the
+// classical convergence schedule for stationary problems; Omega in
+// (0.5, 1) is the standard compromise between adaptation speed and
+// convergence.
 type Polynomial struct {
 	Scale float64
 	Omega float64
 }
 
-// Alpha returns Scale/n^Omega.
-func (s Polynomial) Alpha(n int64) float64 { return s.Scale / math.Pow(float64(n), s.Omega) }
-func (s Polynomial) String() string        { return fmt.Sprintf("poly(%g,ω=%g)", s.Scale, s.Omega) }
-
-// validateSchedule rejects schedules that can produce rates outside (0,1].
-func validateSchedule(s Schedule) error {
-	if s == nil {
-		return fmt.Errorf("qlearn: nil schedule")
+// Alpha returns Scale/n^Omega. A constant rate skips math.Pow, whose
+// Pow(x, 0) is 1 anyway, so the value is the same.
+func (s Polynomial) Alpha(n int64) float64 {
+	if s.Omega == 0 {
+		return s.Scale
 	}
-	a := s.Alpha(1)
-	if !(a > 0) || a > 1 {
-		return fmt.Errorf("qlearn: schedule %s yields first-visit rate %v outside (0,1]", s, a)
-	}
-	return nil
+	return s.Scale / math.Pow(float64(n), s.Omega)
 }
 
 // ---------------------------------------------------------------------------
@@ -278,14 +252,11 @@ type Config struct {
 	// Gamma is the discount factor in (0,1).
 	Gamma float64
 	// Alpha is the learning-rate schedule.
-	Alpha Schedule
+	Alpha Polynomial
 	// Explore is the exploration strategy.
 	Explore Explorer
 	// Rule selects Watkins, SARSA, or DoubleQ.
 	Rule Rule
-	// InitQ is the initial table value. Optimistic initialization
-	// (higher than any reachable return) accelerates exploration.
-	InitQ float64
 	// TraceLambda enables Watkins Q(λ) eligibility traces when > 0
 	// (Watkins rule only). Traces are replacing and are cut on
 	// exploratory actions.
@@ -312,8 +283,8 @@ type Agent struct {
 	// decision hot path allocation-free.
 	scratch []float64
 
-	// alphaMemo caches Alpha(n) for small visit counts. Schedules are
-	// pure functions of n, so the memo is value-exact; it turns the
+	// alphaMemo caches Alpha(n) for small visit counts. The schedule is
+	// a pure function of n, so the memo is value-exact; it turns the
 	// per-update math.Pow of the Polynomial schedule into a table load.
 	// Allocated once at construction (fixed size), so the update hot
 	// path stays allocation-free.
@@ -355,8 +326,9 @@ func NewAgent(cfg Config) (*Agent, error) {
 	if !(cfg.Gamma > 0) || cfg.Gamma >= 1 {
 		return nil, fmt.Errorf("qlearn: discount %v out of (0,1)", cfg.Gamma)
 	}
-	if err := validateSchedule(cfg.Alpha); err != nil {
-		return nil, err
+	// Alpha(1) is Scale whatever Omega is.
+	if r := cfg.Alpha.Scale; !(r > 0) || r > 1 {
+		return nil, fmt.Errorf("qlearn: learning-rate scale %v outside (0,1]", r)
 	}
 	if cfg.Explore == nil {
 		return nil, fmt.Errorf("qlearn: nil explorer")
@@ -377,16 +349,10 @@ func NewAgent(cfg Config) (*Agent, error) {
 	a := &Agent{cfg: cfg, q: make([]float64, n), visits: make([]int64, n),
 		alphaMemo: make([]float64, alphaMemoSize)}
 	for i := range a.alphaMemo {
-		a.alphaMemo[i] = -1 // schedules yield rates in (0,1]; -1 = unfilled
-	}
-	for i := range a.q {
-		a.q[i] = cfg.InitQ
+		a.alphaMemo[i] = -1 // rates are positive; -1 = unfilled
 	}
 	if cfg.Rule == DoubleQ {
 		a.q2 = make([]float64, n)
-		for i := range a.q2 {
-			a.q2[i] = cfg.InitQ
-		}
 	}
 	if cfg.TraceLambda > 0 {
 		a.traces = make(map[int32]float64)
@@ -394,33 +360,25 @@ func NewAgent(cfg Config) (*Agent, error) {
 	return a, nil
 }
 
-// Reset restores the agent to its freshly-constructed state — tables at
-// InitQ, visit/step/update counters zeroed, traces cleared — reusing
+// Reset restores the agent to its freshly-constructed state — tables,
+// visit/step/update counters zeroed, traces cleared — reusing
 // every buffer. A Reset agent is behaviorally bit-identical to
 // NewAgent(cfg); callers that cycle one agent through many independent
 // episodes (one fleet instance per episode) use it to keep learner
 // turnover off the allocator.
 func (a *Agent) Reset() {
 	if a.dirtyAll {
-		for i := range a.q {
-			a.q[i] = a.cfg.InitQ
-		}
-		if a.q2 != nil {
-			for i := range a.q2 {
-				a.q2[i] = a.cfg.InitQ
-			}
-		}
-		for i := range a.visits {
-			a.visits[i] = 0
-		}
+		clear(a.q)
+		clear(a.q2)
+		clear(a.visits)
 	} else {
-		// Short episodes touch a handful of pairs; restoring just those
+		// Short episodes touch a handful of pairs; zeroing just those
 		// yields the same table as the full sweep (every untouched entry
-		// still holds InitQ / zero visits).
+		// is still zero).
 		for _, i := range a.touched {
-			a.q[i] = a.cfg.InitQ
+			a.q[i] = 0
 			if a.q2 != nil {
-				a.q2[i] = a.cfg.InitQ
+				a.q2[i] = 0
 			}
 			a.visits[i] = 0
 		}

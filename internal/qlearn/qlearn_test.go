@@ -12,7 +12,7 @@ func defaultCfg() Config {
 		NumStates:  4,
 		NumActions: 2,
 		Gamma:      0.9,
-		Alpha:      Constant{C: 0.1},
+		Alpha:      Polynomial{Scale: 0.1},
 		Explore:    EpsGreedy{Eps: 0.1},
 	}
 }
@@ -30,9 +30,8 @@ func TestNewAgentValidation(t *testing.T) {
 		{"zero actions", func(c Config) Config { c.NumActions = 0; return c }},
 		{"gamma 0", func(c Config) Config { c.Gamma = 0; return c }},
 		{"gamma 1", func(c Config) Config { c.Gamma = 1; return c }},
-		{"nil schedule", func(c Config) Config { c.Alpha = nil; return c }},
-		{"alpha > 1", func(c Config) Config { c.Alpha = Constant{C: 1.5}; return c }},
-		{"alpha 0", func(c Config) Config { c.Alpha = Constant{C: 0}; return c }},
+		{"alpha > 1", func(c Config) Config { c.Alpha = Polynomial{Scale: 1.5}; return c }},
+		{"alpha 0", func(c Config) Config { c.Alpha = Polynomial{Scale: 0}; return c }},
 		{"nil explorer", func(c Config) Config { c.Explore = nil; return c }},
 		{"bad trace lambda", func(c Config) Config { c.TraceLambda = 1; return c }},
 		{"traces with sarsa", func(c Config) Config { c.Rule = SARSA; c.TraceLambda = 0.5; return c }},
@@ -45,12 +44,6 @@ func TestNewAgentValidation(t *testing.T) {
 }
 
 func TestSchedules(t *testing.T) {
-	if a := (Constant{C: 0.2}).Alpha(100); a != 0.2 {
-		t.Errorf("constant alpha %v", a)
-	}
-	if a := (Harmonic{Scale: 1}).Alpha(4); a != 0.25 {
-		t.Errorf("harmonic alpha %v", a)
-	}
 	p := Polynomial{Scale: 1, Omega: 0.5}
 	if a := p.Alpha(4); math.Abs(a-0.5) > 1e-12 {
 		t.Errorf("polynomial alpha %v", a)
@@ -59,6 +52,31 @@ func TestSchedules(t *testing.T) {
 	for n := int64(1); n < 100; n++ {
 		if p.Alpha(n+1) > p.Alpha(n) {
 			t.Fatal("polynomial schedule not monotone")
+		}
+	}
+	// Omega 0 is the constant rate C and Omega 1 the harmonic rate S/n,
+	// bit for bit, through the agent's memo (n < alphaMemoSize, asked
+	// twice so the second read is a hit) and past it.
+	visits := []int64{1, 2, 3, 7, alphaMemoSize - 1, alphaMemoSize, alphaMemoSize + 1, 12345, 2000000}
+	for _, scale := range []float64{0.1, 0.25, 0.5, 1, 1.0 / 3, 0.7} {
+		for _, omega := range []float64{0, 1} {
+			cfg := defaultCfg()
+			cfg.Alpha = Polynomial{Scale: scale, Omega: omega}
+			agent, err := NewAgent(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range visits {
+				want := scale
+				if omega == 1 {
+					want = scale / float64(n)
+				}
+				for range 2 {
+					if got := agent.alpha(n); got != want {
+						t.Fatalf("Polynomial{%v, %v} at n=%d: alpha %v, want %v", scale, omega, n, got, want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -140,6 +158,26 @@ func TestBoltzmannPrefersHigherQ(t *testing.T) {
 	want := math.Exp(2) / (1 + math.Exp(2))
 	if f := float64(hi) / n; math.Abs(f-want) > 0.01 {
 		t.Errorf("boltzmann P(hi) = %v, want %v", f, want)
+	}
+}
+
+// TestBoltzmannTemperatureDecay pins T(t) = max(MinTemp, Temp·e^(−t/τ))
+// at the start, after one time constant and past the floor, and a
+// constant T when τ is unset.
+func TestBoltzmannTemperatureDecay(t *testing.T) {
+	b := Boltzmann{Temp: 2, MinTemp: 0.05, DecayTau: 30000}
+	if got := b.temperature(0); got != 2 {
+		t.Errorf("T(0) = %v, want 2", got)
+	}
+	if got, want := b.temperature(30000), 2*math.Exp(-1); got != want {
+		t.Errorf("T(τ) = %v, want %v", got, want)
+	}
+	// 2·e^(−4) ≈ 0.037 is below the floor.
+	if got := b.temperature(120000); got != 0.05 {
+		t.Errorf("T(4τ) = %v, want the 0.05 floor", got)
+	}
+	if got := (Boltzmann{Temp: 2, MinTemp: 0.05}).temperature(1e9); got != 2 {
+		t.Errorf("undecayed T = %v, want 2", got)
 	}
 }
 
@@ -271,7 +309,7 @@ func TestTracesAccelerateSparseReward(t *testing.T) {
 	run := func(lambda float64, steps int) float64 {
 		cfg := Config{
 			NumStates: 5, NumActions: 1, Gamma: 0.9,
-			Alpha:       Constant{C: 0.2},
+			Alpha:       Polynomial{Scale: 0.2},
 			Explore:     EpsGreedy{Eps: 0},
 			TraceLambda: lambda,
 		}
@@ -306,7 +344,7 @@ func TestSMDPElapsedDiscount(t *testing.T) {
 	// A 3-slot transition must discount the bootstrap by γ³.
 	cfg := Config{
 		NumStates: 2, NumActions: 1, Gamma: 0.5,
-		Alpha:   Constant{C: 1}, // full overwrite for exactness
+		Alpha:   Polynomial{Scale: 1}, // full overwrite for exactness
 		Explore: EpsGreedy{Eps: 0},
 	}
 	agent, _ := NewAgent(cfg)
@@ -334,7 +372,7 @@ func TestUpdateComponentUsesOwnVisitRate(t *testing.T) {
 	// second by half of that; another pair starts again at its first.
 	agent, _ := NewAgent(Config{
 		NumStates: 2, NumActions: 1, Gamma: 0.5,
-		Alpha: Harmonic{Scale: 1}, Explore: EpsGreedy{Eps: 0},
+		Alpha: Polynomial{Scale: 1, Omega: 1}, Explore: EpsGreedy{Eps: 0},
 	})
 	agent.UpdateComponent(0, 0, 0.5, 4)
 	agent.UpdateComponent(0, 0, 0.5, 4)
@@ -369,15 +407,6 @@ func TestSelectActionEmptyLegalPanics(t *testing.T) {
 	agent.SelectAction(0, nil, rng.New(1))
 }
 
-func TestOptimisticInit(t *testing.T) {
-	cfg := defaultCfg()
-	cfg.InitQ = 5
-	agent, _ := NewAgent(cfg)
-	if agent.Q(3, 1) != 5 {
-		t.Errorf("InitQ not applied: %v", agent.Q(3, 1))
-	}
-}
-
 func TestBytesFootprint(t *testing.T) {
 	cfg := defaultCfg() // 4 states × 2 actions
 	agent, _ := NewAgent(cfg)
@@ -408,7 +437,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	mk := func() *Agent {
 		return runToy(t, Config{
 			NumStates: 2, NumActions: 2, Gamma: 0.5,
-			Alpha:   Constant{C: 0.1},
+			Alpha:   Polynomial{Scale: 0.1},
 			Explore: EpsGreedy{Eps: 0.2},
 		}, 5000, 99)
 	}
@@ -426,7 +455,7 @@ func BenchmarkQStep(b *testing.B) {
 	// One decision + one update: the paper's entire per-interval runtime.
 	agent, err := NewAgent(Config{
 		NumStates: 99, NumActions: 3, Gamma: 0.95,
-		Alpha:   Constant{C: 0.1},
+		Alpha:   Polynomial{Scale: 0.1},
 		Explore: EpsGreedy{Eps: 0.05},
 	})
 	if err != nil {
@@ -447,11 +476,11 @@ func BenchmarkQStep(b *testing.B) {
 // agent's first — and allocates nothing.
 func TestResetBitIdenticalToFresh(t *testing.T) {
 	for _, cfg := range []Config{
-		{NumStates: 4, NumActions: 3, Gamma: 0.9, Alpha: Constant{C: 0.1},
-			Explore: EpsGreedy{Eps: 0.2}, InitQ: 0.5},
-		{NumStates: 4, NumActions: 3, Gamma: 0.9, Alpha: Constant{C: 0.1},
+		{NumStates: 4, NumActions: 3, Gamma: 0.9, Alpha: Polynomial{Scale: 0.1},
+			Explore: EpsGreedy{Eps: 0.2}},
+		{NumStates: 4, NumActions: 3, Gamma: 0.9, Alpha: Polynomial{Scale: 0.1},
 			Explore: EpsGreedy{Eps: 0.2}, Rule: DoubleQ},
-		{NumStates: 4, NumActions: 3, Gamma: 0.9, Alpha: Constant{C: 0.1},
+		{NumStates: 4, NumActions: 3, Gamma: 0.9, Alpha: Polynomial{Scale: 0.1},
 			Explore: EpsGreedy{Eps: 0.2}, TraceLambda: 0.5},
 	} {
 		reused, err := NewAgent(cfg)

@@ -121,7 +121,6 @@ func AdaptiveLP(optimizeLatencySlots int) func(Args) (slotsim.Policy, error) {
 			QueueCap:             a.QueueCap,
 			LatencyWeight:        a.LatencyWeight,
 			InitialRate:          a.Rate,
-			Window:               512,
 			OptimizeLatencySlots: optimizeLatencySlots,
 			Stream:               a.Stream,
 		})
@@ -174,7 +173,7 @@ var entries = []Entry{
 			return policy.NewAdaptiveTimeout(a.Device, a.TimeoutSlots, AdaptiveMinSlots, AdaptiveMaxSlots)
 		}},
 	{Name: "predictive", maxQueueCap: ringCap,
-		build: func(a Args) (slotsim.Policy, error) { return policy.NewPredictive(a.Device, 0.5) }},
+		build: func(a Args) (slotsim.Policy, error) { return policy.NewPredictive(a.Device) }},
 }
 
 // Names returns every registered policy name.

@@ -112,35 +112,31 @@ func TestChannelToggleRacesPendingGrant(t *testing.T) {
 }
 
 // TestGatewayOutageRejectsAndResumes: a down gateway rejects every
-// request with DropOutage (even with free servers and wait room),
-// releases inside the window free servers without granting, and the
-// window's end drains parked waiters FIFO into every server that freed
-// during it — multiple grants at one instant.
+// request with DropOutage (even with a free server and wait room), a
+// release inside the window frees the server without granting, and the
+// window's end grants the head waiter.
 func TestGatewayOutageRejectsAndResumes(t *testing.T) {
-	gw := NewGateway(2, 4)
-	cs := clients(6)
+	gw := NewGateway(4)
+	cs := clients(5)
 	gw.RequestService(0, cs[0])
-	gw.RequestService(0, cs[1])
+	gw.RequestService(0, cs[1]) // Wait
 	gw.RequestService(0, cs[2]) // Wait
-	gw.RequestService(0, cs[3]) // Wait
 	gw.SetDown(true, 1)
-	if got := gw.RequestService(2, cs[4]); got != ctsim.DropOutage {
+	if got := gw.RequestService(2, cs[3]); got != ctsim.DropOutage {
 		t.Fatalf("request during outage: got %v, want DropOutage", got)
 	}
 	gw.ReleaseService(3, cs[0])
-	gw.ReleaseService(3, cs[1])
-	if len(cs[2].grants)+len(cs[3].grants) != 0 {
+	if len(cs[1].grants)+len(cs[2].grants) != 0 {
 		t.Fatal("down gateway granted a waiter on release")
 	}
 	gw.SetDown(false, 4)
-	if len(cs[2].grants) != 1 || cs[2].grants[0] != 4 ||
-		len(cs[3].grants) != 1 || cs[3].grants[0] != 4 {
-		t.Fatalf("window end did not drain both freed servers: %v %v",
-			cs[2].grants, cs[3].grants)
+	if len(cs[1].grants) != 1 || cs[1].grants[0] != 4 || len(cs[2].grants) != 0 {
+		t.Fatalf("window end did not grant the head waiter alone: %v %v",
+			cs[1].grants, cs[2].grants)
 	}
-	// Both servers are busy again: the next request waits, not grants.
-	if got := gw.RequestService(5, cs[5]); got != ctsim.Wait {
-		t.Fatalf("post-drain request: got %v, want Wait", got)
+	// The server is busy again: the next request waits, not grants.
+	if got := gw.RequestService(5, cs[4]); got != ctsim.Wait {
+		t.Fatalf("post-window request: got %v, want Wait", got)
 	}
 }
 
@@ -149,7 +145,7 @@ func TestGatewayOutageRejectsAndResumes(t *testing.T) {
 // only a request landing exactly between the two toggles sees
 // DropOutage.
 func TestGatewayZeroDurationOutage(t *testing.T) {
-	gw := NewGateway(1, 2)
+	gw := NewGateway(2)
 	cs := clients(3)
 	gw.RequestService(0, cs[0])
 	gw.RequestService(0, cs[1]) // Wait
@@ -182,8 +178,8 @@ func TestPowerBudgetBrownoutFractionOne(t *testing.T) {
 		t.Fatal("frac=1 brownout admitted an overrun")
 	}
 	p.SetDown(false, 3)
-	if p.UsedW() != 10 {
-		t.Fatalf("UsedW = %v, want 10", p.UsedW())
+	if p.usedW != 10 {
+		t.Fatalf("usedW = %v, want 10", p.usedW)
 	}
 }
 
@@ -210,8 +206,8 @@ func TestPowerBudgetBrownoutWindow(t *testing.T) {
 	p.SetBrownoutFrac(0.5)
 	p.Register(6) // above the browned-out cap of 5
 	p.SetDown(true, 0)
-	if p.UsedW() != 6 {
-		t.Fatalf("brownout evicted standing draw: UsedW = %v", p.UsedW())
+	if p.usedW != 6 {
+		t.Fatalf("brownout evicted standing draw: usedW = %v", p.usedW)
 	}
 	if p.AllowTransition(1, nil, 0.5) {
 		t.Fatal("upward transition admitted above the browned-out cap")
@@ -230,7 +226,7 @@ func TestPowerBudgetBrownoutWindow(t *testing.T) {
 	if !p.AllowTransition(6, nil, 5) {
 		t.Fatal("full cap not restored after the window")
 	}
-	if p.UsedW() != 10 {
-		t.Fatalf("UsedW = %v, want 10", p.UsedW())
+	if p.usedW != 10 {
+		t.Fatalf("usedW = %v, want 10", p.usedW)
 	}
 }

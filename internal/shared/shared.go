@@ -1,9 +1,9 @@
 // Package shared implements the resources a coupled fleet group
 // contends for: a single-occupancy channel (one device's service
-// occupies the medium), a bounded gateway queue (limited concurrent
-// service plus a finite wait room, overflow dropped), and a
-// rate-limited power budget (a cap on the group's summed settled-state
-// power that vetoes upward transitions). Each satisfies
+// occupies the medium), a bounded gateway queue (one server plus a
+// finite wait room, overflow dropped), and a rate-limited power budget
+// (a cap on the group's summed settled-state power that vetoes upward
+// transitions). Each satisfies
 // ctsim.Resource; one instance is attached to every sim of a coupled
 // group via ctsim.Config.Resource and arbitrates their service starts
 // and power commands on the group's shared event kernel.
@@ -119,53 +119,48 @@ func (c *Channel) AllowTransition(now float64, g ctsim.ResourceClient, deltaPowe
 	return true
 }
 
-// Gateway is a bounded queue feeding shared downstream capacity: up to
-// Servers devices serve concurrently, up to WaitCap more wait FIFO,
-// and requests beyond that are dropped (counted by the requester in
-// Metrics.ResourceDrops). Power commands are never vetoed.
+// Gateway is one server fed by a bounded queue: one device serves at a
+// time, up to WaitCap more wait FIFO, and requests beyond that are
+// dropped (counted by the requester in Metrics.ResourceDrops). Power
+// commands are never vetoed.
 //
 // During an outage window (SetDown — the gateway is unreachable) every
-// request is rejected with ctsim.DropOutage, in-flight services finish
-// without granting waiters, and parked waiters resume in FIFO order
-// when the window ends.
+// request is rejected with ctsim.DropOutage, an in-flight service
+// finishes without granting a waiter, and parked waiters resume in
+// FIFO order when the window ends.
 type Gateway struct {
-	servers int
 	waitCap int
-	busy    int
+	busy    bool
 	down    bool
 	waiters queue.Ring[ctsim.ResourceClient]
 }
 
-// NewGateway returns an idle gateway with the given concurrent-service
-// capacity and wait-room bound. Both must be at least zero and servers
-// at least one.
-func NewGateway(servers, waitCap int) *Gateway {
-	if servers < 1 {
-		panic(fmt.Sprintf("shared: NewGateway servers %d < 1", servers))
-	}
+// NewGateway returns an idle gateway with the given wait-room bound,
+// which must be at least zero.
+func NewGateway(waitCap int) *Gateway {
 	if waitCap < 0 {
 		panic(fmt.Sprintf("shared: NewGateway waitCap %d < 0", waitCap))
 	}
-	return &Gateway{servers: servers, waitCap: waitCap}
+	return &Gateway{waitCap: waitCap}
 }
 
 // Reset returns the gateway to the freshly constructed idle state,
 // keeping the wait queue's capacity for reuse.
 func (gw *Gateway) Reset() {
-	gw.busy = 0
+	gw.busy = false
 	gw.down = false
 	gw.waiters.Reset(0)
 }
 
-// RequestService grants while a server is free, queues while the wait
-// room has space, and drops otherwise. During an outage window every
-// request is rejected as DropOutage.
+// RequestService grants while the server is free, queues while the
+// wait room has space, and drops otherwise. During an outage window
+// every request is rejected as DropOutage.
 func (gw *Gateway) RequestService(now float64, g ctsim.ResourceClient) ctsim.Verdict {
 	if gw.down {
 		return ctsim.DropOutage
 	}
-	if gw.busy < gw.servers {
-		gw.busy++
+	if !gw.busy {
+		gw.busy = true
 		return ctsim.Grant
 	}
 	if gw.waiters.Len() < gw.waitCap {
@@ -175,26 +170,24 @@ func (gw *Gateway) RequestService(now float64, g ctsim.ResourceClient) ctsim.Ver
 	return ctsim.Drop
 }
 
-// ReleaseService frees a server and synchronously grants the head
+// ReleaseService frees the server and synchronously grants the head
 // waiter, if any. During an outage the server frees without granting;
-// SetDown(false) drains the queue.
+// SetDown(false) resumes the queue.
 func (gw *Gateway) ReleaseService(now float64, g ctsim.ResourceClient) {
 	if gw.waiters.Len() > 0 && !gw.down {
 		gw.waiters.Pop().ResourceGranted(now)
 		return
 	}
-	gw.busy--
+	gw.busy = false
 }
 
 // SetDown implements Outageable: gateway downtime. Ending the window
-// grants parked waiters FIFO into the servers that freed during it.
+// grants the head waiter if the server freed during it.
 func (gw *Gateway) SetDown(down bool, now float64) {
 	gw.down = down
-	if !down {
-		for gw.busy < gw.servers && gw.waiters.Len() > 0 {
-			gw.busy++
-			gw.waiters.Pop().ResourceGranted(now)
-		}
+	if !down && !gw.busy && gw.waiters.Len() > 0 {
+		gw.busy = true
+		gw.waiters.Pop().ResourceGranted(now)
 	}
 }
 
@@ -269,12 +262,6 @@ func (p *PowerBudget) SetDown(down bool, now float64) { p.down = down }
 func (p *PowerBudget) Register(initialPowerW float64) {
 	p.usedW += initialPowerW
 }
-
-// CapW returns the configured cap in watts.
-func (p *PowerBudget) CapW() float64 { return p.capW }
-
-// UsedW returns the currently accounted settled-state draw in watts.
-func (p *PowerBudget) UsedW() float64 { return p.usedW }
 
 // RequestService always grants: the budget does not arbitrate the
 // medium.

@@ -95,35 +95,33 @@ func TestChannelResetIsFresh(t *testing.T) {
 }
 
 func TestGatewayGrantWaitDrop(t *testing.T) {
-	gw := NewGateway(2, 2)
-	cs := clients(6)
-	for i := 0; i < 2; i++ {
-		if got := gw.RequestService(0, cs[i]); got != ctsim.Grant {
-			t.Fatalf("server slot %d: got %v, want Grant", i, got)
-		}
+	gw := NewGateway(2)
+	cs := clients(5)
+	if got := gw.RequestService(0, cs[0]); got != ctsim.Grant {
+		t.Fatalf("idle server: got %v, want Grant", got)
 	}
-	for i := 2; i < 4; i++ {
+	for i := 1; i < 3; i++ {
 		if got := gw.RequestService(0, cs[i]); got != ctsim.Wait {
 			t.Fatalf("wait slot %d: got %v, want Wait", i, got)
 		}
 	}
-	for i := 4; i < 6; i++ {
+	for i := 3; i < 5; i++ {
 		if got := gw.RequestService(0, cs[i]); got != ctsim.Drop {
 			t.Fatalf("overflow %d: got %v, want Drop", i, got)
 		}
 	}
 	gw.ReleaseService(1, cs[0])
-	if len(cs[2].grants) != 1 {
-		t.Fatalf("head waiter not granted on release: %v", cs[2].grants)
+	if len(cs[1].grants) != 1 {
+		t.Fatalf("head waiter not granted on release: %v", cs[1].grants)
 	}
-	// A freed slot went to the waiter, so a new request still waits.
-	if got := gw.RequestService(2, cs[4]); got != ctsim.Wait {
+	// The freed server went to the waiter, so a new request still waits.
+	if got := gw.RequestService(2, cs[3]); got != ctsim.Wait {
 		t.Fatalf("request after handoff: got %v, want Wait", got)
 	}
 }
 
 func TestGatewayZeroWaitCapDropsImmediately(t *testing.T) {
-	gw := NewGateway(1, 0)
+	gw := NewGateway(0)
 	cs := clients(2)
 	gw.RequestService(0, cs[0])
 	if got := gw.RequestService(0, cs[1]); got != ctsim.Drop {
@@ -132,7 +130,7 @@ func TestGatewayZeroWaitCapDropsImmediately(t *testing.T) {
 }
 
 func TestGatewayResetIsFresh(t *testing.T) {
-	gw := NewGateway(1, 1)
+	gw := NewGateway(1)
 	cs := clients(3)
 	gw.RequestService(0, cs[0])
 	gw.RequestService(0, cs[1])
@@ -150,8 +148,8 @@ func TestPowerBudgetVetoesOverrun(t *testing.T) {
 	p := NewPowerBudget(5)
 	p.Register(2)
 	p.Register(1)
-	if p.UsedW() != 3 {
-		t.Fatalf("UsedW = %v, want 3", p.UsedW())
+	if p.usedW != 3 {
+		t.Fatalf("usedW = %v, want 3", p.usedW)
 	}
 	if !p.AllowTransition(0, nil, 2) {
 		t.Fatal("transition to exactly the cap was vetoed")
@@ -159,8 +157,8 @@ func TestPowerBudgetVetoesOverrun(t *testing.T) {
 	if p.AllowTransition(1, nil, 0.5) {
 		t.Fatal("overrun was admitted")
 	}
-	if p.UsedW() != 5 {
-		t.Fatalf("vetoed transition changed UsedW: %v", p.UsedW())
+	if p.usedW != 5 {
+		t.Fatalf("vetoed transition changed usedW: %v", p.usedW)
 	}
 	// Downward transitions always pass and return headroom.
 	if !p.AllowTransition(2, nil, -3) {
@@ -187,8 +185,8 @@ func TestPowerBudgetResetReconfigures(t *testing.T) {
 	p := NewPowerBudget(5)
 	p.Register(4)
 	p.Reset(2)
-	if p.CapW() != 2 || p.UsedW() != 0 {
-		t.Fatalf("after Reset(2): cap=%v used=%v", p.CapW(), p.UsedW())
+	if p.capW != 2 || p.usedW != 0 {
+		t.Fatalf("after Reset(2): cap=%v used=%v", p.capW, p.usedW)
 	}
 }
 

@@ -82,10 +82,6 @@ func (s *QuantileSketch) Max() float64 {
 	return s.max
 }
 
-// Bins returns the number of allocated bin counters — the sketch's
-// memory footprint in 8-byte words, up to the fixed header.
-func (s *QuantileSketch) Bins() int { return len(s.counts) }
-
 // key maps a value > MinTracked to its bin: values in
 // (gamma^(k-1), gamma^k] share key k.
 func (s *QuantileSketch) key(x float64) int {

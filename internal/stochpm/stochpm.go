@@ -360,6 +360,15 @@ func (p *LPPolicy) Decide(obs slotsim.Observation) device.StateID {
 // ---------------------------------------------------------------------------
 // Adaptive model-based pipeline
 
+// The adaptive controller's estimator and detector settings: the sliding
+// estimation window in slots, and the CUSUM mode-switch detector's slack
+// and alarm threshold.
+const (
+	window         = 512
+	cusumSlack     = 0.05
+	cusumThreshold = 6
+)
+
 // AdaptiveConfig assembles the full model-based adaptive power manager:
 // estimator → change detector → re-optimization, the pipeline whose
 // overhead Q-DPM eliminates.
@@ -372,11 +381,6 @@ type AdaptiveConfig struct {
 	LatencyWeight float64
 	// InitialRate seeds the first model before any observation.
 	InitialRate float64
-	// Window is the sliding estimation window in slots (default 512).
-	Window int
-	// CUSUMSlack and CUSUMThreshold tune the mode-switch detector
-	// (defaults 0.05 and 6).
-	CUSUMSlack, CUSUMThreshold float64
 	// OptimizeLatencySlots models the wall-clock the re-optimization
 	// takes on the managed node: after a change fires, the old policy
 	// stays in force for this many slots (default 0 = free).
@@ -398,9 +402,9 @@ type Adaptive struct {
 	slot   int64
 	// memo maps each clamped rate re-solved so far to the policy that
 	// re-solve installed. Re-solves happen at most once a slot and at the
-	// estimate sum/n, which is k/Window once the window has filled, so
-	// the map holds at most 2·Window+1 entries: the initial rate, at most
-	// Window−1 rates from the filling window and Window+1 after.
+	// estimate sum/n, which is k/window once the window has filled, so
+	// the map holds at most 2·window+1 entries: the initial rate, at most
+	// window−1 rates from the filling window and window+1 after.
 	memo map[float64]resolved
 
 	// Resolves counts re-solves, the first solve included, whether the
@@ -437,28 +441,16 @@ func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) {
 	if cfg.InitialRate < 0 || cfg.InitialRate > 1 || math.IsNaN(cfg.InitialRate) {
 		return nil, fmt.Errorf("stochpm: initial rate %v out of [0,1]", cfg.InitialRate)
 	}
-	if cfg.Window == 0 {
-		cfg.Window = 512
-	}
-	if cfg.Window < 0 {
-		return nil, fmt.Errorf("stochpm: negative window %d", cfg.Window)
-	}
-	if cfg.CUSUMSlack == 0 {
-		cfg.CUSUMSlack = 0.05
-	}
-	if cfg.CUSUMThreshold == 0 {
-		cfg.CUSUMThreshold = 6
-	}
 	if cfg.OptimizeLatencySlots < 0 {
 		return nil, fmt.Errorf("stochpm: negative optimize latency %d", cfg.OptimizeLatencySlots)
 	}
 	a := &Adaptive{cfg: cfg, pendAt: -1, memo: make(map[float64]resolved)}
 	var err error
-	a.est, err = estimator.NewWindowRate(cfg.Window)
+	a.est, err = estimator.NewWindowRate(window)
 	if err != nil {
 		return nil, err
 	}
-	a.det, err = estimator.NewCUSUM(cfg.InitialRate, cfg.CUSUMSlack, cfg.CUSUMThreshold)
+	a.det, err = estimator.NewCUSUM(cfg.InitialRate, cusumSlack, cusumThreshold)
 	if err != nil {
 		return nil, err
 	}

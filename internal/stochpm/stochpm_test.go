@@ -201,7 +201,6 @@ func TestAdaptiveValidation(t *testing.T) {
 		func(c AdaptiveConfig) AdaptiveConfig { c.Stream = nil; return c },
 		func(c AdaptiveConfig) AdaptiveConfig { c.InitialRate = -1; return c },
 		func(c AdaptiveConfig) AdaptiveConfig { c.InitialRate = 2; return c },
-		func(c AdaptiveConfig) AdaptiveConfig { c.Window = -1; return c },
 		func(c AdaptiveConfig) AdaptiveConfig { c.OptimizeLatencySlots = -1; return c },
 	}
 	for i, mut := range bad {
@@ -221,7 +220,7 @@ func TestAdaptiveResolvesOnShift(t *testing.T) {
 	dev, _ := device.Synthetic3().Slot(0.5)
 	a, err := NewAdaptive(AdaptiveConfig{
 		Device: dev, QueueCap: 6, LatencyWeight: 0.3,
-		InitialRate: 0.05, Window: 256, Stream: rng.New(21),
+		InitialRate: 0.05, Stream: rng.New(21),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +254,7 @@ func TestAdaptiveOptimizeLatencyDelaysResolve(t *testing.T) {
 	mk := func(latency int, seed uint64) int64 {
 		a, err := NewAdaptive(AdaptiveConfig{
 			Device: dev, QueueCap: 6, LatencyWeight: 0.3,
-			InitialRate: 0.05, Window: 256,
+			InitialRate:          0.05,
 			OptimizeLatencySlots: latency, Stream: rng.New(seed),
 		})
 		if err != nil {
