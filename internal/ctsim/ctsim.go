@@ -555,7 +555,11 @@ func (s *Sim) apply(cfg Config) error {
 	// The first decision fires before any time-0 arrival: it is scheduled
 	// first, and the kernel breaks ties FIFO.
 	if s.periodic() {
-		if _, err := s.k.Schedule(0, s.hTick); err != nil {
+		// Ticks ride the kernel's FIFO lane: each tick schedules the
+		// next at now + DecisionPeriod, so on a kernel whose governors
+		// share one period the pushes come in time order and none
+		// needs a heap insertion.
+		if err := s.k.ScheduleTail(0, s.hTick); err != nil {
 			return err
 		}
 	} else {
@@ -599,8 +603,13 @@ func (s *Sim) SetHorizonHint(h float64) {
 }
 
 // Run advances the simulation to the given time. It may be called
-// repeatedly with growing horizons; metrics accumulate.
+// repeatedly with growing horizons; metrics accumulate. A NaN limit is
+// an error: it would slip past both bounds checks below, and a periodic
+// governor would then never stop.
 func (s *Sim) Run(until float64) error {
+	if math.IsNaN(until) {
+		return fmt.Errorf("ctsim: horizon %v is not a number", until)
+	}
 	if until < s.k.Now() {
 		return fmt.Errorf("ctsim: horizon %v precedes current time %v", until, s.k.Now())
 	}
@@ -621,6 +630,9 @@ func (s *Sim) Run(until float64) error {
 func (s *Sim) RunChunked(ctx context.Context, horizon, chunk float64) error {
 	if !(chunk > 0) {
 		return fmt.Errorf("ctsim: chunk %v must be positive", chunk)
+	}
+	if math.IsNaN(horizon) { // no chunk would ever reach it
+		return fmt.Errorf("ctsim: horizon %v is not a number", horizon)
 	}
 	for until := s.k.Now() + chunk; ; until += chunk {
 		if until > horizon {
@@ -974,7 +986,7 @@ func (s *Sim) tick(now float64) {
 	}
 	s.openEpoch()
 	if next := now + per; next <= s.hardHorizon {
-		s.k.Schedule(next, s.hTick)
+		s.k.ScheduleTail(next, s.hTick)
 	}
 }
 

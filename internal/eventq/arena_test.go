@@ -1,13 +1,15 @@
 package eventq
 
-// White-box tests for the pooled indexed heap: equivalence against a
-// reference container/heap kernel under random Schedule/Cancel/fire
-// interleavings, free-list reuse (steady state grows no arena), tie-break
-// determinism, and stale-Ref safety across slot reuse.
+// White-box tests for the pooled indexed heap and the tick lane:
+// equivalence against a reference container/heap kernel under random
+// Schedule/ScheduleTail/Cancel/fire interleavings, free-list reuse
+// (steady state grows no arena), tie-break determinism, and stale-Ref
+// safety across slot reuse.
 
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -82,11 +84,12 @@ func (r *refKernel) fire() (float64, int) {
 }
 
 // TestArenaMatchesReferenceHeap drives the production kernel and the
-// reference kernel through the same random interleaving of schedules,
-// cancels, and fires, and requires identical fire sequences (time and
-// event identity). This is the load-bearing equivalence test: it pins the
-// (time, seq) total order — and therefore every downstream trajectory —
-// to the pre-arena kernel's. The "heap" subtest names the backing.
+// reference kernel through the same random interleaving of schedules
+// (through Schedule and ScheduleTail), cancels, and fires, and requires
+// identical fire sequences (time and event identity). This is the
+// load-bearing equivalence test: it pins the (time, seq) total order —
+// and therefore every downstream trajectory — to the pre-arena
+// kernel's. The "heap" subtest names the backing.
 func TestArenaMatchesReferenceHeap(t *testing.T) {
 	t.Run("heap", func(t *testing.T) {
 		once := func(seed uint64) bool { return matchesReference(400, rng.New(seed).Float64) == nil }
@@ -122,10 +125,14 @@ func FuzzKernelOrder(f *testing.F) {
 // cancels and fires on the production kernel and the reference kernel
 // alike, then drains both. next supplies each choice, a value in [0, 1).
 // Every handler draws further ops from next until it draws a value below
-// 0.5: schedule an event (offset 0 is a same-instant tie), cancel a live
-// event, check Len, Pending and TimeOf against the reference, or fire the
-// next event with a nested Step. So the kernel is judged on handlers
-// that reschedule in place, schedule nothing, and reenter Step. It
+// 0.5: schedule an event (offset 0 is a same-instant tie) through
+// Schedule or ScheduleTail, cancel a live event, check Len, Pending and
+// TimeOf against the reference, or fire the next event with a nested
+// Step. So the kernel is judged on handlers that reschedule in place,
+// schedule nothing, push to the lane, and reenter Step. Tail times are
+// random offsets from now, so about half the pushes fall below the
+// lane's last time and take the heap, and integer times tie lane events
+// with heap events. The reference heap holds every event alike. It
 // returns an error when the fire sequences (time and event identity),
 // an in-handler check, or the kernel's fire count diverge.
 func matchesReference(ops int, next func() float64) error {
@@ -137,7 +144,8 @@ func matchesReference(ops int, next func() float64) error {
 		re *refEvent
 	}
 	var live []livePair
-	var refs []Ref // by event id
+	var tails []int // ids of pending ScheduleTail events, never canceled
+	var refs []Ref  // by event id; zero for ScheduleTail events
 	var gotT, wantT []float64
 	var gotID, wantID []int
 	var failed error
@@ -151,7 +159,7 @@ func matchesReference(ops int, next func() float64) error {
 	budget := 2*ops + 16
 	depth := 0
 
-	var schedule func(offset int)
+	var schedule func(offset int, tail bool)
 	var fireOne func() bool
 	cancel := func() { // a random live event
 		i := int(next() * float64(len(live)))
@@ -170,15 +178,17 @@ func matchesReference(ops int, next func() float64) error {
 				}
 				budget--
 				switch {
+				case v < 0.6:
+					schedule(int(next()*8), false)
 				case v < 0.65:
-					schedule(int(next() * 8))
+					schedule(int(next()*8), true)
 				case v < 0.75:
 					if len(live) > 0 {
 						cancel()
 					}
 				case v < 0.85:
-					if n := k.Len(); n != len(live) {
-						fail("event %d: Len %d inside its handler, reference %d", id, n, len(live))
+					if n := k.Len(); n != len(live)+len(tails) {
+						fail("event %d: Len %d inside its handler, reference %d", id, n, len(live)+len(tails))
 					}
 					if k.Pending(refs[id]) {
 						fail("event %d: pending inside its own handler", id)
@@ -199,10 +209,20 @@ func matchesReference(ops int, next func() float64) error {
 			}
 		}
 	}
-	schedule = func(offset int) {
+	schedule = func(offset int, tail bool) {
 		// Coarse times force heavy ties; the tie-break must match.
 		tt := k.Now() + float64(offset)
 		id := len(refs)
+		if tail {
+			if err := k.ScheduleTail(tt, handler(id)); err != nil {
+				fail("schedule tail at %v: %v", tt, err)
+				return
+			}
+			refs = append(refs, Ref{})
+			tails = append(tails, id)
+			ref.schedule(tt, id)
+			return
+		}
 		r, err := k.Schedule(tt, handler(id))
 		if err != nil {
 			fail("schedule at %v: %v", tt, err)
@@ -218,13 +238,16 @@ func matchesReference(ops int, next func() float64) error {
 		if wid >= 0 {
 			wantT = append(wantT, wt)
 			wantID = append(wantID, wid)
-			// Drop the fired event from the live set (ids are unique)
-			// before its handler runs and probes the set.
+			// Drop the fired event from the live or tail set (ids are
+			// unique) before its handler runs and probes the sets.
 			for i := range live {
 				if live[i].re.id == wid {
 					live = append(live[:i], live[i+1:]...)
 					break
 				}
+			}
+			if i := slices.Index(tails, wid); i >= 0 {
+				tails = slices.Delete(tails, i, i+1)
 			}
 		}
 		if fired := k.Step(); (wid >= 0) != fired {
@@ -235,8 +258,10 @@ func matchesReference(ops int, next func() float64) error {
 
 	for op := 0; op < ops && failed == nil; op++ {
 		switch v := next(); {
+		case v < 0.4:
+			schedule(int(next()*8), false)
 		case v < 0.55:
-			schedule(int(next() * 8))
+			schedule(int(next()*8), true)
 		case v < 0.75 && len(live) > 0:
 			cancel()
 		default:
@@ -287,6 +312,25 @@ func TestFreeListReuse(t *testing.T) {
 		t.Errorf("self-rescheduling chain grew the arena to %d slots, want 1 (free-list reuse)", len(k.arena))
 	}
 
+	// The same through the lane: each fire releases the slot that its
+	// handler's ScheduleTail takes back.
+	kt := New()
+	n = 0
+	var lane Handler
+	lane = func(now float64) {
+		n++
+		if n < 10000 {
+			kt.ScheduleTail(now+1, lane)
+		}
+	}
+	kt.ScheduleTail(1, lane)
+	if err := kt.Run(20000); err != nil {
+		t.Fatal(err)
+	}
+	if n != 10000 || kt.lane.Len() != 0 || len(kt.arena) != 1 {
+		t.Errorf("lane chain: fired %d, lane %d, arena %d slots; want 10000, 0, 1", n, kt.lane.Len(), len(kt.arena))
+	}
+
 	// Churn: 4 concurrent timers repeatedly canceled and rescheduled.
 	k2 := New()
 	refs := make([]Ref, 4)
@@ -303,11 +347,17 @@ func TestFreeListReuse(t *testing.T) {
 		t.Errorf("cancel/reschedule churn grew the arena %d → %d slots", high, len(k2.arena))
 	}
 
-	// The steady-state loop performs no heap allocations.
+	// The steady-state loop performs no heap allocations, with lane
+	// ticks (a coupled group's eight same-time ticks, each pushed at
+	// now + 1) pending beside the heap chain.
 	k3 := New()
-	var spin Handler
-	spin = func(now float64) { k3.After(1, spin) }
+	var spin, tick8 Handler
+	spin = func(now float64) { k3.After(0.7, spin) }
+	tick8 = func(now float64) { k3.ScheduleTail(now+1, tick8) }
 	k3.After(1, spin)
+	for range 8 {
+		k3.ScheduleTail(0, tick8)
+	}
 	avg := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 1000; i++ {
 			k3.Step()

@@ -1,6 +1,6 @@
 // Package eventq implements a discrete-event simulation kernel: a future
-// event list with stable FIFO tie-breaking, a simulation clock, and event
-// cancellation.
+// event list with stable FIFO tie-breaking, a simulation clock, event
+// cancellation, and a FIFO lane for periodic events.
 //
 // The slotted Q-DPM experiments use a fixed timebase, but trace generation
 // and the continuous-time validation path need true event-driven
@@ -24,7 +24,7 @@
 //     allocates nothing per event.
 //   - Each event records its own heap position, which makes Cancel a true
 //     O(log n) removal — no lazy deletion, no tombstones to sweep, and
-//     Pending is simply the heap length.
+//     Len is exact.
 //   - A 4-ary layout halves the tree depth of a binary heap and keeps the
 //     children of a node in one cache line of the index slice; ordering is
 //     by (time, seq) with seq a schedule-order counter, so simultaneous
@@ -39,6 +39,24 @@
 //     the least in the heap), so no sift moves it, and since keys are
 //     unique any valid heap fires the same order.
 //
+// # The tick lane
+//
+// Beside the heap sits a FIFO lane, a queue.Ring of the same (time,
+// seq, index) nodes, fed by ScheduleTail. A governor tick reschedules
+// itself at now + period, later than most pending events, so in the
+// heap each tick costs a descent to the bottom: the reused root sifts
+// down, or the dead root is popped. On the lane the push is a ring
+// store and the fire a ring pop. The lane keeps the last time pushed,
+// and a ScheduleTail below it goes to the heap instead, so the lane is
+// always in (time, seq) order: times never decrease along it, and seq
+// grows with every schedule. Its head is therefore its least event,
+// and Step fires the lesser of the lane head and the heap root. Lane
+// events return no Ref and are never canceled; Reset drops them with
+// the heap's. A ctsim governor is the lane's one user. Several
+// governors with one period on a shared kernel still push in time
+// order; with mixed periods the out-of-order pushes fall back to the
+// heap, exactly and only slower.
+//
 // Callers refer to scheduled events through Ref handles (index +
 // generation). A slot's generation bumps every time it is released, so a
 // stale Ref — to an event that already fired or was canceled, even if the
@@ -48,29 +66,33 @@
 // # Ordering contract
 //
 // Events fire in strictly nondecreasing (time, seq) order, where seq is
-// a schedule-order counter private to each kernel: of two events
-// scheduled for the same instant, the one scheduled first fires first,
-// regardless of heap layout. Every simulator above this package (ctsim,
-// the fleet's shared-clock coupled groups, the shared-resource arbiters)
-// leans on that FIFO tie-break for its bit-identical determinism
-// contract (TestArenaMatchesReferenceHeap pins it against a
-// container/heap reference).
+// a schedule-order counter private to each kernel and shared by
+// Schedule and ScheduleTail: of two events scheduled for the same
+// instant, the one scheduled first fires first, regardless of heap
+// layout and of which structure, heap or lane, holds either. Every
+// simulator above this package (ctsim, the fleet's shared-clock coupled
+// groups, the shared-resource arbiters) leans on that FIFO tie-break
+// for its bit-identical determinism contract
+// (TestArenaMatchesReferenceHeap and FuzzKernelOrder pin it, over mixed
+// Schedule and ScheduleTail interleavings, against a container/heap
+// reference).
 //
 // # Handler contract
 //
-// A handler may Schedule, Cancel, query Len and Pending, and call Step,
-// Run or Reset. Inside a handler Len and Pending exclude the event that
-// is firing, exactly as if it had been removed before the call. A nested
-// Step or Run fires later events from inside the handler (the clock
-// advances with them), and Reset drops every queued event. Each of the
-// three first discards the dead root, so the outer Step has nothing left
-// to pop when the handler returns.
+// A handler may Schedule, ScheduleTail, Cancel, query Len and Pending,
+// and call Step, Run or Reset. Inside a handler Len and Pending exclude
+// the event that is firing, exactly as if it had been removed before
+// the call. A nested Step or Run fires later events from inside the
+// handler (the clock advances with them), and Reset drops every queued
+// event. Each of the three first discards the dead root, so the outer
+// Step has nothing left to pop when the handler returns. A lane event
+// leaves the lane before its handler runs, so it leaves no dead root.
 //
 // # Reuse contract
 //
 // Kernel.Reset restores a freshly constructed kernel — clock at 0, no
-// queued events, counters cleared — while keeping the arena and heap
-// capacity, and behavior after Reset is bit-identical to a new
+// queued events, counters cleared — while keeping the arena, heap and
+// lane capacity, and behavior after Reset is bit-identical to a new
 // kernel's. Together with the free-list event recycling this keeps a
 // worker that cycles one kernel through many replicas entirely off the
 // allocator (TestResetMatchesFreshKernel, TestFreeListReuse).
@@ -81,6 +103,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/queue"
 )
 
 // Handler is the callback invoked when an event fires. The kernel passes
@@ -173,9 +197,14 @@ type Kernel struct {
 	now   float64
 	arena []event
 	heap  []heapNode // (time, seq, arena index) ordered as a 4-ary min-heap
-	free  int32      // free-list head (slot+1 form), 0 = empty
-	seq   uint64
-	fired uint64
+	// lane holds ScheduleTail's events in push order, which is (time,
+	// seq) order: a push below laneKey, the last key pushed, goes to
+	// the heap instead.
+	lane    queue.Ring[heapNode]
+	laneKey uint64
+	free    int32 // free-list head (slot+1 form), 0 = empty
+	seq     uint64
+	fired   uint64
 	// dead marks heap[0] as the event Step is firing: its slot is
 	// already released, and the handler's first Schedule reuses the
 	// root in place (see Step).
@@ -187,15 +216,19 @@ func New() *Kernel { return &Kernel{} }
 
 // Reset returns the kernel to a freshly constructed state — clock at 0,
 // no queued events, sequence and fired counters cleared — while retaining
-// the event arena and heap capacity. A worker that runs many replicas
-// back to back resets one kernel instead of reallocating per replica; the
-// behavior after Reset is bit-identical to a new kernel's.
+// the event arena, heap and lane capacity. A worker that runs many
+// replicas back to back resets one kernel instead of reallocating per
+// replica; the behavior after Reset is bit-identical to a new kernel's.
 func (k *Kernel) Reset() {
 	k.dropDead()
 	for _, nd := range k.heap {
 		k.release(nd.idx)
 	}
 	k.heap = k.heap[:0]
+	for k.lane.Len() > 0 {
+		k.release(k.lane.Pop().idx)
+	}
+	k.laneKey = 0
 	k.now = 0
 	k.seq = 0
 	k.fired = 0
@@ -207,14 +240,15 @@ func (k *Kernel) Now() float64 { return k.now }
 // Fired returns the number of events executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// Len returns the number of queued events. It is O(1) and exact: Cancel
-// removes events from the heap immediately, and inside a handler the
-// firing event's dead root is not counted.
+// Len returns the number of queued events, in the heap and the lane. It
+// is O(1) and exact: Cancel removes events from the heap immediately,
+// and inside a handler the firing event's dead root is not counted.
 func (k *Kernel) Len() int {
+	n := len(k.heap) + k.lane.Len()
 	if k.dead {
-		return len(k.heap) - 1
+		n--
 	}
-	return len(k.heap)
+	return n
 }
 
 // Pending reports whether r's event is still queued (not fired, not
@@ -299,6 +333,32 @@ func (k *Kernel) Schedule(t float64, fn Handler) (Ref, error) {
 	return Ref{slot: idx + 1, gen: k.arena[idx].gen}, nil
 }
 
+// ScheduleTail queues fn to run at time t, exactly as Schedule would
+// order it, but returns no Ref: the event cannot be canceled, and only
+// Reset drops it. It is meant for a periodic event that reschedules
+// itself at a fixed delay, such as a governor tick. While a kernel's
+// ScheduleTail times never decrease, each push is O(1) onto the FIFO
+// lane instead of a heap insertion. A time below the last one pushed,
+// and any input Schedule rejects, goes through Schedule instead, so the
+// fire order and the errors never depend on which structure holds an
+// event.
+func (k *Kernel) ScheduleTail(t float64, fn Handler) error {
+	key := timeKey(t)
+	if key < k.laneKey || t-t != 0 || t < k.now || fn == nil {
+		_, err := k.Schedule(t, fn)
+		return err
+	}
+	k.laneKey = key
+	idx := k.alloc()
+	e := &k.arena[idx]
+	e.time = t
+	e.seq = k.seq
+	e.fn = fn
+	k.lane.Push(heapNode{key: key, seq: k.seq, idx: idx})
+	k.seq++
+	return nil
+}
+
 // After queues fn to run delay time units from now; delay must be >= 0.
 func (k *Kernel) After(delay float64, fn Handler) (Ref, error) {
 	if delay < 0 || math.IsNaN(delay) {
@@ -320,9 +380,32 @@ func (k *Kernel) Cancel(r Ref) {
 
 // Step fires the earliest pending event. It returns false when the queue
 // is empty.
-func (k *Kernel) Step() bool {
-	k.dropDead() // a Step nested in a handler
-	if len(k.heap) == 0 {
+func (k *Kernel) Step() bool { return k.step(math.MaxUint64) }
+
+// step fires the earliest pending event, the lane head or the heap
+// root, if its time key is at most hkey, and reports whether it fired
+// one.
+func (k *Kernel) step(hkey uint64) bool {
+	k.dropDead() // a Step or Run nested in a handler
+	if k.lane.Len() > 0 {
+		nd := k.lane.Peek()
+		if len(k.heap) == 0 || nodeLess(nd, k.heap[0]) {
+			if nd.key > hkey {
+				return false
+			}
+			k.lane.Pop()
+			e := &k.arena[nd.idx]
+			t, fn := e.time, e.fn
+			// As below, released before the handler runs; a lane event
+			// leaves no dead root.
+			k.release(nd.idx)
+			k.now = t
+			k.fired++
+			fn(t)
+			return true
+		}
+	}
+	if len(k.heap) == 0 || k.heap[0].key > hkey {
 		return false
 	}
 	idx := k.heap[0].idx
@@ -352,15 +435,17 @@ func (k *Kernel) dropDead() {
 
 // Run executes events until the queue is empty or the clock would exceed
 // horizon (events after the horizon remain queued), then advances the
-// clock to exactly horizon.
+// clock to exactly horizon. A NaN horizon is an error: it would compare
+// above every event time and run the queue dry.
 func (k *Kernel) Run(horizon float64) error {
+	if math.IsNaN(horizon) {
+		return fmt.Errorf("eventq: horizon %v is not a number", horizon)
+	}
 	if horizon < k.now {
 		return fmt.Errorf("eventq: horizon %v precedes current time %v", horizon, k.now)
 	}
-	k.dropDead() // a Run nested in a handler
 	hkey := timeKey(horizon)
-	for len(k.heap) > 0 && k.heap[0].key <= hkey {
-		k.Step()
+	for k.step(hkey) {
 	}
 	if k.now < horizon {
 		k.now = horizon

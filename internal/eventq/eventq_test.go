@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -191,6 +192,84 @@ func TestRunRejectsPastHorizon(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNaNHorizon: NaN passes the past-horizon comparison, and
+// its time key exceeds every event's, so an unchecked Run(NaN) would
+// fire the whole queue, a self-rescheduling chain included. Run must
+// reject it before firing anything. The chain stops itself after 1000
+// fires, so the test ends even if the check is missing.
+func TestRunRejectsNaNHorizon(t *testing.T) {
+	k := New()
+	n := 0
+	var tick Handler
+	tick = func(float64) {
+		if n++; n < 1000 {
+			k.After(1, tick)
+		}
+	}
+	k.After(1, tick)
+	if err := k.Run(math.NaN()); err == nil {
+		t.Error("Run(NaN) accepted")
+	}
+	if n != 0 || k.Now() != 0 || k.Len() != 1 {
+		t.Errorf("Run(NaN) fired %d events, clock %v, %d queued; want 0, 0, 1", n, k.Now(), k.Len())
+	}
+}
+
+// TestScheduleTailLaneAndFallback pins where ScheduleTail puts an event:
+// on the lane while its times do not decrease, in the heap below the
+// lane's last time, and nowhere, with Schedule's error, on input that
+// Schedule rejects. Reset forgets the lane's last time.
+func TestScheduleTailLaneAndFallback(t *testing.T) {
+	k := New()
+	var order []float64
+	log := func(now float64) { order = append(order, now) }
+	for _, tt := range []float64{1, 1, 3} {
+		if err := k.ScheduleTail(tt, log); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.ScheduleTail(2, log); err != nil { // below 3: the heap
+		t.Fatal(err)
+	}
+	if k.lane.Len() != 3 || len(k.heap) != 1 || k.Len() != 4 {
+		t.Fatalf("lane %d, heap %d, Len %d; want 3, 1, 4", k.lane.Len(), len(k.heap), k.Len())
+	}
+	k.Schedule(1, log) // ties with the lane's two events at 1, after them
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		if err := k.ScheduleTail(bad, log); err == nil {
+			t.Errorf("ScheduleTail(%v) accepted", bad)
+		}
+	}
+	if err := k.ScheduleTail(5, nil); err == nil {
+		t.Error("nil handler accepted")
+	}
+	if k.Len() != 5 {
+		t.Fatalf("rejected pushes queued something: Len %d, want 5", k.Len())
+	}
+	if err := k.Run(2.5); err != nil { // the lane's event at 3 stays queued
+		t.Fatal(err)
+	}
+	if want := []float64{1, 1, 1, 2}; !slices.Equal(order, want) || k.Len() != 1 || k.Now() != 2.5 {
+		t.Fatalf("Run(2.5) fired %v, left %d queued, clock %v; want %v, 1, 2.5", order, k.Len(), k.Now(), want)
+	}
+	if err := k.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{1, 1, 1, 2, 3}; !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	if err := k.ScheduleTail(5, log); err == nil {
+		t.Error("ScheduleTail before now accepted")
+	}
+	k.Reset()
+	if err := k.ScheduleTail(1, log); err != nil {
+		t.Fatal(err)
+	}
+	if k.lane.Len() != 1 || len(k.heap) != 0 {
+		t.Fatalf("after Reset a push at 1 went to the heap (lane %d, heap %d): Reset kept the lane's last time", k.lane.Len(), len(k.heap))
+	}
+}
+
 // Len must stay exact through schedule/cancel/fire interleavings,
 // including cancels of already-fired and already-canceled events — on the
 // indexed heap, Cancel removes immediately, so Len is the heap length.
@@ -239,6 +318,24 @@ func TestLenCounterExact(t *testing.T) {
 	k.Run(30)
 	if k.Fired() != 4 {
 		t.Fatalf("canceled event fired (Fired = %d)", k.Fired())
+	}
+
+	// Lane events count in Len and Fired beside heap events; inside a
+	// lane event's handler, as inside a heap event's, the firing event
+	// is not counted.
+	inLane := -1
+	k.ScheduleTail(31, func(float64) { inLane = k.Len() })
+	k.ScheduleTail(32, func(float64) {})
+	k.Schedule(33, func(float64) {})
+	if p := k.Len(); p != 3 {
+		t.Fatalf("Len with two lane events and one heap event = %d, want 3", p)
+	}
+	if !k.Step() || inLane != 2 {
+		t.Fatalf("Len inside a lane handler = %d, want 2", inLane)
+	}
+	k.Run(40)
+	if p := k.Len(); p != 0 || k.Fired() != 7 {
+		t.Fatalf("after the lane drain: Len %d, Fired %d; want 0, 7", p, k.Fired())
 	}
 }
 
@@ -300,13 +397,20 @@ func TestFiredAndLenCounters(t *testing.T) {
 func TestResetMatchesFreshKernel(t *testing.T) {
 	trace := func(k *Kernel) []float64 {
 		var got []float64
-		var rec Handler
+		var rec, tick Handler
 		rec = func(now float64) {
 			got = append(got, now)
 			if now < 5 {
 				k.After(1, rec)
 			}
 		}
+		tick = func(now float64) {
+			got = append(got, 100+now)
+			if now < 5 {
+				k.ScheduleTail(now+1.5, tick)
+			}
+		}
+		k.ScheduleTail(0.5, tick)
 		k.Schedule(1, rec)
 		k.Schedule(1, func(now float64) { got = append(got, -now) })
 		e, _ := k.Schedule(3.5, func(float64) { got = append(got, 99) })
@@ -329,10 +433,12 @@ func TestResetMatchesFreshKernel(t *testing.T) {
 			t.Fatalf("re-run diverged at %d: %v vs %v", i, first, second)
 		}
 	}
-	// Pending events at Reset are dropped, not fired.
+	// Pending events at Reset are dropped, not fired, in the heap and
+	// the lane alike.
 	k.Reset()
 	fired := false
 	k.Schedule(2, func(float64) { fired = true })
+	k.ScheduleTail(3, func(float64) { fired = true })
 	k.Reset()
 	k.Run(10)
 	if fired {
@@ -352,6 +458,7 @@ func TestResetMatchesFreshKernel(t *testing.T) {
 		nested = trace(k)
 	})
 	k.Schedule(2, func(float64) { fired = true })
+	k.ScheduleTail(2, func(float64) { fired = true })
 	if err := k.Run(10); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package queue implements Ring, the FIFO behind every queue in the
 // repository: the slotted and continuous-time request queues, the
-// shared resources' wait queues, and the sliding windows of the
-// figure series and the adaptive-LP rate estimator.
+// shared resources' wait queues, the event kernel's tick lane, and the
+// sliding windows of the figure series and the adaptive-LP rate
+// estimator.
 package queue
 
 import "fmt"
@@ -12,8 +13,8 @@ const minRing = 4
 // Ring is a FIFO of T over a power-of-two circular buffer, so the index
 // wrap is a mask. The zero value is an empty, unbounded ring. The buffer
 // doubles only when a Push finds it full, so it grows to the ring's
-// high-water mark and no further; Reset keeps it. After that, Push, Pop
-// and Remove never allocate. Vacated slots are not cleared: a ring of
+// high-water mark and no further; Reset keeps it. After that, Push, Pop,
+// Peek and Remove never allocate. Vacated slots are not cleared: a ring of
 // pointers keeps what they point to reachable until the slot is reused.
 type Ring[T comparable] struct {
 	buf   []T // len is zero or a power of two
@@ -68,6 +69,15 @@ func (r *Ring[T]) Pop() T {
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return v
+}
+
+// Peek returns the oldest entry without removing it. It panics on an
+// empty ring: callers check Len.
+func (r *Ring[T]) Peek() T {
+	if r.n == 0 {
+		panic("queue: peek at empty ring")
+	}
+	return r.buf[r.head]
 }
 
 // Remove deletes the oldest entry equal to v, shifting the entries

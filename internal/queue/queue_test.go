@@ -95,15 +95,22 @@ func TestNegativeCapacityRejected(t *testing.T) {
 }
 
 func TestPopEmptyPanics(t *testing.T) {
-	var q Ring[int64]
-	q.Push(1)
-	q.Pop()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pop on an empty ring did not panic")
-		}
-	}()
-	q.Pop()
+	for name, op := range map[string]func(*Ring[int64]){
+		"Pop":  func(q *Ring[int64]) { q.Pop() },
+		"Peek": func(q *Ring[int64]) { q.Peek() },
+	} {
+		var q Ring[int64]
+		q.Push(1)
+		q.Pop()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an empty ring did not panic", name)
+				}
+			}()
+			op(&q)
+		}()
+	}
 }
 
 func TestRemoveKeepsOrder(t *testing.T) {
@@ -203,7 +210,8 @@ func TestConservationProperty(t *testing.T) {
 // reference model. Each input byte is one operation: the low two bits
 // pick it, the high six its argument (the pushed or removed value, or
 // the new bound modulo 8). Values are drawn from a small range so
-// Remove meets duplicates.
+// Remove meets duplicates. After every operation Peek must return the
+// reference's head.
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{0x04, 0x08, 0x0c, 0x01, 0x06, 0x0f})
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -245,6 +253,9 @@ func FuzzRing(f *testing.F) {
 			high = max(high, len(ref))
 			if got := contents(&q); !slices.Equal(got, ref) {
 				t.Fatalf("step %d: ring holds %v, want %v", step, got, ref)
+			}
+			if len(ref) > 0 && q.Peek() != ref[0] {
+				t.Fatalf("step %d: Peek returned %d, want %d", step, q.Peek(), ref[0])
 			}
 			if n := len(q.buf); n != 0 && (n&(n-1) != 0 || n > max(minRing, 2*high)) {
 				t.Fatalf("step %d: buffer length %d at high-water mark %d", step, n, high)
